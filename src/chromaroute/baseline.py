@@ -15,11 +15,17 @@ from __future__ import annotations
 
 import math
 
-from .csg import PendingPair, executable_pairs, useful_swaps
-from .errors import StallError
+from .csg import Budget, executable_pairs, useful_swaps
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping
 from .ir import LogicalCircuit
-from .scheduler import SWAP_DURATION, Op, ScheduleState, ScheduledCircuit, _pending_pairs
+from .scheduler import (
+    SWAP_DURATION,
+    CircuitRun,
+    Op,
+    ScheduleState,
+    ScheduledCircuit,
+    StallGuard,
+)
 
 
 def oblivious_schedule(
@@ -32,33 +38,18 @@ def oblivious_schedule(
 
     Whatever interference the schedule commits is still recorded in the
     ledger, so its ESP reflects the inflated rates."""
-    if initial_mapping is None:
-        initial_mapping = Mapping(circuit.num_qubits, hw.num_qubits)
-    state = ScheduleState(hw, profile, initial_mapping.copy(), allowance=math.inf)
-    executed: set[int] = set()
-    in_flight: set[int] = set()
-    idle = 0
-    iterations = 0
-    hard_cap = 50 * (len(circuit.gates) + hw.num_qubits + 10)
-    while len(executed) < len(circuit.gates):
-        iterations += 1
-        if iterations > hard_cap:
-            raise StallError(f"baseline: no convergence after {iterations} iterations")
+    state = ScheduleState(hw, Budget(profile, math.inf), circuit.num_qubits, initial_mapping)
+    run = CircuitRun(circuit, state)
+    guard = StallGuard(len(circuit.gates), hw, "baseline: ")
+    while not run.done():
+        guard.next_iteration()
         state.open_layer()
-        two_q, singles = _pending_pairs(circuit, executed, in_flight)
+        two_q, singles = run.pending()
         progress = False
         for p in executable_pairs(two_q, state.mapping, hw):
-            g = circuit.gate(p.key)
-            pq = (state.mapping.phys(g.qubits[0]), state.mapping.phys(g.qubits[1]))
-            if not (state.qubit_free(pq[0]) and state.qubit_free(pq[1])):
-                continue
-            if g.kind == "swap":
-                state.start_swap(pq, gate_key=g.gate_id)
-                in_flight.add(g.gate_id)
-            else:
-                state.place(Op(kind=g.kind, qubits=pq, gate_id=g.gate_id, param=g.param))
-                executed.add(g.gate_id)
-            progress = True
+            if all(state.qubit_free(state.mapping.phys(q)) for q in p.logicals):
+                run.run_gate(p.key)
+                progress = True
         helped_now = set()
         for f in state.flights:
             helped_now.update(f.helps)
@@ -74,31 +65,9 @@ def oblivious_schedule(
                     helped_now.update(c.helps)
                     progress = True
                     break
-        for g in singles:
-            pq = state.mapping.phys(g.qubits[0])
-            if state.qubit_free(pq):
-                state.place(Op(kind="u", qubits=(pq,), gate_id=g.gate_id, label=g.label))
-                executed.add(g.gate_id)
-                progress = True
-        _, completed = state.close_layer()
-        for f in completed:
-            if f.gate_key is not None:
-                executed.add(f.gate_key)
-                in_flight.discard(f.gate_key)
-                progress = True
-        if progress:
-            idle = 0
-        else:
-            idle += 1
-            if idle > hw.num_qubits:
-                raise StallError(f"baseline: stuck for {idle} iterations")
-    return ScheduledCircuit(
-        num_physical=hw.num_qubits,
-        layers=state.layers,
-        crosstalk_ledger=state.ledger,
-        initial_mapping=initial_mapping,
-        final_mapping=state.mapping.copy(),
-    )
+        progress = run.finish_layer(singles) or progress
+        guard.record(progress)
+    return state.result()
 
 
 def serialize_crosstalk(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -70,8 +71,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_mapping_spec(spec: str, num_logical: int, num_physical: int) -> Mapping:
-    """Parse ``l:p,l:p,...`` into a Mapping covering every logical qubit."""
+def _parse_mapping_spec(spec: str | None, num_logical: int, num_physical: int) -> Mapping | None:
+    """Parse ``l:p,l:p,...`` into a Mapping covering every logical qubit;
+    None when no --mapping was given."""
+    if not spec:
+        return None
     placement: dict[int, int] = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -146,47 +150,68 @@ class _CsgCollector:
         return "\n".join(self.graphs)
 
 
-def _load_workload(args):
-    """Returns (circuit, program): exactly one input path was given."""
+def _load_inputs(args):
+    """Hardware and workload of ``compile`` and ``search``, a strictly
+    two-local Pauli program rewritten as a gate circuit.  Returns (hw,
+    profile, circuit, mapping, schedule): ``circuit`` is None for a Pauli
+    program, and ``schedule(allowance, options, hook)`` compiles either."""
+    hw, profile = load_hardware_file(args.hardware)
     circuit = None
     program = None
-    if getattr(args, "circuit", None):
+    if args.circuit:
         circuit = parse_circuit(_read_text(args.circuit))
-    if getattr(args, "pauli", None):
+    if args.pauli:
         program = parse_pauli_program(_read_text(args.pauli))
     if (circuit is None) == (program is None):
         raise ParseError("exactly one of --circuit and --pauli is required")
-    return circuit, program
-
-
-def _cmd_compile(args) -> int:
-    hw, profile = load_hardware_file(args.hardware)
-    circuit, program = _load_workload(args)
     if program is not None and program.all_two_local:
         circuit, program = expand_two_local(program), None
     num_logical = circuit.num_qubits if circuit is not None else program.num_qubits
-    mapping = (
-        _parse_mapping_spec(args.mapping, num_logical, hw.num_qubits)
-        if args.mapping
-        else None
+    mapping = _parse_mapping_spec(args.mapping, num_logical, hw.num_qubits)
+
+    def schedule(allowance: float, options=None, hook=None) -> ScheduledCircuit:
+        kwargs = {
+            "initial_mapping": mapping,
+            "allowance": allowance,
+            "allowance_units": args.allowance_units,
+            "on_iteration": hook,
+        }
+        if circuit is not None:
+            return compile_circuit(circuit, hw, profile, **kwargs)
+        return synthesize(program, hw, profile, options=options, **kwargs)
+
+    return hw, profile, circuit, mapping, schedule
+
+
+def _emit_schedule(args, sched: ScheduledCircuit, hook: _CsgCollector | None, what: str) -> int:
+    """Output of ``compile`` and ``vqe-synth``: the log line, the optional
+    DOT and timeline files, and the schedule JSON."""
+    log.info(
+        "%s: depth_cx=%d swaps=%d crosstalk_entries=%d excess=%g",
+        what,
+        sched.depth_cx,
+        sched.swap_count,
+        len(sched.crosstalk_ledger),
+        sched.ledger_total(),
     )
-    collector = _CsgCollector()
-    hook = collector if (args.emit_csg or log.isEnabledFor(logging.DEBUG)) else None
+    if args.emit_csg:
+        _write_text(hook.text(), args.emit_csg)
+    if args.emit_timeline:
+        _write_text(format_timeline(sched), args.emit_timeline)
+    _write_text(_json_text(sched.to_json_dict()), args.out)
+    return EXIT_OK
+
+
+def _cmd_compile(args) -> int:
+    hw, profile, circuit, mapping, schedule = _load_inputs(args)
+    hook = _CsgCollector() if (args.emit_csg or log.isEnabledFor(logging.DEBUG)) else None
     if args.baseline:
         if circuit is None:
             raise ParseError("--baseline needs a gate circuit or a two-local Pauli program")
         sched = baseline_schedule(circuit, hw, profile, mapping)
         verify_routing(sched, hw, profile, circuit=circuit)
-    elif circuit is not None:
-        sched = compile_circuit(
-            circuit,
-            hw,
-            profile,
-            initial_mapping=mapping,
-            allowance=args.allowance,
-            allowance_units=args.allowance_units,
-            on_iteration=hook,
-        )
+    else:
+        sched = schedule(args.allowance, hook=hook)
         verify_routing(
             sched,
             hw,
@@ -195,49 +220,15 @@ def _cmd_compile(args) -> int:
             allowance=args.allowance,
             allowance_units=args.allowance_units,
         )
-    else:
-        sched = synthesize(
-            program,
-            hw,
-            profile,
-            initial_mapping=mapping,
-            allowance=args.allowance,
-            allowance_units=args.allowance_units,
-            on_iteration=hook,
-        )
-        verify_routing(
-            sched,
-            hw,
-            profile,
-            allowance=args.allowance,
-            allowance_units=args.allowance_units,
-        )
-    log.info(
-        "compiled: depth_cx=%d swaps=%d crosstalk_entries=%d excess=%g",
-        sched.depth_cx,
-        sched.swap_count,
-        len(sched.crosstalk_ledger),
-        sched.ledger_total(),
-    )
-    if args.emit_csg:
-        _write_text(collector.text(), args.emit_csg)
-    if args.emit_timeline:
-        _write_text(format_timeline(sched), args.emit_timeline)
-    _write_text(_json_text(sched.to_json_dict()), args.out)
-    return EXIT_OK
+    return _emit_schedule(args, sched, hook, "compiled")
 
 
 def _cmd_vqe_synth(args) -> int:
     hw, profile = load_hardware_file(args.hardware)
     program = parse_pauli_program(_read_text(args.pauli))
-    mapping = (
-        _parse_mapping_spec(args.mapping, program.num_qubits, hw.num_qubits)
-        if args.mapping
-        else None
-    )
+    mapping = _parse_mapping_spec(args.mapping, program.num_qubits, hw.num_qubits)
     options = SynthesisOptions(w1=args.w1, w2=args.w2, lookahead=args.lookahead == "on")
-    collector = _CsgCollector()
-    hook = collector if (args.emit_csg or log.isEnabledFor(logging.DEBUG)) else None
+    hook = _CsgCollector() if (args.emit_csg or log.isEnabledFor(logging.DEBUG)) else None
     sched = synthesize(
         program,
         hw,
@@ -255,19 +246,7 @@ def _cmd_vqe_synth(args) -> int:
         allowance=args.allowance,
         allowance_units=args.allowance_units,
     )
-    log.info(
-        "synthesized: depth_cx=%d swaps=%d crosstalk_entries=%d excess=%g",
-        sched.depth_cx,
-        sched.swap_count,
-        len(sched.crosstalk_ledger),
-        sched.ledger_total(),
-    )
-    if args.emit_csg:
-        _write_text(collector.text(), args.emit_csg)
-    if args.emit_timeline:
-        _write_text(format_timeline(sched), args.emit_timeline)
-    _write_text(_json_text(sched.to_json_dict()), args.out)
-    return EXIT_OK
+    return _emit_schedule(args, sched, hook, "synthesized")
 
 
 def _cmd_jw_encode(args) -> int:
@@ -294,37 +273,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    hw, profile = load_hardware_file(args.hardware)
-    circuit, program = _load_workload(args)
-    if program is not None and program.all_two_local:
-        circuit, program = expand_two_local(program), None
-    num_logical = circuit.num_qubits if circuit is not None else program.num_qubits
-    mapping = (
-        _parse_mapping_spec(args.mapping, num_logical, hw.num_qubits)
-        if args.mapping
-        else None
-    )
+    hw, profile, circuit, _, schedule = _load_inputs(args)
     options = SynthesisOptions(lookahead=args.lookahead == "on")
 
     def compile_fn(allowance: float) -> ScheduledCircuit:
-        if circuit is not None:
-            return compile_circuit(
-                circuit,
-                hw,
-                profile,
-                initial_mapping=mapping,
-                allowance=allowance,
-                allowance_units=args.allowance_units,
-            )
-        return synthesize(
-            program,
-            hw,
-            profile,
-            initial_mapping=mapping,
-            allowance=allowance,
-            allowance_units=args.allowance_units,
-            options=options,
-        )
+        return schedule(allowance, options)
 
     result = search_allowance(compile_fn, hw, profile, steps=args.steps)
     log.info(
@@ -349,23 +302,42 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _add_common_compile_args(p: argparse.ArgumentParser, with_allowance: bool = True):
+def _at_least(convert, low, what: str):
+    """An argparse type: ``convert(text)``, rejected unless it is at least
+    ``low``.  NaN is never at least anything."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _add_device_args(p: argparse.ArgumentParser):
     p.add_argument("--hardware", "-H", required=True, help="hardware description JSON")
     p.add_argument("--mapping", "-m", help="initial placement, e.g. '0:2,1:0,2:1'")
     p.add_argument("--out", "-o", help="output file (default: stdout)")
-    if with_allowance:
-        p.add_argument(
-            "--allowance",
-            "-a",
-            type=float,
-            default=0.0,
-            help="crosstalk budget (default 0; 'inf' allowed)",
-        )
     p.add_argument(
         "--allowance-units",
         choices=("error", "pairs"),
         default="error",
         help="budget accumulated error mass, or count permitted pairs",
+    )
+
+
+def _add_common_compile_args(p: argparse.ArgumentParser):
+    _add_device_args(p)
+    p.add_argument(
+        "--allowance",
+        "-a",
+        type=_at_least(float, 0.0, "a number >= 0 or 'inf'"),
+        default=0.0,
+        help="crosstalk budget (default 0; 'inf' allowed)",
     )
     p.add_argument("--emit-csg", help="write every iteration's candidate set graph as DOT")
     p.add_argument("--emit-timeline", help="write a human-readable layer timeline")
@@ -417,16 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search the crosstalk allowance with the best ESP")
     p.add_argument("--circuit", "-c", help="gate circuit input file")
     p.add_argument("--pauli", "-p", help="Pauli program input file")
-    p.add_argument("--hardware", "-H", required=True, help="hardware description JSON")
-    p.add_argument("--mapping", "-m", help="initial placement, e.g. '0:2,1:0,2:1'")
-    p.add_argument("--out", "-o", help="output file (default: stdout)")
+    _add_device_args(p)
     p.add_argument(
-        "--allowance-units",
-        choices=("error", "pairs"),
-        default="error",
-        help="budget accumulated error mass, or count permitted pairs",
+        "--steps",
+        type=_at_least(int, 1, "a whole number >= 1"),
+        default=32,
+        help="search resolution (default 32)",
     )
-    p.add_argument("--steps", type=int, default=32, help="search resolution (default 32)")
     p.add_argument(
         "--lookahead",
         choices=("on", "off"),

@@ -12,12 +12,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantError
+from .errors import HardwareError, InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
 
-# How allowance is budgeted: by accumulated excess error mass, or simply by
-# counting permitted interfering pairs.
-ALLOWANCE_UNITS = ("error", "pairs")
+
+@dataclass(frozen=True)
+class Budget:
+    """A crosstalk allowance and the units it is counted in: ``"error"``
+    budgets the accumulated excess error mass of the committed link pairs,
+    ``"pairs"`` simply counts them.  Only this class knows the units."""
+
+    profile: CrosstalkProfile
+    allowance: float = 0.0
+    units: str = "error"
+
+    def __post_init__(self):
+        if self.units not in ("error", "pairs"):
+            raise InvariantError(f"unknown allowance units {self.units!r}")
+
+    def cost(self, e1: Edge, e2: Edge) -> float | None:
+        """What running the two links in one layer costs the budget, or
+        None when the profile does not pair them."""
+        if self.profile.record_for(e1, e2) is None:
+            return None
+        return self.profile.excess_error(e1, e2) if self.units == "error" else 1.0
+
+    def recorded_excess(self, e1: Edge, e2: Edge) -> float:
+        """The excess error the ledger records for a profiled link pair."""
+        try:
+            return self.profile.excess_error(e1, e2)
+        except HardwareError:
+            if self.units != "pairs":
+                raise
+            # counting pairs, not error mass; devices without isolated
+            # rates can still be budgeted this way
+            return 0.0
+
+    def spent(self, ledger) -> float:
+        """How much of the allowance a ledger of ``LedgerEntry`` has used."""
+        if self.units == "pairs":
+            return float(len(ledger))
+        return sum(e.excess for e in ledger)
 
 
 @dataclass(frozen=True)
@@ -162,31 +197,6 @@ def useful_swaps(
     return out
 
 
-def get_executable(program, executed: set[int], mapping: Mapping, hw: CouplingGraph) -> list:
-    """Executable two-qubit gates of a LogicalCircuit: dependence-resolved and
-    coupling-satisfied.  Single-qubit gates are not routed and not returned."""
-    from .ir import frontier
-
-    pending = [
-        PendingPair(g.gate_id, (g.qubits[0], g.qubits[1]))
-        for g in frontier(program, executed)
-        if g.kind != "u"
-    ]
-    return executable_pairs(pending, mapping, hw)
-
-
-def get_useful_swaps(program, executed: set[int], mapping: Mapping, hw: CouplingGraph) -> list[SwapCandidate]:
-    """Distance-reducing SWAP candidates for a LogicalCircuit's frontier."""
-    from .ir import frontier
-
-    pending = [
-        PendingPair(g.gate_id, (g.qubits[0], g.qubits[1]))
-        for g in frontier(program, executed)
-        if g.kind != "u"
-    ]
-    return useful_swaps(pending, mapping, hw)
-
-
 def _joint_overshoots(
     sa_edge: Edge,
     sb_edge: Edge,
@@ -227,20 +237,17 @@ def build_csg(
     pending: list[PendingPair],
     mapping: Mapping,
     hw: CouplingGraph,
-    profile: CrosstalkProfile,
+    budget: Budget,
     allowance_left: float,
-    allowance_units: str = "error",
 ) -> Csg:
     """Assemble the candidate set graph for one scheduling iteration.
 
     Vertex ids are assigned deterministically: in-progress SWAPs first (by
     edge), then cgates (by gate key), then candidate SWAPs (by edge).
-    Crosstalk pairs are sorted ascending by budget cost and permitted while
-    the running total stays within ``allowance_left``; only the pairs that
-    did not fit become crosstalk edges.
+    Crosstalk pairs are sorted ascending by ``budget`` cost and permitted
+    while the running total stays within ``allowance_left``; only the pairs
+    that did not fit become crosstalk edges.
     """
-    if allowance_units not in ALLOWANCE_UNITS:
-        raise InvariantError(f"unknown allowance units {allowance_units!r}")
     vertices: list[CsgVertex] = []
     for ip in sorted(in_progress, key=lambda s: s.edge):
         vertices.append(
@@ -298,9 +305,8 @@ def build_csg(
             if u.kind == "inprogress" and v.kind == "inprogress":
                 # Their interference, if any, was charged when they started.
                 continue
-            rec = profile.record_for(u.edge, v.edge)
-            if rec is not None:
-                cost = profile.excess_error(u.edge, v.edge) if allowance_units == "error" else 1.0
+            cost = budget.cost(u.edge, v.edge)
+            if cost is not None:
                 maybe_crosstalk.append((cost, u.edge, v.edge, i, j))
 
     maybe_crosstalk.sort(key=lambda t: (t[0], t[1], t[2]))

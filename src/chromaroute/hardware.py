@@ -221,11 +221,6 @@ class CrosstalkProfile:
         return max(excess, 0.0)
 
 
-def crosstalk_between(profile: CrosstalkProfile, e1: Edge, e2: Edge) -> CrosstalkRecord | None:
-    """Profile entry for a pair of edges, or None when they do not interfere."""
-    return profile.record_for(e1, e2)
-
-
 class Mapping:
     """Injective placement of logical qubits onto physical qubits.
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .csg import (
+    Budget,
     Csg,
     InProgressSwap,
     PendingPair,
@@ -24,7 +25,7 @@ from .csg import (
     executable_pairs,
     useful_swaps,
 )
-from .errors import HardwareError, InvariantError, StallError, VerificationError
+from .errors import InvariantError, MappingError, StallError, VerificationError
 from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, Gate, LogicalCircuit, PauliProgram, frontier
 
@@ -248,24 +249,52 @@ class _Flight:
         self.started_layer = started_layer
 
 
+class StallGuard:
+    """The iteration cap and the idle limit of one scheduling loop; every
+    message starts with ``prefix``."""
+
+    def __init__(self, work: int, hw: CouplingGraph, prefix: str = ""):
+        self.cap = 50 * (work + hw.num_qubits + 10)
+        self.idle_limit = hw.num_qubits
+        self.prefix = prefix
+        self.iterations = 0
+        self.idle = 0
+
+    def next_iteration(self) -> int:
+        self.iterations += 1
+        if self.iterations > self.cap:
+            raise StallError(f"{self.prefix}no convergence after {self.iterations} iterations")
+        return self.iterations
+
+    def record(self, progress: bool) -> None:
+        self.idle = 0 if progress else self.idle + 1
+        if self.idle > self.idle_limit:
+            raise StallError(
+                f"{self.prefix}no gate executed and no SWAP started for {self.idle} iterations"
+            )
+
+
 class ScheduleState:
-    """Mutable engine shared by the circuit compiler and the ansatz
-    synthesizer: opens a layer, places operations with crosstalk charging,
-    closes the layer advancing in-flight SWAPs."""
+    """Mutable engine shared by the circuit compiler, the reference
+    compiler and the ansatz synthesizer: opens a layer, places operations
+    with crosstalk charging against ``budget``, closes the layer advancing
+    in-flight SWAPs."""
 
     def __init__(
         self,
         hw: CouplingGraph,
-        profile: CrosstalkProfile,
-        mapping: Mapping,
-        allowance: float = 0.0,
-        allowance_units: str = "error",
+        budget: Budget,
+        num_logical: int,
+        initial_mapping: Mapping | None = None,
     ):
+        if num_logical > hw.num_qubits:
+            raise MappingError(f"program needs {num_logical} qubits, device has {hw.num_qubits}")
+        if initial_mapping is None:
+            initial_mapping = Mapping(num_logical, hw.num_qubits)
         self.hw = hw
-        self.profile = profile
-        self.mapping = mapping
-        self.allowance = allowance
-        self.allowance_units = allowance_units
+        self.budget = budget
+        self.initial_mapping = initial_mapping
+        self.mapping = initial_mapping.copy()
         self.layers: list[list[Op]] = []
         self.ledger: list[LedgerEntry] = []
         self.flights: list[_Flight] = []
@@ -275,13 +304,8 @@ class ScheduleState:
         self._cur_edges: set[Edge] = set()
         self._cur_busy: set[int] = set()
 
-    def allowance_used(self) -> float:
-        if self.allowance_units == "pairs":
-            return float(len(self.ledger))
-        return sum(e.excess for e in self.ledger)
-
     def allowance_left(self) -> float:
-        return max(self.allowance - self.allowance_used(), 0.0)
+        return max(self.budget.allowance - self.budget.spent(self.ledger), 0.0)
 
     def in_progress(self) -> list[InProgressSwap]:
         return [
@@ -294,13 +318,29 @@ class ScheduleState:
             for f in self.flights
         ]
 
-    def open_layer(self) -> int:
+    def drained(self) -> Mapping:
+        """The mapping that will hold once the in-flight routing SWAPs land."""
+        drained = self.mapping.copy()
+        for f in self.flights:
+            if f.gate_key is None:
+                drained.apply_swap(*f.edge)
+        return drained
+
+    def result(self) -> ScheduledCircuit:
+        return ScheduledCircuit(
+            num_physical=self.hw.num_qubits,
+            layers=self.layers,
+            crosstalk_ledger=self.ledger,
+            initial_mapping=self.initial_mapping,
+            final_mapping=self.mapping.copy(),
+        )
+
+    def open_layer(self) -> None:
         if self._cur is not None:
             raise InvariantError("layer already open")
         self._cur = []
         self._cur_edges = set()
         self._cur_busy = set()
-        layer_idx = len(self.layers)
         for f in self.flights:
             sl = SWAP_DURATION - f.remaining + 1
             op = Op(
@@ -312,7 +352,6 @@ class ScheduleState:
             self._cur.append(op)
             self._cur_edges.add(f.edge)
             self._cur_busy.update(f.edge)
-        return layer_idx
 
     def qubit_free(self, phys: int) -> bool:
         return phys not in self._cur_busy
@@ -348,40 +387,29 @@ class ScheduleState:
         self.flights.append(f)
 
     def charge_preview(self, edge: Edge) -> float:
-        """Budget delta (error mass, or pair count) that placing a two-qubit
-        op on ``edge`` into the open layer would cost."""
+        """Budget delta that placing a two-qubit op on ``edge`` into the
+        open layer would cost."""
         total = 0.0
         for other in self._cur_edges:
             if set(edge) & set(other):
                 continue
-            rec = self.profile.record_for(edge, other)
-            if rec is None:
-                continue
-            if self.allowance_units == "pairs":
-                total += 1.0
-            else:
-                total += self.profile.excess_error(edge, other)
+            cost = self.budget.cost(edge, other)
+            if cost is not None:
+                total += cost
         return total
 
     def _charge(self, edge: Edge) -> None:
         layer_idx = len(self.layers)
         for other in sorted(self._cur_edges):
-            rec = self.profile.record_for(edge, other)
-            if rec is None:
+            if self.budget.profile.record_for(edge, other) is None:
                 continue
-            try:
-                excess = self.profile.excess_error(edge, other)
-            except HardwareError:
-                if self.allowance_units != "pairs":
-                    raise
-                # counting pairs, not error mass; devices without isolated
-                # rates can still be budgeted this way
-                excess = 0.0
+            excess = self.budget.recorded_excess(edge, other)
             pair = tuple(sorted((edge, other)))
             self.ledger.append(LedgerEntry(layer=layer_idx, edges=pair, excess=excess))
-        if self.allowance_used() > self.allowance + 1e-9:
+        spent = self.budget.spent(self.ledger)
+        if spent > self.budget.allowance + 1e-9:
             raise InvariantError(
-                f"crosstalk ledger {self.allowance_used():.6g} exceeds allowance {self.allowance:.6g}"
+                f"crosstalk ledger {spent:.6g} exceeds allowance {self.budget.allowance:.6g}"
             )
 
     def close_layer(self) -> tuple[bool, list[_Flight]]:
@@ -411,17 +439,64 @@ class ScheduleState:
         return True, completed
 
 
-def _pending_pairs(circuit: LogicalCircuit, executed: set[int], in_flight: set[int]) -> tuple[list[PendingPair], list[Gate]]:
-    two_q: list[PendingPair] = []
-    singles: list[Gate] = []
-    for g in frontier(circuit, executed):
-        if g.gate_id in in_flight:
-            continue
-        if g.kind == "u":
-            singles.append(g)
+class CircuitRun:
+    """A gate circuit's progress through a ScheduleState: the gates that ran,
+    and the circuit SWAP gates in flight (they count as run when they land)."""
+
+    def __init__(self, circuit: LogicalCircuit, state: ScheduleState):
+        self.circuit = circuit
+        self.state = state
+        self.executed: set[int] = set()
+        self.in_flight: set[int] = set()
+
+    def done(self) -> bool:
+        return len(self.executed) == len(self.circuit.gates)
+
+    def pending(self) -> tuple[list[PendingPair], list[Gate]]:
+        """The frontier's two-qubit gates not yet started, and its
+        single-qubit gates."""
+        two_q: list[PendingPair] = []
+        singles: list[Gate] = []
+        for g in frontier(self.circuit, self.executed):
+            if g.gate_id in self.in_flight:
+                continue
+            if g.kind == "u":
+                singles.append(g)
+            else:
+                two_q.append(PendingPair(g.gate_id, (g.qubits[0], g.qubits[1])))
+        return two_q, singles
+
+    def run_gate(self, gate_id: int) -> None:
+        """Start a circuit SWAP, or place any other two-qubit gate, on the
+        physical qubits that hold its operands now."""
+        g = self.circuit.gate(gate_id)
+        mapping = self.state.mapping
+        pq = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
+        if g.kind == "swap":
+            self.state.start_swap(pq, gate_key=g.gate_id)
+            self.in_flight.add(g.gate_id)
         else:
-            two_q.append(PendingPair(g.gate_id, (g.qubits[0], g.qubits[1])))
-    return two_q, singles
+            self.state.place(Op(kind=g.kind, qubits=pq, gate_id=g.gate_id, param=g.param))
+            self.executed.add(g.gate_id)
+
+    def finish_layer(self, singles: list[Gate]) -> bool:
+        """Place every ready single-qubit gate whose qubit is still free,
+        close the layer and land the circuit SWAP gates that finish.  True
+        when a gate was placed or landed."""
+        progress = False
+        for g in singles:
+            p = self.state.mapping.phys(g.qubits[0])
+            if self.state.qubit_free(p):
+                self.state.place(Op(kind="u", qubits=(p,), gate_id=g.gate_id, label=g.label))
+                self.executed.add(g.gate_id)
+                progress = True
+        _, completed = self.state.close_layer()
+        for f in completed:
+            if f.gate_key is not None:
+                self.executed.add(f.gate_key)
+                self.in_flight.discard(f.gate_key)
+                progress = True
+        return progress
 
 
 def compile_circuit(
@@ -438,27 +513,17 @@ def compile_circuit(
     Inserts SWAPs as needed, never lets the crosstalk ledger exceed
     ``allowance``, and raises StallError when no progress is possible for
     longer than the qubit count allows."""
-    if circuit.num_qubits > hw.num_qubits:
-        raise InvariantError(
-            f"circuit needs {circuit.num_qubits} qubits, device has {hw.num_qubits}"
-        )
-    if initial_mapping is None:
-        initial_mapping = Mapping(circuit.num_qubits, hw.num_qubits)
-    state = ScheduleState(hw, profile, initial_mapping.copy(), allowance, allowance_units)
-    executed: set[int] = set()
-    in_flight: set[int] = set()
+    budget = Budget(profile, allowance, allowance_units)
+    state = ScheduleState(hw, budget, circuit.num_qubits, initial_mapping)
+    run = CircuitRun(circuit, state)
     criticality = circuit.criticality()
-    idle = 0
+    guard = StallGuard(len(circuit.gates), hw)
     gates_idle = 0
     escape_target = None
-    iterations = 0
-    hard_cap = 50 * (len(circuit.gates) + hw.num_qubits + 10)
-    while len(executed) < len(circuit.gates):
-        iterations += 1
-        if iterations > hard_cap:
-            raise StallError(f"no convergence after {iterations} iterations")
+    while not run.done():
+        iterations = guard.next_iteration()
         state.open_layer()
-        two_q, singles = _pending_pairs(circuit, executed, in_flight)
+        two_q, singles = run.pending()
         cgates = executable_pairs(two_q, state.mapping, hw)
         in_prog = state.in_progress()
         # Candidate SWAPs are judged against the mapping that will hold once
@@ -466,10 +531,7 @@ def compile_circuit(
         # Judging against the current mapping lets a new SWAP "help" by
         # undoing an in-flight one, and two such SWAPs can chase each other
         # forever.
-        drained = state.mapping.copy()
-        for f in state.flights:
-            if f.gate_key is None:
-                drained.apply_swap(*f.edge)
+        drained = state.drained()
         if escape_target is not None and all(p.key != escape_target for p in two_q):
             escape_target = None
         if escape_target is None and gates_idle > hw.num_qubits and two_q:
@@ -504,81 +566,43 @@ def compile_circuit(
             two_q,
             state.mapping,
             hw,
-            profile,
+            budget,
             state.allowance_left(),
-            allowance_units,
         )
         progress = False
-        gates_before = len(executed)
+        gates_before = len(run.executed)
         selected = None
         if csg.vertices:
             classes = welsh_powell(csg)
             ctx = SelectionContext(
                 pinned=bool(in_prog),
-                last_helped=frozenset(k for k in state.last_helped if k not in executed),
+                last_helped=frozenset(k for k in state.last_helped if k not in run.executed),
                 criticality=criticality,
             )
             selected = rank_and_select(csg, classes, ctx)
             for vid in selected.members:
                 v = csg.vertices[vid]
                 if v.kind == "cgate":
-                    g = circuit.gate(v.gate_key)
-                    if g.kind == "swap":
-                        state.start_swap(v.edge, gate_key=g.gate_id)
-                        in_flight.add(g.gate_id)
-                    else:
-                        state.place(
-                            Op(
-                                kind=g.kind,
-                                qubits=(state.mapping.phys(g.qubits[0]), state.mapping.phys(g.qubits[1])),
-                                gate_id=g.gate_id,
-                                param=g.param,
-                            )
-                        )
-                        executed.add(g.gate_id)
+                    run.run_gate(v.gate_key)
                     progress = True
                 elif v.kind == "swap":
                     state.start_swap(v.edge, helps=v.helps)
                     progress = True
-        for g in singles:
-            p = state.mapping.phys(g.qubits[0])
-            if state.qubit_free(p):
-                state.place(Op(kind="u", qubits=(p,), gate_id=g.gate_id, label=g.label))
-                executed.add(g.gate_id)
-                progress = True
-        _, completed = state.close_layer()
-        for f in completed:
-            if f.gate_key is not None:
-                executed.add(f.gate_key)
-                in_flight.discard(f.gate_key)
-                progress = True
+        progress = run.finish_layer(singles) or progress
         if on_iteration is not None:
             on_iteration(
                 {
                     "iteration": iterations,
                     "csg": csg,
                     "selected": selected,
-                    "executed": set(executed),
+                    "executed": set(run.executed),
                     "mapping": state.mapping.copy(),
                     "allowance_left": state.allowance_left(),
                 }
             )
-        gates_idle = 0 if len(executed) > gates_before else gates_idle + 1
-        if progress:
-            idle = 0
-        else:
-            idle += 1
-            if idle > hw.num_qubits:
-                raise StallError(
-                    f"no gate executed and no SWAP started for {idle} iterations"
-                )
-    return ScheduledCircuit(
-        num_physical=hw.num_qubits,
-        layers=state.layers,
-        crosstalk_ledger=state.ledger,
-        initial_mapping=initial_mapping,
-        final_mapping=state.mapping.copy(),
-    )
+        gates_idle = 0 if len(run.executed) > gates_before else gates_idle + 1
+        guard.record(progress)
+    return state.result()
 
 
 def expand_two_local(program: PauliProgram) -> LogicalCircuit:
@@ -629,6 +653,7 @@ def verify_routing(
     order, and completeness; synthesized schedules carry no gate ids, so
     they verify structurally.  Raises VerificationError on the first
     violation."""
+    budget = Budget(profile, allowance, allowance_units)
     mapping = sched.initial_mapping.copy()
     executed: set[int] = set()
     gate_of = {g.gate_id: g for g in circuit.gates} if circuit is not None else {}
@@ -636,6 +661,11 @@ def verify_routing(
     swap_gate_edge: dict[Edge, int | None] = {}
     expected_ledger: list[tuple[int, tuple[Edge, Edge], float]] = []
     active_prev: dict[Edge, int] = {}  # edges continuing from earlier layers
+
+    def check_ready(li: int, g: Gate) -> None:
+        for p in circuit.predecessors[g.gate_id]:
+            if p not in executed:
+                raise VerificationError(f"layer {li}: gate {g.gate_id} before its predecessor {p}")
 
     for li, layer in enumerate(sched.layers):
         busy: set[int] = set()
@@ -661,11 +691,7 @@ def verify_routing(
                         g = gate_of.get(op.gate_id)
                         if g is None or g.kind != "swap":
                             raise VerificationError(f"layer {li}: SWAP gate id {op.gate_id} unknown")
-                        for p in circuit.predecessors[g.gate_id]:
-                            if p not in executed:
-                                raise VerificationError(
-                                    f"layer {li}: gate {g.gate_id} before its predecessor {p}"
-                                )
+                        check_ready(li, g)
                         want = normalize_edge(mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
                         if edge != want:
                             raise VerificationError(
@@ -686,11 +712,7 @@ def verify_routing(
                 g = gate_of.get(op.gate_id)
                 if g is None or g.kind != op.kind:
                     raise VerificationError(f"layer {li}: unknown gate id {op.gate_id}")
-                for p in circuit.predecessors[g.gate_id]:
-                    if p not in executed:
-                        raise VerificationError(
-                            f"layer {li}: gate {g.gate_id} before its predecessor {p}"
-                        )
+                check_ready(li, g)
                 want = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
                 if tuple(op.qubits) != want:
                     raise VerificationError(
@@ -702,11 +724,7 @@ def verify_routing(
             elif op.kind == "u" and circuit is not None:
                 g = gate_of.get(op.gate_id)
                 if g is not None:
-                    for p in circuit.predecessors[g.gate_id]:
-                        if p not in executed:
-                            raise VerificationError(
-                                f"layer {li}: gate {g.gate_id} before its predecessor {p}"
-                            )
+                    check_ready(li, g)
                     if (op.qubits[0],) != (mapping.phys(g.qubits[0]),):
                         raise VerificationError(f"layer {li}: gate {g.gate_id} on wrong qubit")
                     executed.add(g.gate_id)
@@ -734,13 +752,7 @@ def verify_routing(
                 if other in active_prev and edge in active_prev:
                     continue
                 charged_pairs.add(pair)
-                try:
-                    excess = profile.excess_error(edge, other)
-                except HardwareError:
-                    if allowance_units != "pairs":
-                        raise
-                    excess = 0.0
-                expected_ledger.append((li, pair, excess))
+                expected_ledger.append((li, pair, budget.recorded_excess(edge, other)))
         # close out finished swaps, then roll actives forward
         for edge in [e for e, nxt in open_swaps.items() if nxt > SWAP_DURATION]:
             gid = swap_gate_edge.pop(edge)
@@ -766,7 +778,7 @@ def verify_routing(
         raise VerificationError(
             f"crosstalk ledger mismatch: schedule has {sorted(got)}, replay expects {sorted(expected_ledger)}"
         )
-    total = float(len(got)) if allowance_units == "pairs" else sum(x for _, _, x in got)
+    total = budget.spent(sched.crosstalk_ledger)
     if total > allowance + 1e-9:
         raise VerificationError(f"ledger total {total:.6g} exceeds allowance {allowance:.6g}")
     if mapping.as_dict() != sched.final_mapping.as_dict():

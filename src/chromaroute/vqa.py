@@ -16,8 +16,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .csg import PendingPair, build_csg, useful_swaps
-from .errors import InvariantError, StallError
+from .csg import Budget, PendingPair, build_csg, useful_swaps
+from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
 from .scheduler import (
@@ -25,6 +25,7 @@ from .scheduler import (
     ScheduleState,
     ScheduledCircuit,
     SelectionContext,
+    StallGuard,
     rank_and_select,
     welsh_powell,
 )
@@ -250,14 +251,18 @@ def assign_direction(
     return control, target
 
 
-def _pattern_cost(
+def pattern_cost(
     swap_edges: list[tuple[int, int]],
     remaining: set[int],
-    drained: Mapping,
+    mapping: Mapping,
     hw: CouplingGraph,
     options: SynthesisOptions,
 ) -> float:
-    preview = drained.copy()
+    """Score a candidate SWAP pattern for the working set: estimated
+    crosstalk (weighted by ``options.w1``) plus estimated ladder depth plus
+    three layers per SWAP (weighted by ``options.w2``).  A pattern that
+    leaves the working set disconnected costs infinity."""
+    preview = mapping.copy()
     for e in swap_edges:
         preview.apply_swap(*e)
     nodes = sorted(remaining)
@@ -279,21 +284,6 @@ def _pattern_cost(
         return INVALID_PATTERN_COST
     depth_est, xtalk_est = calculate_depths(adj)
     return options.w1 * xtalk_est + depth_est + 3 * options.w2 * len(swap_edges)
-
-
-def pattern_cost(
-    swap_edges: list[tuple[int, int]],
-    remaining: set[int],
-    mapping: Mapping,
-    hw: CouplingGraph,
-    w1: float = 0.5,
-    w2: float = 0.5,
-) -> float:
-    """Score a candidate SWAP pattern for the working set: estimated
-    crosstalk (weighted by ``w1``) plus estimated ladder depth plus three
-    layers per SWAP (weighted by ``w2``).  A pattern that leaves the
-    working set disconnected costs infinity."""
-    return _pattern_cost(swap_edges, remaining, mapping, hw, SynthesisOptions(w1=w1, w2=w2))
 
 
 def _lookahead_extra_swaps(
@@ -325,13 +315,8 @@ def synthesize(
     """Schedule a whole Pauli-string program, string by string."""
     if options is None:
         options = SynthesisOptions()
-    if program.num_qubits > hw.num_qubits:
-        raise InvariantError(
-            f"program needs {program.num_qubits} qubits, device has {hw.num_qubits}"
-        )
-    if initial_mapping is None:
-        initial_mapping = Mapping(program.num_qubits, hw.num_qubits)
-    state = ScheduleState(hw, profile, initial_mapping.copy(), allowance, allowance_units)
+    budget = Budget(profile, allowance, allowance_units)
+    state = ScheduleState(hw, budget, program.num_qubits, initial_mapping)
     for idx, s in enumerate(program.strings):
         active = s.non_identity()
         if not active:
@@ -342,14 +327,8 @@ def synthesize(
                 if later.non_identity():
                     next_active = later.non_identity()
                     break
-        _synthesize_string(state, idx, s, active, next_active, hw, profile, options, on_iteration)
-    return ScheduledCircuit(
-        num_physical=hw.num_qubits,
-        layers=state.layers,
-        crosstalk_ledger=state.ledger,
-        initial_mapping=initial_mapping,
-        final_mapping=state.mapping.copy(),
-    )
+        _synthesize_string(state, idx, s, active, next_active, hw, options, on_iteration)
+    return state.result()
 
 
 def _place_basis_layer(state: ScheduleState, qubits: tuple[int, ...], operators: str, table: dict):
@@ -369,7 +348,6 @@ def _synthesize_string(
     active: tuple[int, ...],
     next_active: tuple[int, ...],
     hw: CouplingGraph,
-    profile: CrosstalkProfile,
     options: SynthesisOptions,
     on_iteration,
 ) -> None:
@@ -380,23 +358,15 @@ def _synthesize_string(
     remaining = tree_state.remaining
     ladder = tree_state.ladder
     protected: list[tuple[int, int]] = []
-    idle = 0
-    iterations = 0
-    hard_cap = 50 * (len(active) + hw.num_qubits + 10)
+    guard = StallGuard(len(active), hw, f"string {string_index}: ")
     while len(remaining) > 1 or state.flights:
-        iterations += 1
-        if iterations > hard_cap:
-            raise StallError(
-                f"string {string_index}: no convergence after {iterations} iterations"
-            )
+        iterations = guard.next_iteration()
         state.open_layer()
         progress = False
         selected = None
         csg = None
         if len(remaining) > 1:
-            drained = state.mapping.copy()
-            for f in state.flights:
-                drained.apply_swap(*f.edge)
+            drained = state.drained()
             nodes = sorted(remaining)
             weights = build_qubit_graph(tuple(nodes), drained, hw)
             mst = kruskal_mst(nodes, weights)
@@ -432,9 +402,8 @@ def _synthesize_string(
                 pending,
                 state.mapping,
                 hw,
-                profile,
+                state.budget,
                 state.allowance_left(),
-                state.allowance_units,
             )
             if csg.vertices:
                 classes = welsh_powell(csg)
@@ -482,15 +451,7 @@ def _synthesize_string(
                     "allowance_left": state.allowance_left(),
                 }
             )
-        if progress:
-            idle = 0
-        else:
-            idle += 1
-            if idle > hw.num_qubits:
-                raise StallError(
-                    f"string {string_index}: no gate executed and no SWAP started "
-                    f"for {idle} iterations"
-                )
+        guard.record(progress)
     root = next(iter(remaining))
     state.open_layer()
     state.place(Op(kind="rz", qubits=(state.mapping.phys(root),), param=s.coefficient))
@@ -603,7 +564,7 @@ def _arbitrate_patterns(
                 controls.add(control)
         patterns.append((cls, swap_edges, controls))
     costs = [
-        _pattern_cost(swap_edges, remaining - controls, drained, hw, options)
+        pattern_cost(swap_edges, remaining - controls, drained, hw, options)
         for _, swap_edges, controls in patterns
     ]
     best = min(costs)
@@ -620,8 +581,3 @@ def _arbitrate_patterns(
         least = min(extras.values())
         survivors = [i for i in survivors if extras[i] == least]
     return patterns[survivors[0]][0]
-
-
-# Common aliases.
-mst = kruskal_mst
-synthesize_pauli_program = synthesize

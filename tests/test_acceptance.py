@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from chromaroute import (
+    Budget,
     Mapping,
     ScheduledCircuit,
     SynthesisOptions,
@@ -82,7 +83,7 @@ def test_criterion_02_candidate_set_graph_two_coloring():
         m = Mapping(6, 6)
         pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
         cands = useful_swaps(pending, m, hw)
-        csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+        csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
         assert sum(1 for v in csg.vertices if v.kind == "cgate") == 0
         assert sum(1 for v in csg.vertices if v.kind == "swap") == 4
         classes = welsh_powell(csg)

@@ -83,6 +83,20 @@ def test_compile_two_local_pauli_uses_the_gate_path(paths, capsys):
     assert "rzz" in kinds
 
 
+def test_compile_in_pair_units(tmp_path, capsys):
+    hot = tmp_path / "hot.json"
+    hot.write_text(fixture_text("ring6_cross_hot.json"))
+    circ = tmp_path / "pair.txt"
+    circ.write_text(fixture_text("pair_circuit.txt"))
+    base = ["compile", "-c", str(circ), "-H", str(hot), "-a", "1"]
+    assert main(base) == 0
+    assert read_schedule(capsys.readouterr().out).depth_cx == 8
+    assert main(base + ["--allowance-units", "pairs"]) == 0
+    sched = read_schedule(capsys.readouterr().out)
+    assert sched.depth_cx == 5
+    assert len(sched.crosstalk_ledger) == 1
+
+
 def test_compile_requires_exactly_one_workload(paths, capsys):
     tmp, hw, circ = paths
     pauli = tmp / "zz.txt"
@@ -223,6 +237,52 @@ def test_bad_circuit_is_a_usage_error(paths, tmp_path, capsys):
     bad.write_text("qubits 6\nteleport 0 1\n")
     assert main(["compile", "-c", str(bad), "-H", hw]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--allowance", "-1"],
+        ["compile", "--allowance", "nan"],
+        ["vqe-synth", "-a", "-0.5"],
+        ["search", "--steps", "0"],
+        ["search", "--steps", "-1"],
+    ],
+)
+def test_bad_numeric_options_are_usage_errors(paths, capsys, argv):
+    tmp, hw, circ = paths
+    pauli = tmp / "zz.txt"
+    pauli.write_text("0.5 ZZZIII\n")
+    workload = ["-p", str(pauli)] if argv[0] == "vqe-synth" else ["-c", circ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + workload + ["-H", hw])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith(f"chromaroute {argv[0]}: error: argument") for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "-c", "wide.txt"],
+        ["compile", "--baseline", "-c", "wide.txt"],
+        ["compile", "-p", "wide_pauli.txt"],
+        ["vqe-synth", "-p", "wide_pauli.txt"],
+        ["search", "-c", "wide.txt"],
+        ["search", "-p", "wide_pauli.txt"],
+    ],
+)
+def test_program_wider_than_device_is_a_usage_error(tmp_path, capsys, argv):
+    # ring6 has six qubits; a three-local string keeps the Pauli program
+    # off the two-local gate path in compile and search.
+    hw = tmp_path / "ring6.json"
+    hw.write_text(fixture_text("ring6.json"))
+    (tmp_path / "wide.txt").write_text("qubits 7\ncx 0 6\n")
+    (tmp_path / "wide_pauli.txt").write_text("0.5 ZZZIIII\n")
+    args = [str(tmp_path / a) if a.startswith("wide") else a for a in argv]
+    assert main(args + ["-H", str(hw)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: program needs 7 qubits, device has 6"]
 
 
 def test_stall_exit_code(paths, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from chromaroute import (
+    Budget,
     CouplingGraph,
     CrosstalkProfile,
     CrosstalkRecord,
@@ -8,8 +9,7 @@ from chromaroute import (
     Mapping,
     build_csg,
     executable_pairs,
-    get_executable,
-    get_useful_swaps,
+    frontier,
     parse_circuit,
     rank_and_select,
     useful_swaps,
@@ -24,8 +24,8 @@ def line5():
     return CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
-def empty_profile(hw):
-    return CrosstalkProfile(hw, [])
+def empty_budget(hw):
+    return Budget(CrosstalkProfile(hw, []))
 
 
 def test_executable_pairs_checks_adjacency():
@@ -79,10 +79,14 @@ def test_get_wrappers_use_the_frontier():
     hw = line5()
     m = Mapping(5, 5)
     circ = parse_circuit("qubits 5\ncx 0 1\ncx 0 4\n")
-    assert [p.key for p in get_executable(circ, set(), m, hw)] == [0]
+
+    def pending(executed):
+        return [PendingPair(g.gate_id, g.qubits) for g in frontier(circ, executed)]
+
+    assert [p.key for p in executable_pairs(pending(set()), m, hw)] == [0]
     # gate 1 is blocked behind gate 0, so nothing is routable yet
-    assert get_useful_swaps(circ, set(), m, hw) == []
-    cands = get_useful_swaps(circ, {0}, m, hw)
+    assert useful_swaps(pending(set()), m, hw) == []
+    cands = useful_swaps(pending({0}), m, hw)
     assert {c.edge for c in cands} == {(0, 1), (3, 4)}
 
 
@@ -94,7 +98,7 @@ def test_joint_overshoot_conflicts_on_a_ring():
     pending = [PendingPair("g", (0, 2))]
     cands = useful_swaps(pending, m, hw)
     assert [c.edge for c in cands] == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    csg = build_csg([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, empty_budget(hw), 0.0)
     assert len(csg.vertices) == 4
     # fully conflicted: 4 shared-qubit pairs plus 2 overshoot pairs
     assert len(csg.conflict_edges) == 6
@@ -108,7 +112,7 @@ def test_stale_help_keys_are_skipped():
     m = Mapping(5, 5)
     ip = InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset({"gone"}), started_layer=0)
     cand = SwapCandidate(edge=(3, 4), helps=frozenset({"gone"}))
-    csg = build_csg([], [cand], [ip], [], m, hw, empty_profile(hw), 0.0)
+    csg = build_csg([], [cand], [ip], [], m, hw, empty_budget(hw), 0.0)
     assert len(csg.vertices) == 2
     assert csg.conflict_edges == set()
 
@@ -122,7 +126,7 @@ def test_vertex_ordering_and_busy_edge_skip():
         SwapCandidate(edge=(2, 3), helps=frozenset({7})),  # same edge as the flight
         SwapCandidate(edge=(3, 4), helps=frozenset({7})),
     ]
-    csg = build_csg(cgates, cands, [ip], cgates, m, hw, empty_profile(hw), 0.0)
+    csg = build_csg(cgates, cands, [ip], cgates, m, hw, empty_budget(hw), 0.0)
     kinds = [(v.kind, v.edge) for v in csg.vertices]
     assert kinds == [("inprogress", (2, 3)), ("cgate", (0, 1)), ("swap", (3, 4))]
     assert csg.vertices[0].remaining_time == 1
@@ -144,13 +148,13 @@ def test_allowance_greedy_permits_cheapest_first():
     )
     m = Mapping(5, 5)
     cgates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3)), PendingPair(2, (3, 4))]
-    csg = build_csg(cgates, [], [], cgates, m, hw, prof, allowance_left=0.03)
+    csg = build_csg(cgates, [], [], cgates, m, hw, Budget(prof), allowance_left=0.03)
     # excesses: (0,1)/(2,3) costs 0.01, (0,1)/(3,4) costs 0.05
     assert csg.permitted_pairs == [(0, 1, pytest.approx(0.01))]
     assert set(csg.crosstalk_edges) == {(0, 2)}
     assert csg.crosstalk_edges[(0, 2)] == pytest.approx(0.05)
     # with no budget both pairs become edges
-    csg0 = build_csg(cgates, [], [], cgates, m, hw, prof, allowance_left=0.0)
+    csg0 = build_csg(cgates, [], [], cgates, m, hw, Budget(prof), allowance_left=0.0)
     assert csg0.permitted_pairs == []
     assert set(csg0.crosstalk_edges) == {(0, 1), (0, 2)}
 
@@ -166,11 +170,11 @@ def test_allowance_in_pair_units():
     )
     m = Mapping(5, 5)
     cgates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3)), PendingPair(2, (3, 4))]
-    csg = build_csg(cgates, [], [], cgates, m, hw, prof, 1.0, allowance_units="pairs")
+    csg = build_csg(cgates, [], [], cgates, m, hw, Budget(prof, units="pairs"), 1.0)
     assert [(i, j) for i, j, _ in csg.permitted_pairs] == [(0, 1)]
     assert set(csg.crosstalk_edges) == {(0, 2)}
     with pytest.raises(InvariantError):
-        build_csg([], [], [], [], m, hw, prof, 0.0, allowance_units="bogus")
+        Budget(prof, units="bogus")
 
 
 def test_in_progress_pairs_never_get_crosstalk_edges():
@@ -181,7 +185,7 @@ def test_in_progress_pairs_never_get_crosstalk_edges():
         InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset(), started_layer=0),
         InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset(), started_layer=1),
     ]
-    csg = build_csg([], [], flights, [], m, hw, prof, 0.0)
+    csg = build_csg([], [], flights, [], m, hw, Budget(prof), 0.0)
     assert csg.crosstalk_edges == {}
     assert csg.conflict_edges == set()
 
@@ -197,7 +201,7 @@ def test_two_distant_gates_csg_shape():
         ((3, 4), {1}),
         ((4, 5), {1}),
     ]
-    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
     assert sum(1 for v in csg.vertices if v.kind == "cgate") == 0
     assert sum(1 for v in csg.vertices if v.kind == "swap") == 4
     assert csg.conflict_edges == {(0, 1), (2, 3)}
@@ -219,7 +223,7 @@ def test_welsh_powell_pinned_override():
         SwapCandidate(edge=(0, 1), helps=frozenset({"a"})),
         SwapCandidate(edge=(1, 2), helps=frozenset({"a"})),
     ]
-    csg = build_csg([], cands, [], [PendingPair("a", (0, 3))], m, hw, empty_profile(hw), 0.0)
+    csg = build_csg([], cands, [], [PendingPair("a", (0, 3))], m, hw, empty_budget(hw), 0.0)
     classes = welsh_powell(csg, pinned={1})
     color_of = {}
     for cls in classes:
@@ -234,7 +238,7 @@ def test_every_coloring_is_proper():
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
     cands = useful_swaps(pending, m, hw)
-    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
     classes = welsh_powell(csg)
     color_of = {}
     for cls in classes:
@@ -249,7 +253,7 @@ def test_to_dot_mentions_every_vertex():
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2))]
     cands = useful_swaps(pending, m, hw)
-    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
     dot = csg.to_dot("it0")
     assert dot.startswith("graph it0 {")
     for v in csg.vertices:

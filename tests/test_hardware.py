@@ -7,7 +7,6 @@ from chromaroute import (
     HardwareError,
     Mapping,
     MappingError,
-    crosstalk_between,
     load_hardware,
     normalize_edge,
 )
@@ -86,7 +85,7 @@ def test_profile_lookup_and_excess():
     assert got is not None
     assert got.e1_given_e2 == 0.05
     assert prof.record_for((0, 1), (1, 2)) is None
-    assert crosstalk_between(prof, (0, 1), (2, 3)) is got
+    assert prof.record_for((0, 1), (2, 3)) is got
     assert prof.conditional_error((0, 1), (2, 3)) == 0.05
     assert prof.conditional_error((2, 3), (0, 1)) == 0.07
     assert prof.conditional_error((1, 2), (0, 1)) == 0.02

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -6,18 +7,21 @@ from chromaroute import (
     CouplingGraph,
     CrosstalkProfile,
     CrosstalkRecord,
+    HardwareError,
     InvariantError,
     Mapping,
+    MappingError,
     Op,
     ScheduledCircuit,
     VerificationError,
     compile_circuit,
     expand_two_local,
+    load_hardware,
     parse_circuit,
     parse_pauli_program,
     verify_routing,
 )
-from chromaroute.fixtures import pair_circuit, ring6, ring6_cross
+from chromaroute.fixtures import fixture_text, pair_circuit, ring6, ring6_cross, ring6_cross_hot
 
 
 def swap_starts(sched):
@@ -88,6 +92,39 @@ def test_ledger_never_exceeds_allowance():
         sched = compile_circuit(circ, hw, prof, allowance=allowance)
         assert sched.ledger_total() <= allowance + 1e-12
         assert verify_routing(sched, hw, prof, circ, allowance=allowance)
+
+
+def test_pair_units_buy_what_error_mass_cannot():
+    # Each cross pair of the hot ring inflates error by 1.777, more than the
+    # whole allowance; counted as pairs, the same allowance buys one.
+    hw, prof = ring6_cross_hot()
+    circ = pair_circuit()
+    err = compile_circuit(circ, hw, prof, allowance=1.0)
+    assert err.depth_cx == 8
+    assert err.crosstalk_ledger == []
+    assert verify_routing(err, hw, prof, circ, allowance=1.0)
+    pairs = compile_circuit(circ, hw, prof, allowance=1.0, allowance_units="pairs")
+    assert pairs.depth_cx == 5
+    assert len(pairs.crosstalk_ledger) == 1
+    assert pairs.crosstalk_ledger[0].excess == pytest.approx(1.777)
+    assert verify_routing(pairs, hw, prof, circ, allowance=1.0, allowance_units="pairs")
+    with pytest.raises(VerificationError):
+        verify_routing(pairs, hw, prof, circ, allowance=1.0)
+    with pytest.raises(VerificationError):
+        verify_routing(pairs, hw, prof, circ, allowance=0.5, allowance_units="pairs")
+
+
+def test_pair_units_need_no_isolated_error_rates():
+    data = json.loads(fixture_text("ring6_cross_hot.json"))
+    del data["edge_error"]
+    hw, prof = load_hardware(data)
+    circ = pair_circuit()
+    with pytest.raises(HardwareError, match="missing error rate"):
+        compile_circuit(circ, hw, prof, allowance=1.0)
+    sched = compile_circuit(circ, hw, prof, allowance=1.0, allowance_units="pairs")
+    assert sched.depth_cx == 5
+    assert [e.excess for e in sched.crosstalk_ledger] == [0.0]
+    assert verify_routing(sched, hw, prof, circ, allowance=1.0, allowance_units="pairs")
 
 
 def test_more_allowance_never_hurts_depth_here():
@@ -262,5 +299,5 @@ def test_program_larger_than_device_rejected():
     hw = CouplingGraph(2, [(0, 1)])
     prof = CrosstalkProfile(hw, [])
     circ = parse_circuit("qubits 3\ncx 0 1\n")
-    with pytest.raises(InvariantError):
+    with pytest.raises(MappingError):
         compile_circuit(circ, hw, prof)

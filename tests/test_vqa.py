@@ -7,20 +7,27 @@ import pytest
 from chromaroute import (
     InvariantError,
     Mapping,
+    MappingError,
     SynthesisOptions,
     SynthesisTree,
     build_qubit_graph,
     delete_qubit,
     graph_center,
     kruskal_mst,
-    mst,
     parse_pauli_program,
     pattern_cost,
     synthesize,
-    synthesize_pauli_program,
     verify_routing,
 )
-from chromaroute.fixtures import chain_pair, grid6, h2_terms, ring6, tree7, zz_string
+from chromaroute.fixtures import (
+    chain_pair,
+    grid6,
+    h2_terms,
+    ring6,
+    ring6_cross_hot,
+    tree7,
+    zz_string,
+)
 from chromaroute.jw import jw_encode
 from chromaroute.vqa import assign_direction, calculate_depths, derive_gate_sets
 
@@ -217,12 +224,12 @@ def test_pattern_cost_values():
     hw, _ = ring6()
     m = Mapping(6, 6)
     # adjacent pair, no swaps: one merge layer
-    assert pattern_cost([], {0, 1}, m, hw) == 1.0
+    assert pattern_cost([], {0, 1}, m, hw, SynthesisOptions()) == 1.0
     # separated pair stays disconnected without the swap
-    assert pattern_cost([], {0, 2}, m, hw) == float("inf")
+    assert pattern_cost([], {0, 2}, m, hw, SynthesisOptions()) == float("inf")
     # one swap reconnects it: depth 1 + 3 * w2 * 1
-    assert pattern_cost([(1, 2)], {0, 2}, m, hw, w2=0.5) == 2.5
-    assert pattern_cost([(1, 2)], {0, 2}, m, hw, w2=1.0) == 4.0
+    assert pattern_cost([(1, 2)], {0, 2}, m, hw, SynthesisOptions(w2=0.5)) == 2.5
+    assert pattern_cost([(1, 2)], {0, 2}, m, hw, SynthesisOptions(w2=1.0)) == 4.0
 
 
 def test_synthesis_options_validation():
@@ -231,11 +238,6 @@ def test_synthesis_options_validation():
     with pytest.raises(InvariantError):
         SynthesisOptions(w2=1.5)
     SynthesisOptions(w1=1.0, w2=0.001)
-
-
-def test_aliases():
-    assert mst is kruskal_mst
-    assert synthesize_pauli_program is synthesize
 
 
 def test_weight4_string_trace_exact_layers():
@@ -329,7 +331,30 @@ def test_synthesis_is_deterministic():
     assert a == b
 
 
+def test_synthesis_in_pair_units():
+    hw, prof = grid6()
+    sched = synthesize(chain_pair(), hw, prof, allowance=1.0, allowance_units="pairs")
+    assert len(sched.crosstalk_ledger) == 1
+    assert verify_routing(sched, hw, prof, allowance=1.0, allowance_units="pairs")
+    # the hot ring's pairs cost more error mass than the allowance holds
+    hw, prof = ring6_cross_hot()
+    prog = parse_pauli_program("0.5 ZZIZZI\n")
+    err = synthesize(prog, hw, prof, allowance=1.0)
+    assert (err.depth_cx, err.crosstalk_ledger) == (13, [])
+    pairs = synthesize(prog, hw, prof, allowance=1.0, allowance_units="pairs")
+    assert (pairs.depth_cx, len(pairs.crosstalk_ledger)) == (12, 1)
+    assert verify_routing(pairs, hw, prof, allowance=1.0, allowance_units="pairs")
+    # The uncompute pass prices its pairs through the budget as well: two
+    # pairs fit, the second one in the mirrored ladder (layer 5).
+    prog = parse_pauli_program("0.5 ZXIIZY\n")
+    assert synthesize(prog, hw, prof, allowance=2.0).depth_cx == 8
+    pairs = synthesize(prog, hw, prof, allowance=2.0, allowance_units="pairs")
+    assert pairs.depth_cx == 7
+    assert [e.layer for e in pairs.crosstalk_ledger] == [1, 5]
+    assert verify_routing(pairs, hw, prof, allowance=2.0, allowance_units="pairs")
+
+
 def test_program_wider_than_device_rejected():
     hw, prof = ring6()
-    with pytest.raises(InvariantError):
+    with pytest.raises(MappingError):
         synthesize(parse_pauli_program("0.5 " + "Z" * 7 + "\n"), hw, prof)
