@@ -227,6 +227,9 @@ def _cmd_vqe_synth(args) -> int:
     hw, profile = load_hardware_file(args.hardware)
     program = parse_pauli_program(_read_text(args.pauli))
     mapping = _parse_mapping_spec(args.mapping, program.num_qubits, hw.num_qubits)
+    for flag, weight in (("--w1", args.w1), ("--w2", args.w2)):
+        if not 0.0 < weight <= 1.0:
+            raise ParseError(f"{flag} must be in (0, 1], got {weight}")
     options = SynthesisOptions(w1=args.w1, w2=args.w2, lookahead=args.lookahead == "on")
     hook = _CsgCollector() if (args.emit_csg or log.isEnabledFor(logging.DEBUG)) else None
     sched = synthesize(
@@ -279,7 +282,9 @@ def _cmd_search(args) -> int:
     def compile_fn(allowance: float) -> ScheduledCircuit:
         return schedule(allowance, options)
 
-    result = search_allowance(compile_fn, hw, profile, steps=args.steps)
+    result = search_allowance(
+        compile_fn, hw, profile, steps=args.steps, allowance_units=args.allowance_units
+    )
     log.info(
         "search: best allowance %g of x_max %g, esp %g (%d probes)",
         result.best_allowance,

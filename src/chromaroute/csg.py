@@ -25,6 +25,7 @@ class Budget:
     profile: CrosstalkProfile
     allowance: float = 0.0
     units: str = "error"
+    _costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.units not in ("error", "pairs"):
@@ -32,10 +33,17 @@ class Budget:
 
     def cost(self, e1: Edge, e2: Edge) -> float | None:
         """What running the two links in one layer costs the budget, or
-        None when the profile does not pair them."""
+        None when the profile does not pair them.  Memoised per ordered
+        pair; a lookup that raises is not remembered."""
+        key = (e1, e2)
+        if key in self._costs:
+            return self._costs[key]
         if self.profile.record_for(e1, e2) is None:
-            return None
-        return self.profile.excess_error(e1, e2) if self.units == "error" else 1.0
+            cost = None
+        else:
+            cost = self.profile.excess_error(e1, e2) if self.units == "error" else 1.0
+        self._costs[key] = cost
+        return cost
 
     def recorded_excess(self, e1: Edge, e2: Edge) -> float:
         """The excess error the ledger records for a profiled link pair."""
@@ -103,27 +111,30 @@ class CsgVertex:
 
 @dataclass
 class Csg:
+    """One iteration's candidate set graph.  The adjacency is derived from
+    the two edge collections when the graph is built, so they must not
+    change afterwards."""
+
     vertices: list[CsgVertex]
     conflict_edges: set[tuple[int, int]]
     crosstalk_edges: dict[tuple[int, int], float]
     permitted_pairs: list[tuple[int, int, float]]
+    _adjacency: list[set[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._adjacency = [set() for _ in self.vertices]
+        for edges in (self.conflict_edges, self.crosstalk_edges):
+            for i, j in edges:
+                self._adjacency[i].add(j)
+                self._adjacency[j].add(i)
 
     def neighbors(self, vid: int) -> set[int]:
-        out = set()
-        for i, j in self.conflict_edges:
-            if i == vid:
-                out.add(j)
-            elif j == vid:
-                out.add(i)
-        for i, j in self.crosstalk_edges:
-            if i == vid:
-                out.add(j)
-            elif j == vid:
-                out.add(i)
-        return out
+        """Vertices joined to ``vid`` by either kind of edge (the graph's own
+        set: do not modify it)."""
+        return self._adjacency[vid]
 
     def degree(self, vid: int) -> int:
-        return len(self.neighbors(vid))
+        return len(self._adjacency[vid])
 
     def adjacent(self, a: int, b: int) -> bool:
         key = (a, b) if a < b else (b, a)
@@ -166,35 +177,19 @@ def useful_swaps(
     """
     excluded = excluded_edges or set()
     dist = hw.all_pairs_distance()
-    unsatisfied = []
+    helps: dict[Edge, set] = {}
     for p in pending:
         pa, pb = mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])
-        if not hw.has_edge(pa, pb):
-            unsatisfied.append((p, pa, pb))
-    if not unsatisfied:
-        return []
-    out = []
-    for edge in hw.sorted_edges():
-        if edge in excluded:
+        cur = dist[pa][pb]
+        if cur == 1:
             continue
-        a, b = edge
-        helps = set()
-        for p, pa, pb in unsatisfied:
-            # Swapping (a, b) relocates an endpoint that sits on a or b.
-            na, nb = pa, pb
-            if pa == a:
-                na = b
-            elif pa == b:
-                na = a
-            if pb == a:
-                nb = b
-            elif pb == b:
-                nb = a
-            if dist[na][nb] == dist[pa][pb] - 1:
-                helps.add(p.key)
-        if helps:
-            out.append(SwapCandidate(edge=edge, helps=frozenset(helps)))
-    return out
+        # Only a SWAP on an edge at one of the endpoints moves the gate.
+        for moved, fixed in ((pa, pb), (pb, pa)):
+            for nxt in hw.adjacency[moved]:
+                edge = (moved, nxt) if moved < nxt else (nxt, moved)
+                if edge not in excluded and dist[nxt][fixed] == cur - 1:
+                    helps.setdefault(edge, set()).add(p.key)
+    return [SwapCandidate(edge=e, helps=frozenset(helps[e])) for e in sorted(helps)]
 
 
 def _joint_overshoots(
@@ -211,21 +206,25 @@ def _joint_overshoots(
     Two SWAPs attacking the same gate from opposite ends can cancel out:
     each alone reduces the distance, both together move the endpoints past
     each other.  Such pairs are serialized via a conflict edge."""
-    preview = mapping.copy()
-    preview.apply_swap(*sa_edge)
-    preview.apply_swap(*sb_edge)
+
+    def moved(q: int) -> int:
+        for a, b in (sa_edge, sb_edge):
+            if q == a:
+                q = b
+            elif q == b:
+                q = a
+        return q
+
     dist = hw.all_pairs_distance()
-    for key in sorted(shared_keys):
+    for key in shared_keys:
         # An in-flight SWAP can carry help keys from the iteration it
         # started in; a gate that has since left the pending set cannot be
         # re-evaluated, so it cannot justify a conflict either.
         gate = pending_by_key.get(key)
         if gate is None:
             continue
-        la, lb = gate.logicals
-        cur = dist[mapping.phys(la)][mapping.phys(lb)]
-        joint = dist[preview.phys(la)][preview.phys(lb)]
-        if joint >= cur:
+        pa, pb = mapping.phys(gate.logicals[0]), mapping.phys(gate.logicals[1])
+        if dist[moved(pa)][moved(pb)] >= dist[pa][pb]:
             return True
     return False
 
@@ -287,29 +286,52 @@ def build_csg(
             )
         )
 
-    pending_by_key = {p.key: p for p in pending}
+    # Pairs come from three indexes instead of all V^2 vertex pairs; each
+    # test keeps its precedence: a shared qubit, then a joint overshoot,
+    # then two in-flight SWAPs (never priced), then the crosstalk price.
+    by_qubit: dict[int, list[int]] = {}
+    by_help: dict[object, list[int]] = {}
+    by_edge: dict[Edge, list[int]] = {}
+    for v in vertices:
+        for q in v.edge:
+            by_qubit.setdefault(q, []).append(v.vertex_id)
+        if v.kind != "cgate":
+            for key in v.helps:
+                by_help.setdefault(key, []).append(v.vertex_id)
+        by_edge.setdefault(v.edge, []).append(v.vertex_id)
     conflict_edges: set[tuple[int, int]] = set()
-    maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            u, v = vertices[i], vertices[j]
-            if set(u.edge) & set(v.edge):
-                conflict_edges.add((i, j))
-                continue
-            swapish = {"swap", "inprogress"}
-            if u.kind in swapish and v.kind in swapish:
-                shared = u.helps & v.helps
-                if shared and _joint_overshoots(u.edge, v.edge, shared, pending_by_key, mapping, hw):
-                    conflict_edges.add((i, j))
+    for ids in by_qubit.values():
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                conflict_edges.add((ids[a], ids[b]))
+    pending_by_key = {p.key: p for p in pending}
+    overshoot_checked: set[tuple[int, int]] = set()
+    for ids in by_help.values():
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                pair = (ids[a], ids[b])
+                if pair in conflict_edges or pair in overshoot_checked:
                     continue
-            if u.kind == "inprogress" and v.kind == "inprogress":
-                # Their interference, if any, was charged when they started.
-                continue
-            cost = budget.cost(u.edge, v.edge)
-            if cost is not None:
-                maybe_crosstalk.append((cost, u.edge, v.edge, i, j))
+                overshoot_checked.add(pair)
+                u, v = vertices[pair[0]], vertices[pair[1]]
+                if _joint_overshoots(u.edge, v.edge, u.helps & v.helps, pending_by_key, mapping, hw):
+                    conflict_edges.add(pair)
+    maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
+    for u in vertices:
+        i = u.vertex_id
+        for partner in budget.profile.partners(u.edge):
+            for j in by_edge.get(partner, ()):
+                v = vertices[j]
+                if j < i or (i, j) in conflict_edges:
+                    continue
+                if u.kind == "inprogress" and v.kind == "inprogress":
+                    # Their interference, if any, was charged when they started.
+                    continue
+                maybe_crosstalk.append((budget.cost(u.edge, v.edge), u.edge, v.edge, i, j))
 
-    maybe_crosstalk.sort(key=lambda t: (t[0], t[1], t[2]))
+    # (cost, e_i, e_j) ties happen (a cgate and a SWAP on one edge); the
+    # vertex ids break them in the order of a nested i < j loop.
+    maybe_crosstalk.sort()
     permitted: list[tuple[int, int, float]] = []
     crosstalk_edges: dict[tuple[int, int], float] = {}
     running = 0.0

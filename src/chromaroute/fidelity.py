@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .csg import Budget
 from .hardware import CouplingGraph, CrosstalkProfile
 from .scheduler import ScheduledCircuit
 
@@ -103,12 +104,15 @@ def fidelity_report(sched: ScheduledCircuit, hw: CouplingGraph, profile: Crossta
     )
 
 
-def find_x_max(compile_fn) -> float:
-    """Upper end of the allowance search interval: the crosstalk mass an
-    unconstrained compilation actually commits.  ``compile_fn`` maps an
-    allowance to a ScheduledCircuit."""
+def find_x_max(compile_fn, budget: Budget | None = None) -> float:
+    """Upper end of the allowance search interval: the crosstalk an
+    unconstrained compilation actually commits, in ``budget``'s units
+    (excess error mass without one).  ``compile_fn`` maps an allowance to a
+    ScheduledCircuit."""
     unconstrained = compile_fn(math.inf)
-    return unconstrained.ledger_total()
+    if budget is None:
+        return unconstrained.ledger_total()
+    return budget.spent(unconstrained.crosstalk_ledger)
 
 
 @dataclass
@@ -167,11 +171,13 @@ def search_allowance(
     hw: CouplingGraph,
     profile: CrosstalkProfile,
     steps: int = 32,
+    allowance_units: str = "error",
 ) -> AllowanceSearchResult:
     """Find the crosstalk allowance with the best ESP for one workload.
 
-    ``compile_fn(allowance) -> ScheduledCircuit`` is the workload; the
-    interval is [0, find_x_max] with resolution x_max/steps."""
+    ``compile_fn(allowance) -> ScheduledCircuit`` is the workload and must
+    count its allowance in ``allowance_units``; the interval is
+    [0, find_x_max] in those units, with resolution x_max/steps."""
     schedules: dict[float, ScheduledCircuit] = {}
 
     def objective(x: float) -> float:
@@ -179,7 +185,7 @@ def search_allowance(
             schedules[x] = compile_fn(x)
         return esp(schedules[x], hw, profile)
 
-    x_max = find_x_max(compile_fn)
+    x_max = find_x_max(compile_fn, Budget(profile, units=allowance_units))
     if x_max <= 0.0:
         value = objective(0.0)
         return AllowanceSearchResult(

@@ -154,6 +154,7 @@ class CrosstalkProfile:
 
     def __init__(self, graph: CouplingGraph, records: list[CrosstalkRecord]):
         self._by_pair: dict[frozenset[Edge], CrosstalkRecord] = {}
+        self._partners: dict[Edge, list[Edge]] = {}
         for rec in records:
             e1 = normalize_edge(*rec.e1)
             e2 = normalize_edge(*rec.e2)
@@ -179,6 +180,8 @@ class CrosstalkProfile:
             if key in self._by_pair:
                 raise HardwareError(f"duplicate crosstalk record for {e1} / {e2}")
             self._by_pair[key] = CrosstalkRecord(e1, e2, rec.e1_given_e2, rec.e2_given_e1)
+            self._partners.setdefault(e1, []).append(e2)
+            self._partners.setdefault(e2, []).append(e1)
         self.graph = graph
 
     def __len__(self) -> int:
@@ -187,6 +190,10 @@ class CrosstalkProfile:
     def pairs(self) -> list[tuple[Edge, Edge]]:
         out = [tuple(sorted(key)) for key in self._by_pair]
         return sorted(out)
+
+    def partners(self, edge: Edge) -> list[Edge]:
+        """The edges the profile pairs with the normalized ``edge``."""
+        return self._partners.get(edge, [])
 
     def record_for(self, e1: Edge, e2: Edge) -> CrosstalkRecord | None:
         e1 = normalize_edge(*e1)
@@ -296,6 +303,14 @@ _HW_FIELDS = {
 _XT_FIELDS = {"e1", "e2", "e1_given_e2", "e2_given_e1"}
 
 
+def _number(convert, value, where: str):
+    """``convert(value)``, or a HardwareError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise HardwareError(f"{where}: expected a number, got {value!r}") from exc
+
+
 def _parse_edge_key(key: str) -> Edge:
     parts = key.split("-")
     if len(parts) != 2:
@@ -306,11 +321,26 @@ def _parse_edge_key(key: str) -> Edge:
         raise HardwareError(f"bad edge key {key!r}: {exc}") from exc
 
 
+def _parse_edge(item, where: str) -> Edge:
+    try:
+        a, b = item
+    except (TypeError, ValueError) as exc:
+        raise HardwareError(f"{where}: bad edge entry {item!r}") from exc
+    return normalize_edge(_number(int, a, where), _number(int, b, where))
+
+
+def _qubit_table(data: dict, name: str) -> dict[int, float]:
+    return {
+        _number(int, q, f"{name} key"): _number(float, v, f"{name}[{q}]")
+        for q, v in (data.get(name) or {}).items()
+    }
+
+
 def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
     """Build a device and profile from a parsed hardware JSON document.
 
     Unknown top-level fields are rejected so that typos do not silently turn
-    into default behavior.
+    into default behavior, and so is any numeric field that is not a number.
     """
     if not isinstance(data, dict):
         raise HardwareError("hardware document must be a JSON object")
@@ -318,29 +348,22 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
     if unknown:
         raise HardwareError(f"unknown hardware field(s): {sorted(unknown)}")
     try:
-        num_qubits = int(data["num_qubits"])
+        num_qubits = _number(int, data["num_qubits"], "num_qubits")
         raw_edges = data["edges"]
     except KeyError as exc:
         raise HardwareError(f"missing required field {exc.args[0]!r}") from exc
-    edges = []
-    for item in raw_edges:
-        if len(item) != 2:
-            raise HardwareError(f"bad edge entry {item!r}")
-        edges.append(normalize_edge(int(item[0]), int(item[1])))
+    edges = [_parse_edge(item, "edges") for item in raw_edges]
     edge_error = {}
     for key, val in (data.get("edge_error") or {}).items():
-        edge_error[_parse_edge_key(key)] = float(val)
-    t1 = {int(q): float(v) for q, v in (data.get("t1") or {}).items()}
-    t2 = {int(q): float(v) for q, v in (data.get("t2") or {}).items()}
-    sqe = {int(q): float(v) for q, v in (data.get("single_qubit_error") or {}).items()}
+        edge_error[_parse_edge_key(key)] = _number(float, val, f"edge_error[{key!r}]")
     graph = CouplingGraph(
         num_qubits,
         edges,
         edge_error=edge_error,
-        t1=t1,
-        t2=t2,
-        gate_time_cx=float(data.get("gate_time_cx", 1.0)),
-        single_qubit_error=sqe,
+        t1=_qubit_table(data, "t1"),
+        t2=_qubit_table(data, "t2"),
+        gate_time_cx=_number(float, data.get("gate_time_cx", 1.0), "gate_time_cx"),
+        single_qubit_error=_qubit_table(data, "single_qubit_error"),
     )
     records = []
     for rec in data.get("crosstalk") or []:
@@ -352,10 +375,10 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
         try:
             records.append(
                 CrosstalkRecord(
-                    e1=normalize_edge(int(rec["e1"][0]), int(rec["e1"][1])),
-                    e2=normalize_edge(int(rec["e2"][0]), int(rec["e2"][1])),
-                    e1_given_e2=float(rec["e1_given_e2"]),
-                    e2_given_e1=float(rec["e2_given_e1"]),
+                    e1=_parse_edge(rec["e1"], "crosstalk e1"),
+                    e2=_parse_edge(rec["e2"], "crosstalk e2"),
+                    e1_given_e2=_number(float, rec["e1_given_e2"], "crosstalk e1_given_e2"),
+                    e2_given_e1=_number(float, rec["e2_given_e1"], "crosstalk e2_given_e1"),
                 )
             )
         except KeyError as exc:

@@ -31,6 +31,9 @@ from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, Gate, LogicalCircuit, PauliPr
 
 SWAP_DURATION = 3
 
+# Qubit count of each operation kind a schedule may hold.
+OP_ARITY = {"u": 1, "rz": 1, "cx": 2, "rzz": 2, "swap": 2}
+
 
 @dataclass
 class Op:
@@ -401,7 +404,7 @@ class ScheduleState:
     def _charge(self, edge: Edge) -> None:
         layer_idx = len(self.layers)
         for other in sorted(self._cur_edges):
-            if self.budget.profile.record_for(edge, other) is None:
+            if self.budget.cost(edge, other) is None:
                 continue
             excess = self.budget.recorded_excess(edge, other)
             pair = tuple(sorted((edge, other)))
@@ -441,25 +444,41 @@ class ScheduleState:
 
 class CircuitRun:
     """A gate circuit's progress through a ScheduleState: the gates that ran,
-    and the circuit SWAP gates in flight (they count as run when they land)."""
+    the circuit SWAP gates in flight (they count as run when they land), and
+    the ready gates: not started, every predecessor run.  Counting each
+    gate's predecessors still to run keeps the ready set current without
+    rescanning the circuit."""
 
     def __init__(self, circuit: LogicalCircuit, state: ScheduleState):
         self.circuit = circuit
         self.state = state
         self.executed: set[int] = set()
         self.in_flight: set[int] = set()
+        self.ready: set[int] = {g.gate_id for g in frontier(circuit, set())}
+        self._waiting = {gid: len(preds) for gid, preds in circuit.predecessors.items()}
 
     def done(self) -> bool:
         return len(self.executed) == len(self.circuit.gates)
 
+    def _start(self, gate_id: int) -> None:
+        if gate_id not in self.ready:
+            raise InvariantError(f"gate {gate_id} started before it was ready")
+        self.ready.remove(gate_id)
+
+    def _finish(self, gate_id: int) -> None:
+        self.executed.add(gate_id)
+        for succ in self.circuit.successors[gate_id]:
+            self._waiting[succ] -= 1
+            if self._waiting[succ] == 0:
+                self.ready.add(succ)
+
     def pending(self) -> tuple[list[PendingPair], list[Gate]]:
-        """The frontier's two-qubit gates not yet started, and its
-        single-qubit gates."""
+        """The ready two-qubit gates and the ready single-qubit gates, each
+        by gate id."""
         two_q: list[PendingPair] = []
         singles: list[Gate] = []
-        for g in frontier(self.circuit, self.executed):
-            if g.gate_id in self.in_flight:
-                continue
+        for gid in sorted(self.ready):
+            g = self.circuit.gate(gid)
             if g.kind == "u":
                 singles.append(g)
             else:
@@ -469,6 +488,7 @@ class CircuitRun:
     def run_gate(self, gate_id: int) -> None:
         """Start a circuit SWAP, or place any other two-qubit gate, on the
         physical qubits that hold its operands now."""
+        self._start(gate_id)
         g = self.circuit.gate(gate_id)
         mapping = self.state.mapping
         pq = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
@@ -477,7 +497,7 @@ class CircuitRun:
             self.in_flight.add(g.gate_id)
         else:
             self.state.place(Op(kind=g.kind, qubits=pq, gate_id=g.gate_id, param=g.param))
-            self.executed.add(g.gate_id)
+            self._finish(g.gate_id)
 
     def finish_layer(self, singles: list[Gate]) -> bool:
         """Place every ready single-qubit gate whose qubit is still free,
@@ -487,14 +507,15 @@ class CircuitRun:
         for g in singles:
             p = self.state.mapping.phys(g.qubits[0])
             if self.state.qubit_free(p):
+                self._start(g.gate_id)
                 self.state.place(Op(kind="u", qubits=(p,), gate_id=g.gate_id, label=g.label))
-                self.executed.add(g.gate_id)
+                self._finish(g.gate_id)
                 progress = True
         _, completed = self.state.close_layer()
         for f in completed:
             if f.gate_key is not None:
-                self.executed.add(f.gate_key)
                 self.in_flight.discard(f.gate_key)
+                self._finish(f.gate_key)
                 progress = True
         return progress
 
@@ -672,6 +693,13 @@ def verify_routing(
         started_edges: list[Edge] = []
         layer_edges: set[Edge] = set()
         for op in layer:
+            arity = OP_ARITY.get(op.kind)
+            if arity is None:
+                raise VerificationError(f"layer {li}: unknown operation kind {op.kind!r}")
+            if len(op.qubits) != arity:
+                raise VerificationError(
+                    f"layer {li}: {op.kind} needs {arity} qubit(s), got {len(op.qubits)}"
+                )
             for q in op.qubits:
                 if not 0 <= q < sched.num_physical:
                     raise VerificationError(f"layer {li}: qubit {q} out of range")

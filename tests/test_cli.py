@@ -135,8 +135,10 @@ def test_vqe_synth_rejects_bad_weights(tmp_path, capsys):
     hw.write_text(fixture_text("grid6.json"))
     pauli = tmp_path / "chain.txt"
     pauli.write_text(fixture_text("chain_pair.txt"))
-    assert main(["vqe-synth", "-p", str(pauli), "-H", str(hw), "--w1", "0"]) == 4
-    capsys.readouterr()
+    for flag, value in (("--w1", "0"), ("--w2", "1.5")):
+        assert main(["vqe-synth", "-p", str(pauli), "-H", str(hw), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {flag} must be in (0, 1], got {float(value)}"]
 
 
 def test_jw_encode(tmp_path, capsys):
@@ -214,6 +216,53 @@ def test_search(paths, capsys):
     assert result["best_allowance"] == pytest.approx(0.002)
     best = read_schedule(best_out.read_text())
     assert best.depth_cx == 4
+
+
+def test_search_in_pair_units(paths, capsys):
+    # the unconstrained compile commits two pairs; every probe counts pairs
+    _, hw, circ = paths
+    argv = ["search", "-c", circ, "-H", hw, "--steps", "4", "--allowance-units", "pairs"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["x_max"] == 2.0
+    assert [x for x, _ in result["probes"]] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert result["best_allowance"] == 2.0
+    assert result["best_esp"] == pytest.approx(0.8867, abs=1e-4)
+
+
+def _cx_without_qubits(tmp, hw, circ):
+    out = tmp / "sched.json"
+    assert main(["compile", "-c", circ, "-H", hw, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    op = next(op for layer in doc["layers"] for op in layer if op["kind"] == "cx")
+    op["qubits"] = []
+    out.write_text(json.dumps(doc))
+    return ["report", "-s", str(out), "-H", hw]
+
+
+def _non_numeric_edge_error(tmp, hw, circ):
+    data = json.loads(Path(hw).read_text())
+    data["edge_error"] = {"0-1": "abc"}
+    bad = tmp / "bad_hw.json"
+    bad.write_text(json.dumps(data))
+    return ["compile", "-c", circ, "-H", str(bad)]
+
+
+@pytest.mark.parametrize(
+    "make_argv,message",
+    [
+        (_cx_without_qubits, "cx needs 2 qubit(s), got 0"),
+        (_non_numeric_edge_error, "error: edge_error['0-1']: expected a number, got 'abc'"),
+    ],
+)
+def test_bad_documents_are_usage_errors(paths, capsys, make_argv, message):
+    argv = make_argv(*paths)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_missing_file_is_a_usage_error(paths, capsys):

@@ -1,0 +1,294 @@
+"""The indexed hot path against brute-force references kept in this file.
+
+``useful_swaps`` scans only the edges at an unsatisfied gate's endpoints,
+``build_csg`` finds its vertex pairs through indexes, ``Csg.neighbors``
+reads adjacency sets built once, and ``CircuitRun`` keeps its ready set
+incrementally.  The references below are the straightforward versions:
+every coupling edge, every vertex pair, both edge sets scanned per lookup,
+and ``frontier`` recomputed from the executed set.  Seeded grid compiles
+run with checking wrappers around the scheduler's calls, so every state a
+compile meets is compared.
+"""
+
+import math
+import random
+
+import pytest
+
+import chromaroute.scheduler as scheduler
+from chromaroute import (
+    Budget,
+    CouplingGraph,
+    CrosstalkProfile,
+    CrosstalkRecord,
+    Gate,
+    HardwareError,
+    InvariantError,
+    LogicalCircuit,
+    Mapping,
+    build_csg,
+    compile_circuit,
+    frontier,
+    useful_swaps,
+    welsh_powell,
+)
+from chromaroute.csg import PendingPair, SwapCandidate
+from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState
+
+
+def grid_device(rows: int, cols: int, rng: random.Random):
+    """A grid with isolated error rates, and crosstalk records on about half
+    of the disjoint link pairs at hop distance 1."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            q = r * cols + c
+            if c + 1 < cols:
+                edges.append((q, q + 1))
+            if r + 1 < rows:
+                edges.append((q, q + cols))
+    edge_error = {e: rng.uniform(0.005, 0.02) for e in edges}
+    hw = CouplingGraph(rows * cols, edges, edge_error=edge_error)
+    dist = hw.all_pairs_distance()
+    records = []
+    for i, e1 in enumerate(edges):
+        for e2 in edges[i + 1 :]:
+            if set(e1) & set(e2) or min(dist[a][b] for a in e1 for b in e2) != 1:
+                continue
+            if rng.random() < 0.5:
+                records.append(
+                    CrosstalkRecord(
+                        e1,
+                        e2,
+                        edge_error[e1] * rng.uniform(1.5, 4.0),
+                        edge_error[e2] * rng.uniform(1.5, 4.0),
+                    )
+                )
+    return hw, CrosstalkProfile(hw, records)
+
+
+def random_circuit(num_qubits: int, size: int, rng: random.Random) -> LogicalCircuit:
+    gates = []
+    for gid in range(size):
+        roll = rng.random()
+        if roll < 0.3:
+            gates.append(Gate(gid, "u", (rng.randrange(num_qubits),), label="h"))
+        else:
+            kind = "swap" if roll < 0.35 else "cx"
+            gates.append(Gate(gid, kind, tuple(rng.sample(range(num_qubits), 2))))
+    return LogicalCircuit(num_qubits, gates)
+
+
+def reference_useful_swaps(pending, mapping, hw, excluded_edges=None):
+    """Every coupling edge, tried against every unsatisfied gate."""
+    excluded = excluded_edges or set()
+    dist = hw.all_pairs_distance()
+    unsatisfied = []
+    for p in pending:
+        pa, pb = mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])
+        if not hw.has_edge(pa, pb):
+            unsatisfied.append((p, pa, pb))
+    out = []
+    for edge in hw.sorted_edges():
+        if edge in excluded:
+            continue
+        a, b = edge
+        helps = set()
+        for p, pa, pb in unsatisfied:
+            na = {a: b, b: a}.get(pa, pa)
+            nb = {a: b, b: a}.get(pb, pb)
+            if dist[na][nb] == dist[pa][pb] - 1:
+                helps.add(p.key)
+        if helps:
+            out.append(SwapCandidate(edge=edge, helps=frozenset(helps)))
+    return out
+
+
+def reference_overshoots(u, v, pending_by_key, mapping, hw):
+    preview = mapping.copy()
+    preview.apply_swap(*u.edge)
+    preview.apply_swap(*v.edge)
+    dist = hw.all_pairs_distance()
+    for key in u.helps & v.helps:
+        gate = pending_by_key.get(key)
+        if gate is None:
+            continue
+        la, lb = gate.logicals
+        if dist[preview.phys(la)][preview.phys(lb)] >= dist[mapping.phys(la)][mapping.phys(lb)]:
+            return True
+    return False
+
+
+def reference_pairs(vertices, pending, mapping, hw, budget, allowance_left):
+    """Every vertex pair in a nested i < j loop; stable sort on the cost and
+    the two edges.  Returns (conflict edges, crosstalk edges, permitted
+    pairs, number of cost/edge ties)."""
+    pending_by_key = {p.key: p for p in pending}
+    conflict = set()
+    maybe = []
+    for i, u in enumerate(vertices):
+        for j in range(i + 1, len(vertices)):
+            v = vertices[j]
+            if set(u.edge) & set(v.edge):
+                conflict.add((i, j))
+                continue
+            if u.kind != "cgate" and v.kind != "cgate" and u.helps & v.helps:
+                if reference_overshoots(u, v, pending_by_key, mapping, hw):
+                    conflict.add((i, j))
+                    continue
+            if u.kind == "inprogress" and v.kind == "inprogress":
+                continue
+            cost = budget.cost(u.edge, v.edge)
+            if cost is not None:
+                maybe.append((cost, u.edge, v.edge, i, j))
+    maybe.sort(key=lambda t: t[:3])
+    ties = len(maybe) - len({t[:3] for t in maybe})
+    crosstalk = {}
+    permitted = []
+    running = 0.0
+    for cost, _, _, i, j in maybe:
+        if running + cost <= allowance_left:
+            running += cost
+            permitted.append((i, j, cost))
+        else:
+            crosstalk[(i, j)] = cost
+    return conflict, crosstalk, permitted, ties
+
+
+def reference_neighbors(csg, vid):
+    out = set()
+    for i, j in list(csg.conflict_edges) + list(csg.crosstalk_edges):
+        if i == vid:
+            out.add(j)
+        elif j == vid:
+            out.add(i)
+    return out
+
+
+def reference_welsh_powell(csg):
+    colors = {v.vertex_id: 0 for v in csg.vertices if v.kind == "inprogress"}
+    order = sorted(
+        (v.vertex_id for v in csg.vertices if v.vertex_id not in colors),
+        key=lambda vid: (-len(reference_neighbors(csg, vid)), vid),
+    )
+    for vid in order:
+        taken = {colors[n] for n in reference_neighbors(csg, vid) if n in colors}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[vid] = c
+    by_color = {}
+    for vid, c in colors.items():
+        by_color.setdefault(c, []).append(vid)
+    return [ColorClass(color=c, members=sorted(m)) for c, m in sorted(by_color.items())]
+
+
+@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("rows,seed,size", [(4, 1, 90), (5, 2, 110), (6, 3, 130)])
+def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units):
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, size, rng)
+    seen = {"swaps": 0, "csgs": 0, "permitted": 0, "crosstalk": 0, "ties": 0, "in_flight": 0}
+
+    def checked_useful_swaps(pending, mapping, hw, excluded_edges=None):
+        got = useful_swaps(pending, mapping, hw, excluded_edges=excluded_edges)
+        assert got == reference_useful_swaps(pending, mapping, hw, excluded_edges)
+        seen["swaps"] += len(got)
+        return got
+
+    def checked_build_csg(cgates, swaps, in_prog, pending, mapping, hw, budget, allowance_left):
+        csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, budget, allowance_left)
+        # a Budget of its own, so no cost comes from the indexed run's memo
+        fresh = Budget(budget.profile, budget.allowance, budget.units)
+        conflict, crosstalk, permitted, ties = reference_pairs(
+            csg.vertices, pending, mapping, hw, fresh, allowance_left
+        )
+        assert csg.conflict_edges == conflict
+        assert csg.crosstalk_edges == crosstalk
+        assert csg.permitted_pairs == permitted
+        for v in csg.vertices:
+            assert csg.neighbors(v.vertex_id) == reference_neighbors(csg, v.vertex_id)
+            assert csg.degree(v.vertex_id) == len(reference_neighbors(csg, v.vertex_id))
+        assert welsh_powell(csg) == reference_welsh_powell(csg)
+        seen["csgs"] += 1
+        seen["permitted"] += len(permitted)
+        seen["crosstalk"] += len(crosstalk)
+        seen["ties"] += ties
+        return csg
+
+    runs = []
+
+    class RecordedRun(CircuitRun):
+        def __init__(self, circuit, state):
+            super().__init__(circuit, state)
+            runs.append(self)
+
+    def check_ready(info):
+        run = runs[-1]
+        assert info["executed"] == run.executed
+        want = {g.gate_id for g in frontier(circuit, run.executed)} - run.in_flight
+        assert run.ready == want
+        seen["in_flight"] += len(run.in_flight)
+
+    monkeypatch.setattr(scheduler, "useful_swaps", checked_useful_swaps)
+    monkeypatch.setattr(scheduler, "build_csg", checked_build_csg)
+    monkeypatch.setattr(scheduler, "CircuitRun", RecordedRun)
+    for allowance in (0.0, 0.05, math.inf):
+        sched = compile_circuit(
+            circuit, hw, prof, allowance=allowance, allowance_units=units, on_iteration=check_ready
+        )
+        scheduler.verify_routing(
+            sched, hw, prof, circuit=circuit, allowance=allowance, allowance_units=units
+        )
+    # the comparisons saw every kind of outcome
+    assert seen["swaps"] and seen["csgs"] and seen["in_flight"]
+    # ties on (cost, e_i, e_j): a cgate and a candidate SWAP on one edge
+    assert seen["permitted"] and seen["crosstalk"] and seen["ties"]
+
+
+def test_missing_isolated_rate_raises_only_when_the_pair_is_priced():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    hw = CouplingGraph(5, edges, edge_error={(0, 1): 0.01, (1, 2): 0.01, (2, 3): 0.01})
+    prof = CrosstalkProfile(
+        hw,
+        [
+            CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02),
+            CrosstalkRecord((0, 1), (3, 4), 0.02, 0.02),
+        ],
+    )
+    budget = Budget(prof, allowance=1.0)
+    m = Mapping(5, 5)
+    # (3, 4) has no isolated rate, but it shares qubit 3 with (2, 3), so
+    # the conflict comes first and its profiled pair with (0, 1) is absent
+    gates = [PendingPair(0, (2, 3)), PendingPair(1, (3, 4))]
+    csg = build_csg(gates, [], [], gates, m, hw, budget, 1.0)
+    assert csg.conflict_edges == {(0, 1)}
+    gates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3))]
+    csg = build_csg(gates, [], [], gates, m, hw, budget, 1.0)
+    assert csg.permitted_pairs == [(0, 1, pytest.approx(0.02))]
+    gates = [PendingPair(0, (0, 1)), PendingPair(1, (3, 4))]
+    with pytest.raises(HardwareError, match=r"missing error rate for edge \(3, 4\)"):
+        build_csg(gates, [], [], gates, m, hw, budget, 1.0)
+    # a lookup that raised is asked again, not remembered
+    with pytest.raises(HardwareError, match="missing error rate"):
+        budget.cost((0, 1), (3, 4))
+    # counting pairs needs no isolated rate; unknown edges raise either way
+    assert Budget(prof, units="pairs").cost((0, 1), (3, 4)) == 1.0
+    with pytest.raises(HardwareError, match="unknown edge"):
+        budget.cost((0, 1), (0, 4))
+
+
+def test_starting_a_gate_that_is_not_ready_is_an_invariant_error():
+    hw = CouplingGraph(3, [(0, 1), (1, 2)])
+    circuit = LogicalCircuit(3, [Gate(0, "cx", (0, 1)), Gate(1, "cx", (1, 2))])
+    state = ScheduleState(hw, Budget(CrosstalkProfile(hw, [])), 3)
+    run = CircuitRun(circuit, state)
+    assert run.ready == {0}
+    state.open_layer()
+    with pytest.raises(InvariantError, match="gate 1 started before it was ready"):
+        run.run_gate(1)
+    run.run_gate(0)
+    with pytest.raises(InvariantError, match="gate 0 started before it was ready"):
+        run.run_gate(0)
+    assert run.ready == {1}
