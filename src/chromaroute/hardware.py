@@ -69,10 +69,10 @@ class CouplingGraph:
         self.t2 = dict(t2 or {})
         for name, table in (("t1", self.t1), ("t2", self.t2)):
             for q, val in table.items():
-                if val <= 0:
+                if not val > 0:  # also rejects NaN; +inf means no decay
                     raise HardwareError(f"{name}[{q}] must be positive, got {val}")
-        if gate_time_cx <= 0:
-            raise HardwareError("gate_time_cx must be positive")
+        if not 0 < gate_time_cx < math.inf:
+            raise HardwareError(f"gate_time_cx must be positive and finite, got {gate_time_cx}")
         self.gate_time_cx = gate_time_cx
         self.single_qubit_error = dict(single_qubit_error or {})
         for q, eps in self.single_qubit_error.items():

@@ -701,6 +701,8 @@ def verify_routing(
                     f"layer {li}: {op.kind} needs {arity} qubit(s), got {len(op.qubits)}"
                 )
             for q in op.qubits:
+                if type(q) is not int:
+                    raise VerificationError(f"layer {li}: qubit {q!r} is not an integer")
                 if not 0 <= q < sched.num_physical:
                     raise VerificationError(f"layer {li}: qubit {q} out of range")
                 if q in busy:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .csg import Budget, PendingPair, build_csg, useful_swaps
 from .errors import InvariantError
-from .hardware import CouplingGraph, CrosstalkProfile, Mapping
+from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
 from .scheduler import (
     Op,
@@ -379,10 +379,7 @@ def _synthesize_string(
                 if hw.has_edge(state.mapping.phys(e[0]), state.mapping.phys(e[1]))
             ]
             pending = [PendingPair(e, e) for e in non_executable]
-            excluded = set(state.last_completed_edges)
-            for hw_edge in hw.sorted_edges():
-                if _breaks_protection(hw_edge, protected, drained, hw):
-                    excluded.add(hw_edge)
+            excluded = set(state.last_completed_edges) | _protection_breakers(protected, drained, hw)
             candidates = useful_swaps(pending, drained, hw, excluded_edges=excluded)
             if not candidates and not cgates and not state.flights and pending:
                 # Keeping every executed ladder pair adjacent can rule out
@@ -464,23 +461,13 @@ def _route_pair(state: ScheduleState, u: int, v: int, hw: CouplingGraph) -> None
     """Bring two logical qubits back to adjacent positions with solo SWAPs,
     cheapest reducing edge first.  Runs only when a ladder pair had to give
     up its adjacency during routing."""
-    dist = hw.all_pairs_distance()
     guard = 0
     while not hw.has_edge(state.mapping.phys(u), state.mapping.phys(v)):
         guard += 1
         if guard > hw.num_qubits * hw.num_qubits:
             raise InvariantError(f"uncompute routing for ({u},{v}) does not converge")
-        cur = dist[state.mapping.phys(u)][state.mapping.phys(v)]
-        best = None
-        for e in hw.sorted_edges():
-            preview = state.mapping.copy()
-            preview.apply_swap(*e)
-            if dist[preview.phys(u)][preview.phys(v)] == cur - 1:
-                key = (hw.edge_error.get(e, 0.0), e)
-                if best is None or key < best[0]:
-                    best = (key, e)
         state.open_layer()
-        state.start_swap(best[1])
+        state.start_swap(_closing_swap(state.mapping, u, v, hw))
         state.close_layer()
         while state.flights:
             state.open_layer()
@@ -522,20 +509,40 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
         entries = leftover
 
 
-def _breaks_protection(
-    swap_edge: tuple[int, int],
-    protected: list[tuple[int, int]],
-    drained: Mapping,
-    hw: CouplingGraph,
-) -> bool:
-    if not protected:
-        return False
-    preview = drained.copy()
-    preview.apply_swap(*swap_edge)
+def _closing_swap(mapping: Mapping, u: int, v: int, hw: CouplingGraph) -> tuple[int, int]:
+    """The device edge whose SWAP brings non-adjacent ``u`` and ``v`` one hop
+    closer, least ``edge_error`` first and then the lowest edge.  Only an
+    edge at one of their two physical qubits can change their distance."""
+    dist = hw.all_pairs_distance()
+    pu, pv = mapping.phys(u), mapping.phys(v)
+    reducing = [
+        normalize_edge(p, q)
+        for p, other in ((pu, pv), (pv, pu))
+        for q in hw.adjacency[p]
+        if dist[q][other] == dist[p][other] - 1
+    ]
+    return min(reducing, key=lambda e: (hw.edge_error.get(e, 0.0), e))
+
+
+def _protection_breakers(
+    protected: list[tuple[int, int]], drained: Mapping, hw: CouplingGraph
+) -> set[tuple[int, int]]:
+    """The device edges whose SWAP, applied to ``drained``, leaves some
+    executed ladder pair ``(c, t)`` non-adjacent.  Only an edge at ``c``'s or
+    ``t``'s physical qubit can move the pair.  A pair that is already apart
+    stays apart under every other SWAP, so it rules out every edge except
+    those at its two qubits that bring it back together."""
+    breakers: set[tuple[int, int]] = set()
     for c, t in protected:
-        if not hw.has_edge(preview.phys(c), preview.phys(t)):
-            return True
-    return False
+        pc, pt = drained.phys(c), drained.phys(t)
+        incident = {normalize_edge(p, q) for p in (pc, pt) for q in hw.adjacency[p]}
+        if not hw.has_edge(pc, pt):
+            breakers |= hw.edges - incident
+        for a, b in incident:
+            moved = {a: b, b: a}
+            if not hw.has_edge(moved.get(pc, pc), moved.get(pt, pt)):
+                breakers.add((a, b))
+    return breakers
 
 
 def _arbitrate_patterns(

@@ -248,11 +248,41 @@ def _non_numeric_edge_error(tmp, hw, circ):
     return ["compile", "-c", circ, "-H", str(bad)]
 
 
+def _non_integer_qubits(tmp, hw, circ):
+    out = tmp / "sched.json"
+    assert main(["compile", "-c", circ, "-H", hw, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    op = next(op for layer in doc["layers"] for op in layer if op["kind"] == "cx")
+    op["qubits"] = ["a", "b"]
+    out.write_text(json.dumps(doc))
+    return ["report", "-s", str(out), "-H", hw]
+
+
+def _nan_device_time(field):
+    def make_argv(tmp, hw, circ):
+        data = json.loads(Path(hw).read_text())
+        if field == "gate_time_cx":
+            data[field] = float("nan")
+        else:
+            data[field]["0"] = float("nan")
+        bad = tmp / "bad_hw.json"
+        bad.write_text(json.dumps(data))  # writes the NaN literal
+        assert "NaN" in bad.read_text()
+        return ["compile", "-c", circ, "-H", str(bad)]
+
+    make_argv.__name__ = f"_nan_{field}"
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv,message",
     [
         (_cx_without_qubits, "cx needs 2 qubit(s), got 0"),
         (_non_numeric_edge_error, "error: edge_error['0-1']: expected a number, got 'abc'"),
+        (_non_integer_qubits, "qubit 'a' is not an integer"),
+        (_nan_device_time("t1"), "error: t1[0] must be positive, got nan"),
+        (_nan_device_time("t2"), "error: t2[0] must be positive, got nan"),
+        (_nan_device_time("gate_time_cx"), "error: gate_time_cx must be positive and finite, got nan"),
     ],
 )
 def test_bad_documents_are_usage_errors(paths, capsys, make_argv, message):

@@ -68,6 +68,19 @@ def test_graph_validation():
         CouplingGraph(2, [(0, 1)], gate_time_cx=0.0)
 
 
+def test_device_times_reject_nan_and_keep_infinite_decay():
+    nan, inf = float("nan"), float("inf")
+    for field, table in (("t1", {"t1": {0: nan}}), ("t2", {"t2": {1: nan}})):
+        with pytest.raises(HardwareError, match=rf"{field}\[\d\] must be positive, got nan"):
+            CouplingGraph(2, [(0, 1)], **table)
+    for bad in (nan, inf):
+        with pytest.raises(HardwareError, match="gate_time_cx must be positive and finite"):
+            CouplingGraph(2, [(0, 1)], gate_time_cx=bad)
+    hw = CouplingGraph(2, [(0, 1)], t1={0: inf}, t2={1: inf})
+    assert hw.t1_of(0) == hw.t1_of(1) == inf
+    assert hw.t2_of(1) == hw.t2_of(0) == inf
+
+
 def test_missing_decay_data_is_infinite():
     hw = line4()
     assert hw.t1_of(0) == float("inf")

@@ -8,6 +8,11 @@ every coupling edge, every vertex pair, both edge sets scanned per lookup,
 and ``frontier`` recomputed from the executed set.  Seeded grid compiles
 run with checking wrappers around the scheduler's calls, so every state a
 compile meets is compared.
+
+Pauli-ladder synthesis finds the SWAPs that would separate an executed
+ladder pair, and the SWAP that brings a separated pair closer during the
+uncompute pass, through the edges at the pair's two physical qubits.  Its
+references preview a mapping for every coupling edge instead.
 """
 
 import math
@@ -16,6 +21,7 @@ import random
 import pytest
 
 import chromaroute.scheduler as scheduler
+import chromaroute.vqa as vqa
 from chromaroute import (
     Budget,
     CouplingGraph,
@@ -26,9 +32,12 @@ from chromaroute import (
     InvariantError,
     LogicalCircuit,
     Mapping,
+    PauliProgram,
+    PauliString,
     build_csg,
     compile_circuit,
     frontier,
+    synthesize,
     useful_swaps,
     welsh_powell,
 )
@@ -36,9 +45,10 @@ from chromaroute.csg import PendingPair, SwapCandidate
 from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState
 
 
-def grid_device(rows: int, cols: int, rng: random.Random):
+def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None):
     """A grid with isolated error rates, and crosstalk records on about half
-    of the disjoint link pairs at hop distance 1."""
+    of the disjoint link pairs at hop distance 1.  With ``error_levels`` each
+    isolated rate is drawn from that list, so equal rates are common."""
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -47,7 +57,9 @@ def grid_device(rows: int, cols: int, rng: random.Random):
                 edges.append((q, q + 1))
             if r + 1 < rows:
                 edges.append((q, q + cols))
-    edge_error = {e: rng.uniform(0.005, 0.02) for e in edges}
+    edge_error = {
+        e: rng.choice(error_levels) if error_levels else rng.uniform(0.005, 0.02) for e in edges
+    }
     hw = CouplingGraph(rows * cols, edges, edge_error=edge_error)
     dist = hw.all_pairs_distance()
     records = []
@@ -292,3 +304,77 @@ def test_starting_a_gate_that_is_not_ready_is_an_invariant_error():
     with pytest.raises(InvariantError, match="gate 0 started before it was ready"):
         run.run_gate(0)
     assert run.ready == {1}
+
+
+def random_pauli_program(width: int, num_strings: int, rng: random.Random) -> PauliProgram:
+    strings = []
+    for _ in range(num_strings):
+        ops = ["I"] * width
+        for q in rng.sample(range(width), rng.randint(3, min(10, width))):
+            ops[q] = rng.choice("XYZ")
+        strings.append(PauliString("".join(ops), round(rng.uniform(-1.0, 1.0), 6)))
+    return PauliProgram(width, strings)
+
+
+def reference_protection_breakers(protected, drained, hw):
+    """Every coupling edge, kept when its SWAP on a preview of ``drained``
+    leaves some executed ladder pair non-adjacent."""
+    out = set()
+    if not protected:
+        return out
+    for edge in hw.sorted_edges():
+        preview = drained.copy()
+        preview.apply_swap(*edge)
+        if any(not hw.has_edge(preview.phys(c), preview.phys(t)) for c, t in protected):
+            out.add(edge)
+    return out
+
+
+def reference_closing_swaps(mapping, u, v, hw):
+    """Every coupling edge whose SWAP on a preview of ``mapping`` brings u
+    and v one hop closer, as sorted (isolated error, edge) keys: the
+    uncompute router takes the first."""
+    dist = hw.all_pairs_distance()
+    cur = dist[mapping.phys(u)][mapping.phys(v)]
+    out = []
+    for edge in hw.sorted_edges():
+        preview = mapping.copy()
+        preview.apply_swap(*edge)
+        if dist[preview.phys(u)][preview.phys(v)] == cur - 1:
+            out.append((hw.edge_error.get(edge, 0.0), edge))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
+def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng, error_levels=(0.01, 0.02))
+    program = random_pauli_program(rows * rows, 16, rng)
+    seen = {"breakers": 0, "apart": 0, "routed": 0, "route_ties": 0}
+    protection_breakers, closing_swap = vqa._protection_breakers, vqa._closing_swap
+
+    def checked_protection_breakers(protected, drained, hw):
+        got = protection_breakers(protected, drained, hw)
+        assert got == reference_protection_breakers(protected, drained, hw)
+        seen["breakers"] += bool(got)
+        seen["apart"] += sum(not hw.has_edge(drained.phys(c), drained.phys(t)) for c, t in protected)
+        return got
+
+    def checked_closing_swap(mapping, u, v, hw):
+        got = closing_swap(mapping, u, v, hw)
+        want = reference_closing_swaps(mapping, u, v, hw)
+        assert got == want[0][1]
+        seen["routed"] += 1
+        seen["route_ties"] += len(want) > 1 and want[0][0] == want[1][0]
+        return got
+
+    monkeypatch.setattr(vqa, "_protection_breakers", checked_protection_breakers)
+    monkeypatch.setattr(vqa, "_closing_swap", checked_closing_swap)
+    for allowance in (0.0, 0.05, math.inf):
+        sched = synthesize(program, hw, prof, allowance=allowance, allowance_units=units)
+        scheduler.verify_routing(sched, hw, prof, allowance=allowance, allowance_units=units)
+    # the comparisons met a non-empty breaker set, a protected pair that was
+    # already apart, and uncompute routing with a tie on the isolated error
+    assert seen["breakers"] and seen["apart"]
+    assert seen["routed"] and seen["route_ties"]
