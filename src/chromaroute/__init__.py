@@ -1,14 +1,6 @@
 """Crosstalk-aware mapping, scheduling and ansatz synthesis for coupled qubits."""
 
-from .baseline import baseline_schedule, oblivious_schedule, serialize_crosstalk
-from .csg import (
-    Budget,
-    Csg,
-    CsgVertex,
-    build_csg,
-    executable_pairs,
-    useful_swaps,
-)
+from .baseline import baseline_schedule
 from .errors import (
     ChromarouteError,
     EncodingError,
@@ -25,7 +17,6 @@ from .fidelity import (
     decoherence_error,
     esp,
     fidelity_report,
-    find_x_max,
     search_allowance,
     tvd,
 )
@@ -36,14 +27,12 @@ from .hardware import (
     Mapping,
     load_hardware,
     load_hardware_file,
-    normalize_edge,
 )
 from .ir import (
     Gate,
     LogicalCircuit,
     PauliProgram,
     PauliString,
-    frontier,
     parse_circuit,
     parse_pauli_program,
     serialize_circuit,
@@ -56,34 +45,18 @@ from .scheduler import (
     ScheduledCircuit,
     compile_circuit,
     expand_two_local,
-    rank_and_select,
     verify_routing,
-    welsh_powell,
 )
-from .vqa import (
-    SynthesisOptions,
-    SynthesisTree,
-    build_qubit_graph,
-    calculate_depths,
-    delete_qubit,
-    derive_gate_sets,
-    graph_center,
-    kruskal_mst,
-    pattern_cost,
-    synthesize,
-)
+from .vqa import SynthesisOptions, synthesize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllowanceSearchResult",
-    "Budget",
     "ChromarouteError",
     "CouplingGraph",
     "CrosstalkProfile",
     "CrosstalkRecord",
-    "Csg",
-    "CsgVertex",
     "EncodingError",
     "FermionTerm",
     "FidelityReport",
@@ -101,41 +74,23 @@ __all__ = [
     "ScheduledCircuit",
     "StallError",
     "SynthesisOptions",
-    "SynthesisTree",
     "VerificationError",
     "baseline_schedule",
-    "build_csg",
-    "build_qubit_graph",
-    "calculate_depths",
     "compile_circuit",
     "decoherence_error",
-    "delete_qubit",
-    "derive_gate_sets",
     "esp",
-    "executable_pairs",
     "expand_two_local",
     "fidelity_report",
-    "find_x_max",
-    "frontier",
-    "graph_center",
     "jw_encode",
-    "kruskal_mst",
     "load_hardware",
     "load_hardware_file",
-    "normalize_edge",
-    "oblivious_schedule",
     "parse_circuit",
     "parse_fermion_terms",
     "parse_pauli_program",
-    "pattern_cost",
-    "rank_and_select",
     "search_allowance",
     "serialize_circuit",
-    "serialize_crosstalk",
     "serialize_pauli_program",
     "synthesize",
     "tvd",
-    "useful_swaps",
     "verify_routing",
-    "welsh_powell",
 ]

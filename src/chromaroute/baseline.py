@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .csg import Budget, executable_pairs, useful_swaps
+from .csg import Budget, cheapest_swap, executable_pairs, useful_swaps
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping
 from .ir import LogicalCircuit
 from .scheduler import (
@@ -57,14 +57,16 @@ def oblivious_schedule(
         for p in two_q:
             if p.key in helped_now:
                 continue
-            options = [c for c in candidates if p.key in c.helps]
-            options.sort(key=lambda c: (hw.edge_error.get(c.edge, 0.0), c.edge))
-            for c in options:
-                if state.qubit_free(c.edge[0]) and state.qubit_free(c.edge[1]):
-                    state.start_swap(c.edge, helps=c.helps)
-                    helped_now.update(c.helps)
-                    progress = True
-                    break
+            free = [
+                c
+                for c in candidates
+                if p.key in c.helps and state.qubit_free(c.edge[0]) and state.qubit_free(c.edge[1])
+            ]
+            if free:
+                c = cheapest_swap(free, hw)
+                state.start_swap(c.edge, helps=c.helps)
+                helped_now.update(c.helps)
+                progress = True
         progress = run.finish_layer(singles) or progress
         guard.record(progress)
     return state.result()

@@ -264,7 +264,7 @@ def _cmd_report(args) -> int:
     try:
         data = json.loads(_read_text(args.schedule))
         sched = ScheduledCircuit.from_json_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, IndexError, ParseError) as exc:
         raise ParseError(f"{args.schedule}: not a valid schedule document ({exc})") from exc
     try:
         verify_routing(sched, hw, profile)

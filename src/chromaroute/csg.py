@@ -80,15 +80,16 @@ class SwapCandidate:
     helps: frozenset
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InProgressSwap:
     """A SWAP mid-flight: it still owns its qubits for ``remaining_time``
-    more layers and cannot be interrupted."""
+    more layers and cannot be interrupted.  ``gate_key`` names the circuit
+    SWAP gate it runs; None marks a routing SWAP."""
 
     edge: Edge
     remaining_time: int
     helps: frozenset
-    started_layer: int
+    gate_key: object = None
 
 
 @dataclass
@@ -135,10 +136,6 @@ class Csg:
 
     def degree(self, vid: int) -> int:
         return len(self._adjacency[vid])
-
-    def adjacent(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        return key in self.conflict_edges or key in self.crosstalk_edges
 
     def to_dot(self, name: str = "csg") -> str:
         lines = [f"graph {name} {{"]
@@ -190,6 +187,12 @@ def useful_swaps(
                 if edge not in excluded and dist[nxt][fixed] == cur - 1:
                     helps.setdefault(edge, set()).add(p.key)
     return [SwapCandidate(edge=e, helps=frozenset(helps[e])) for e in sorted(helps)]
+
+
+def cheapest_swap(candidates: list[SwapCandidate], hw: CouplingGraph) -> SwapCandidate:
+    """The candidate with the least isolated ``edge_error`` (0.0 where the
+    device has no rate); ties go to the lower edge."""
+    return min(candidates, key=lambda s: (hw.edge_error.get(s.edge, 0.0), s.edge))
 
 
 def _joint_overshoots(

@@ -22,6 +22,9 @@ from .csg import Budget
 from .hardware import CouplingGraph, CrosstalkProfile
 from .scheduler import ScheduledCircuit
 
+# Bisection steps search_core takes at most, whatever the resolution.
+SEARCH_MAX_ITER = 64
+
 
 def decoherence_error(t: float, t1: float, t2: float) -> float:
     """Probability that a qubit idling for time ``t`` is lost to relaxation
@@ -104,15 +107,11 @@ def fidelity_report(sched: ScheduledCircuit, hw: CouplingGraph, profile: Crossta
     )
 
 
-def find_x_max(compile_fn, budget: Budget | None = None) -> float:
+def find_x_max(compile_fn, budget: Budget) -> float:
     """Upper end of the allowance search interval: the crosstalk an
-    unconstrained compilation actually commits, in ``budget``'s units
-    (excess error mass without one).  ``compile_fn`` maps an allowance to a
-    ScheduledCircuit."""
-    unconstrained = compile_fn(math.inf)
-    if budget is None:
-        return unconstrained.ledger_total()
-    return budget.spent(unconstrained.crosstalk_ledger)
+    unconstrained compilation actually commits, in ``budget``'s units.
+    ``compile_fn`` maps an allowance to a ScheduledCircuit."""
+    return budget.spent(compile_fn(math.inf).crosstalk_ledger)
 
 
 @dataclass
@@ -131,7 +130,7 @@ class AllowanceSearchResult:
         }
 
 
-def search_core(lo: float, hi: float, delta: float, objective, max_iter: int = 64) -> AllowanceSearchResult:
+def search_core(lo: float, hi: float, delta: float, objective) -> AllowanceSearchResult:
     """Derivative-sign bisection over [lo, hi], maximizing ``objective``.
 
     Each step evaluates the objective at mid and mid+delta; a rising pair
@@ -150,7 +149,7 @@ def search_core(lo: float, hi: float, delta: float, objective, max_iter: int = 6
     probe(hi)
     it = 0
     a, b = lo, hi
-    while b - a > delta and it < max_iter:
+    while b - a > delta and it < SEARCH_MAX_ITER:
         it += 1
         mid = (a + b) / 2.0
         f_mid = probe(mid)
@@ -178,12 +177,9 @@ def search_allowance(
     ``compile_fn(allowance) -> ScheduledCircuit`` is the workload and must
     count its allowance in ``allowance_units``; the interval is
     [0, find_x_max] in those units, with resolution x_max/steps."""
-    schedules: dict[float, ScheduledCircuit] = {}
 
     def objective(x: float) -> float:
-        if x not in schedules:
-            schedules[x] = compile_fn(x)
-        return esp(schedules[x], hw, profile)
+        return esp(compile_fn(x), hw, profile)
 
     x_max = find_x_max(compile_fn, Budget(profile, units=allowance_units))
     if x_max <= 0.0:

@@ -81,43 +81,31 @@ class CouplingGraph:
         self._check_connected()
         self._dist: list[list[int]] | None = None
 
-    def _check_connected(self):
-        if self.num_qubits == 1:
-            return
-        seen = {0}
-        todo = deque([0])
+    def _bfs_row(self, src: int) -> list[int]:
+        """Hop count from ``src`` to every qubit, -1 where unreachable."""
+        row = [-1] * self.num_qubits
+        row[src] = 0
+        todo = deque([src])
         while todo:
             cur = todo.popleft()
             for nxt in self.adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
+                if row[nxt] < 0:
+                    row[nxt] = row[cur] + 1
                     todo.append(nxt)
-        if len(seen) != self.num_qubits:
-            missing = sorted(set(range(self.num_qubits)) - seen)
+        return row
+
+    def _check_connected(self):
+        missing = [q for q, d in enumerate(self._bfs_row(0)) if d < 0]
+        if missing:
             raise HardwareError(f"coupling graph is disconnected; unreachable: {missing}")
 
     def has_edge(self, a: int, b: int) -> bool:
         return normalize_edge(a, b) in self.edges
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     def all_pairs_distance(self) -> list[list[int]]:
         """Hop-count distance matrix computed by BFS from every qubit."""
         if self._dist is None:
-            n = self.num_qubits
-            dist = [[-1] * n for _ in range(n)]
-            for src in range(n):
-                row = dist[src]
-                row[src] = 0
-                todo = deque([src])
-                while todo:
-                    cur = todo.popleft()
-                    for nxt in self.adjacency[cur]:
-                        if row[nxt] < 0:
-                            row[nxt] = row[cur] + 1
-                            todo.append(nxt)
-            self._dist = dist
+            self._dist = [self._bfs_row(src) for src in range(self.num_qubits)]
         return self._dist
 
     def distance(self, a: int, b: int) -> int:

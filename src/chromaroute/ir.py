@@ -8,15 +8,15 @@ see ``parse_circuit`` and ``parse_pauli_program``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError
 
-# Gate kinds understood by the scheduler.  "u" is an opaque single-qubit gate
-# carrying a free-form label; it never constrains routing, only the DAG.
-GATE_KINDS = ("u", "cx", "rzz", "swap")
-
-TWO_QUBIT_KINDS = ("cx", "rzz", "swap")
+# Gate kinds understood by the scheduler, with their qubit counts.  "u" is an
+# opaque single-qubit gate carrying a free-form label; it never constrains
+# routing, only the DAG.
+GATE_ARITY = {"u": 1, "cx": 2, "rzz": 2, "swap": 2}
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,25 @@ class Gate:
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        arity = GATE_ARITY.get(self.kind)
+        if arity is None:
             raise ParseError(f"unknown gate kind {self.kind!r}")
-        arity = 1 if self.kind == "u" else 2
         if len(self.qubits) != arity:
             raise ParseError(f"{self.kind} expects {arity} qubit(s), got {len(self.qubits)}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ParseError(f"gate {self.gate_id}: repeated qubit operand")
+
+
+def parse_finite(text: str, what: str, lineno: int) -> float:
+    """``float(text)`` for a program line; NaN, infinities and literals too
+    large for a float are rejected with the line number, like bad text."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} ({exc})", lineno) from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {text!r}", lineno)
+    return value
 
 
 class LogicalCircuit:
@@ -72,10 +84,6 @@ class LogicalCircuit:
 
     def gate(self, gate_id: int) -> Gate:
         return self.gates[gate_id]
-
-    @property
-    def two_qubit_gates(self) -> list[Gate]:
-        return [g for g in self.gates if g.kind != "u"]
 
     def criticality(self) -> dict[int, int]:
         """Longest path (in edges) from each gate to any DAG sink."""
@@ -142,7 +150,8 @@ def parse_circuit(text: str) -> LogicalCircuit:
             elif op == "rzz":
                 if len(parts) != 4:
                     raise ParseError("'rzz' takes theta and two qubits", lineno)
-                gates.append(Gate(gid, "rzz", (int(parts[2]), int(parts[3])), param=float(parts[1])))
+                theta = parse_finite(parts[1], "rzz angle", lineno)
+                gates.append(Gate(gid, "rzz", (int(parts[2]), int(parts[3])), param=theta))
             elif op == "u":
                 if len(parts) != 3:
                     raise ParseError("'u' takes a label and one qubit", lineno)
@@ -238,10 +247,7 @@ def parse_pauli_program(text: str) -> PauliProgram:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError("expected 'coefficient OPSTRING'", lineno)
-        try:
-            coeff = float(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"bad coefficient ({exc})", lineno) from exc
+        coeff = parse_finite(parts[0], "coefficient", lineno)
         ops = parts[1].upper()
         try:
             ps = PauliString(ops, coeff)

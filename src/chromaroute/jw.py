@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EncodingError, ParseError
-from .ir import PauliProgram, PauliString
+from .ir import PauliProgram, PauliString, parse_finite
 
 COEFF_CUTOFF = 1e-12
 IMAG_TOLERANCE = 1e-9
@@ -66,10 +66,7 @@ def parse_fermion_terms(text: str) -> list[FermionTerm]:
         if not line:
             continue
         parts = line.split()
-        try:
-            coeff = float(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"bad coefficient ({exc})", lineno) from exc
+        coeff = parse_finite(parts[0], "coefficient", lineno)
         ops = []
         for tok in parts[1:]:
             if len(tok) < 2 or tok[-1] not in "+-":

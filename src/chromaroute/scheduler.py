@@ -20,19 +20,38 @@ from .csg import (
     Csg,
     InProgressSwap,
     PendingPair,
-    SwapCandidate,
     build_csg,
+    cheapest_swap,
     executable_pairs,
     useful_swaps,
 )
-from .errors import InvariantError, MappingError, StallError, VerificationError
+from .errors import InvariantError, MappingError, ParseError, StallError, VerificationError
 from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
-from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, Gate, LogicalCircuit, PauliProgram, frontier
+from .ir import (
+    GATE_ARITY,
+    PAULI_POST_LABEL,
+    PAULI_PRE_LABEL,
+    Gate,
+    LogicalCircuit,
+    PauliProgram,
+    frontier,
+)
 
 SWAP_DURATION = 3
 
+# Classes ranked in full by rank_and_select; the rest lose on size alone.
+TOP_K = 3
+
 # Qubit count of each operation kind a schedule may hold.
-OP_ARITY = {"u": 1, "rz": 1, "cx": 2, "rzz": 2, "swap": 2}
+OP_ARITY = {**GATE_ARITY, "rz": 1}
+
+
+def _typed(value, types, where: str, optional: bool = False):
+    """A schedule document's field ``value`` if it is of ``types`` (a bool
+    never is) or, when ``optional``, None; a ParseError otherwise."""
+    if (value is None and optional) or (isinstance(value, types) and not isinstance(value, bool)):
+        return value
+    raise ParseError(f"{where}: {value!r} has the wrong type")
 
 
 @dataclass
@@ -113,39 +132,52 @@ class ScheduledCircuit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScheduledCircuit":
-        def mapping_from(d: dict) -> Mapping:
-            placement = [d[k] for k in sorted(d, key=int)]
-            return Mapping(len(placement), data["num_physical"], placement)
+        """Read a schedule document back.  This is where every field's type
+        is checked (ParseError); whether the schedule holds together is
+        verify_routing's question."""
+        num_physical = _typed(data["num_physical"], int, "num_physical")
+
+        def mapping_from(name: str) -> Mapping:
+            d = data[name]
+            try:
+                keys = sorted(d, key=int)
+            except ValueError as exc:
+                raise ParseError(f"{name}: a logical qubit key is not an integer ({exc})") from exc
+            placement = [_typed(d[k], int, f"{name}[{k!r}]") for k in keys]
+            return Mapping(len(placement), num_physical, placement)
 
         layers = []
-        for layer in data["layers"]:
+        for li, layer in enumerate(data["layers"]):
             ops = []
             for od in layer:
                 ops.append(
                     Op(
-                        kind=od["kind"],
+                        kind=_typed(od["kind"], str, f"layer {li}: kind"),
                         qubits=tuple(od["qubits"]),
-                        gate_id=od.get("gate_id"),
-                        param=od.get("param"),
-                        label=od.get("label"),
-                        slice_index=od.get("slice"),
+                        gate_id=_typed(od.get("gate_id"), int, f"layer {li}: gate_id", optional=True),
+                        param=_typed(od.get("param"), (int, float), f"layer {li}: param", optional=True),
+                        label=_typed(od.get("label"), str, f"layer {li}: label", optional=True),
+                        slice_index=_typed(od.get("slice"), int, f"layer {li}: slice", optional=True),
                     )
                 )
             layers.append(ops)
         ledger = [
             LedgerEntry(
-                layer=ed["layer"],
-                edges=(tuple(ed["edges"][0]), tuple(ed["edges"][1])),
-                excess=ed["excess"],
+                layer=_typed(ed["layer"], int, "ledger layer"),
+                edges=tuple(
+                    tuple(_typed(q, int, "ledger edge qubit") for q in ed["edges"][k])
+                    for k in (0, 1)
+                ),
+                excess=_typed(ed["excess"], (int, float), "ledger excess"),
             )
             for ed in data["crosstalk_ledger"]
         ]
         return cls(
-            num_physical=data["num_physical"],
+            num_physical=num_physical,
             layers=layers,
             crosstalk_ledger=ledger,
-            initial_mapping=mapping_from(data["initial_mapping"]),
-            final_mapping=mapping_from(data["final_mapping"]),
+            initial_mapping=mapping_from("initial_mapping"),
+            final_mapping=mapping_from("final_mapping"),
         )
 
 
@@ -155,16 +187,13 @@ class ColorClass:
     members: list[int]  # sorted vertex ids
 
 
-def welsh_powell(csg: Csg, pinned: set[int] | None = None) -> list[ColorClass]:
+def welsh_powell(csg: Csg) -> list[ColorClass]:
     """Greedy coloring, highest degree first, with in-flight SWAPs forced
     into color 0 before anything else is considered.  Later vertices may
-    still join color 0 when nothing pins them apart.  ``pinned`` overrides
-    which vertex ids start in color 0 (default: the in-flight SWAPs)."""
-    if pinned is None:
-        pinned = {v.vertex_id for v in csg.vertices if v.kind == "inprogress"}
+    still join color 0 when nothing pins them apart."""
     colors: dict[int, int] = {}
     for v in csg.vertices:
-        if v.vertex_id in pinned:
+        if v.kind == "inprogress":
             colors[v.vertex_id] = 0
     order = sorted(
         (v for v in csg.vertices if v.vertex_id not in colors),
@@ -184,11 +213,9 @@ def welsh_powell(csg: Csg, pinned: set[int] | None = None) -> list[ColorClass]:
 
 @dataclass
 class SelectionContext:
-    pinned: bool = False
     last_helped: frozenset = field(default_factory=frozenset)
     criticality: dict = field(default_factory=dict)
     tie_breaker: object = None  # callable(list[ColorClass]) -> ColorClass | None
-    top_k: int = 3
 
 
 def class_allowance_usage(csg: Csg, cls: ColorClass) -> float:
@@ -217,7 +244,7 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
 
     With SWAPs in flight the class holding them (color 0) is committed
     unconditionally: an interrupted SWAP is not a thing.  Otherwise the
-    classes are cut down to the ``top_k`` largest and ranked by member
+    classes are cut down to the ``TOP_K`` largest and ranked by member
     count, cgate count, continued-help count, allowance usage, summed
     criticality, and finally lowest vertex id.  A caller-supplied
     ``tie_breaker`` gets a shot at any tie that survives the first four
@@ -225,12 +252,12 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
     """
     if not classes:
         raise InvariantError("no color classes to select from")
-    if ctx.pinned:
+    if any(v.kind == "inprogress" for v in csg.vertices):
         for cls in classes:
             if cls.color == 0:
                 return cls
         raise InvariantError("in-flight SWAPs present but color 0 missing")
-    short = sorted(classes, key=lambda c: (-len(c.members), min(c.members)))[: ctx.top_k]
+    short = sorted(classes, key=lambda c: (-len(c.members), min(c.members)))[:TOP_K]
     metrics = {cls.color: _class_metrics(csg, cls, ctx) for cls in short}
     best4 = min(metrics[c.color][:4] for c in short)
     tied = [c for c in short if metrics[c.color][:4] == best4]
@@ -239,17 +266,6 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
         if chosen is not None:
             return chosen
     return min(short, key=lambda c: metrics[c.color])
-
-
-class _Flight:
-    __slots__ = ("edge", "remaining", "helps", "gate_key", "started_layer")
-
-    def __init__(self, edge: Edge, helps: frozenset, gate_key=None, started_layer: int = 0):
-        self.edge = edge
-        self.remaining = SWAP_DURATION
-        self.helps = helps
-        self.gate_key = gate_key
-        self.started_layer = started_layer
 
 
 class StallGuard:
@@ -300,7 +316,7 @@ class ScheduleState:
         self.mapping = initial_mapping.copy()
         self.layers: list[list[Op]] = []
         self.ledger: list[LedgerEntry] = []
-        self.flights: list[_Flight] = []
+        self.flights: list[InProgressSwap] = []
         self.last_completed_edges: set[Edge] = set()
         self.last_helped: frozenset = frozenset()
         self._cur: list[Op] | None = None
@@ -309,17 +325,6 @@ class ScheduleState:
 
     def allowance_left(self) -> float:
         return max(self.budget.allowance - self.budget.spent(self.ledger), 0.0)
-
-    def in_progress(self) -> list[InProgressSwap]:
-        return [
-            InProgressSwap(
-                edge=f.edge,
-                remaining_time=f.remaining,
-                helps=f.helps,
-                started_layer=f.started_layer,
-            )
-            for f in self.flights
-        ]
 
     def drained(self) -> Mapping:
         """The mapping that will hold once the in-flight routing SWAPs land."""
@@ -345,7 +350,7 @@ class ScheduleState:
         self._cur_edges = set()
         self._cur_busy = set()
         for f in self.flights:
-            sl = SWAP_DURATION - f.remaining + 1
+            sl = SWAP_DURATION - f.remaining_time + 1
             op = Op(
                 kind="swap",
                 qubits=f.edge,
@@ -378,7 +383,6 @@ class ScheduleState:
 
     def start_swap(self, edge: Edge, helps: frozenset = frozenset(), gate_key=None) -> None:
         edge = normalize_edge(*edge)
-        f = _Flight(edge, helps, gate_key=gate_key, started_layer=len(self.layers))
         self.place(
             Op(
                 kind="swap",
@@ -387,7 +391,7 @@ class ScheduleState:
                 slice_index=1,
             )
         )
-        self.flights.append(f)
+        self.flights.append(InProgressSwap(edge, SWAP_DURATION, helps, gate_key))
 
     def charge_preview(self, edge: Edge) -> float:
         """Budget delta that placing a two-qubit op on ``edge`` into the
@@ -415,7 +419,7 @@ class ScheduleState:
                 f"crosstalk ledger {spent:.6g} exceeds allowance {self.budget.allowance:.6g}"
             )
 
-    def close_layer(self) -> tuple[bool, list[_Flight]]:
+    def close_layer(self) -> tuple[bool, list[InProgressSwap]]:
         """Commit the open layer.  Returns (layer appended?, completed
         flights).  An empty layer is dropped rather than padded in."""
         if self._cur is None:
@@ -426,13 +430,13 @@ class ScheduleState:
             return False, []
         self.layers.append(ops)
         helped: set = set()
-        completed: list[_Flight] = []
+        completed: list[InProgressSwap] = []
         for f in self.flights:
             helped.update(f.helps)
-            f.remaining -= 1
-            if f.remaining == 0:
+            f.remaining_time -= 1
+            if f.remaining_time == 0:
                 completed.append(f)
-        self.flights = [f for f in self.flights if f.remaining > 0]
+        self.flights = [f for f in self.flights if f.remaining_time > 0]
         self.last_completed_edges = set()
         for f in completed:
             if f.gate_key is None:
@@ -546,7 +550,6 @@ def compile_circuit(
         state.open_layer()
         two_q, singles = run.pending()
         cgates = executable_pairs(two_q, state.mapping, hw)
-        in_prog = state.in_progress()
         # Candidate SWAPs are judged against the mapping that will hold once
         # the in-flight routing SWAPs land, not the one of this instant.
         # Judging against the current mapping lets a new SWAP "help" by
@@ -570,12 +573,7 @@ def compile_circuit(
                 focus = [p for p in two_q if p.key == escape_target]
                 swaps = useful_swaps(focus, drained, hw)
                 if swaps:
-                    swaps = [
-                        min(
-                            swaps,
-                            key=lambda s: (hw.edge_error.get(s.edge, 0.0), s.edge),
-                        )
-                    ]
+                    swaps = [cheapest_swap(swaps, hw)]
         else:
             swaps = useful_swaps(
                 two_q, drained, hw, excluded_edges=state.last_completed_edges
@@ -583,7 +581,7 @@ def compile_circuit(
         csg = build_csg(
             cgates,
             swaps,
-            in_prog,
+            state.flights,
             two_q,
             state.mapping,
             hw,
@@ -596,7 +594,6 @@ def compile_circuit(
         if csg.vertices:
             classes = welsh_powell(csg)
             ctx = SelectionContext(
-                pinned=bool(in_prog),
                 last_helped=frozenset(k for k in state.last_helped if k not in run.executed),
                 criticality=criticality,
             )
@@ -714,6 +711,10 @@ def verify_routing(
                     raise VerificationError(f"layer {li}: {op.kind} on non-adjacent {edge}")
                 layer_edges.add(edge)
             if op.kind == "swap":
+                if op.slice_index not in range(1, SWAP_DURATION + 1):
+                    raise VerificationError(
+                        f"layer {li}: SWAP slice {op.slice_index!r} is not 1, 2 or 3"
+                    )
                 if op.slice_index == 1:
                     if edge in open_swaps:
                         raise VerificationError(f"layer {li}: SWAP restarted on {edge}")

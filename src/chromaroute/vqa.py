@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .csg import Budget, PendingPair, build_csg, useful_swaps
+from .csg import Budget, PendingPair, build_csg, cheapest_swap, useful_swaps
 from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
@@ -45,7 +45,6 @@ class SynthesisOptions:
     w1: float = 0.5
     w2: float = 0.5
     lookahead: bool = True
-    top_k: int = 3
 
     def __post_init__(self):
         for name, w in (("w1", self.w1), ("w2", self.w2)):
@@ -114,25 +113,6 @@ def derive_gate_sets(
     return executable, non_executable
 
 
-@dataclass
-class SynthesisTree:
-    """Working state of one string's parity ladder: the qubits still
-    carrying parity, and the committed CX edges in execution order."""
-
-    remaining: set[int]
-    ladder: list[tuple[int, int]]
-
-
-def delete_qubit(tree_state: SynthesisTree, control: int, target: int) -> SynthesisTree:
-    """Commit a ladder CX.  The control's parity has been folded into the
-    target, so the control leaves the working set for good."""
-    if control not in tree_state.remaining:
-        raise InvariantError(f"qubit {control} was already deleted from the ladder")
-    tree_state.remaining.discard(control)
-    tree_state.ladder.append((control, target))
-    return tree_state
-
-
 def _tree_adjacency(nodes: list[int], edges: list[tuple[int, int]]) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {n: [] for n in nodes}
     for a, b in edges:
@@ -143,19 +123,26 @@ def _tree_adjacency(nodes: list[int], edges: list[tuple[int, int]]) -> dict[int,
     return adj
 
 
+def _bfs_depths(adj: dict[int, list[int]], root: int, skip=None) -> dict[int, int]:
+    """Hop count from ``root`` to every node it reaches without passing
+    through ``skip``."""
+    depth = {root: 0}
+    todo = deque([root])
+    while todo:
+        cur = todo.popleft()
+        for nxt in adj[cur]:
+            if nxt != skip and nxt not in depth:
+                depth[nxt] = depth[cur] + 1
+                todo.append(nxt)
+    return depth
+
+
 def graph_center(adj: dict[int, list[int]]) -> int:
     """Node with the smallest eccentricity; ties go to the lowest index."""
     best = None
     best_ecc = None
     for node in sorted(adj):
-        depth = {node: 0}
-        todo = deque([node])
-        while todo:
-            cur = todo.popleft()
-            for nxt in adj[cur]:
-                if nxt not in depth:
-                    depth[nxt] = depth[cur] + 1
-                    todo.append(nxt)
+        depth = _bfs_depths(adj, node)
         if len(depth) != len(adj):
             raise InvariantError("graph_center needs a connected graph")
         ecc = max(depth.values())
@@ -207,15 +194,7 @@ def calculate_depths(adj: dict[int, list[int]]) -> tuple[int, int]:
     tree = adj if edge_count == n - 1 else bfs_tree(adj, center)
     depths = []
     for child in tree[center]:
-        sub_nodes = set()
-        todo = deque([child])
-        sub_nodes.add(child)
-        while todo:
-            cur = todo.popleft()
-            for nxt in tree[cur]:
-                if nxt != center and nxt not in sub_nodes:
-                    sub_nodes.add(nxt)
-                    todo.append(nxt)
+        sub_nodes = _bfs_depths(tree, child, skip=center)
         sub_adj = {m: [x for x in tree[m] if x in sub_nodes] for m in sorted(sub_nodes)}
         d, _ = calculate_depths(sub_adj)
         depths.append(d)
@@ -234,14 +213,7 @@ def assign_direction(
 ) -> tuple[int, int]:
     """(control, target) for a ladder CX: the endpoint nearer the tree
     center absorbs the parity and survives; ties keep the lower index."""
-    depth = {center: 0}
-    todo = deque([center])
-    while todo:
-        cur = todo.popleft()
-        for nxt in tree_adj[cur]:
-            if nxt not in depth:
-                depth[nxt] = depth[cur] + 1
-                todo.append(nxt)
+    depth = _bfs_depths(tree_adj, center)
     a, b = edge
     if depth[a] == depth[b]:
         target = min(a, b)
@@ -272,15 +244,7 @@ def pattern_cost(
             if hw.has_edge(preview.phys(a), preview.phys(b)):
                 adj[a].append(b)
                 adj[b].append(a)
-    seen = {nodes[0]}
-    todo = deque([nodes[0]])
-    while todo:
-        cur = todo.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    if len(seen) != len(nodes):
+    if len(_bfs_depths(adj, nodes[0])) != len(nodes):
         return INVALID_PATTERN_COST
     depth_est, xtalk_est = calculate_depths(adj)
     return options.w1 * xtalk_est + depth_est + 3 * options.w2 * len(swap_edges)
@@ -354,9 +318,8 @@ def _synthesize_string(
     if state.flights:
         raise InvariantError("string started with SWAPs still in flight")
     _place_basis_layer(state, active, s.operators, PAULI_PRE_LABEL)
-    tree_state = SynthesisTree(remaining=set(active), ladder=[])
-    remaining = tree_state.remaining
-    ladder = tree_state.ladder
+    remaining = set(active)  # the qubits still carrying parity
+    ladder: list[tuple[int, int]] = []  # committed CXs in execution order
     protected: list[tuple[int, int]] = []
     guard = StallGuard(len(active), hw, f"string {string_index}: ")
     while len(remaining) > 1 or state.flights:
@@ -395,7 +358,7 @@ def _synthesize_string(
             csg = build_csg(
                 cgates,
                 candidates,
-                state.in_progress(),
+                state.flights,
                 pending,
                 state.mapping,
                 hw,
@@ -412,11 +375,9 @@ def _synthesize_string(
                     )
 
                 ctx = SelectionContext(
-                    pinned=bool(state.flights),
                     last_helped=frozenset(k for k in state.last_helped if k in pending_keys),
                     criticality={},
                     tie_breaker=tie_breaker,
-                    top_k=options.top_k,
                 )
                 selected = rank_and_select(csg, classes, ctx)
                 for vid in selected.members:
@@ -429,7 +390,14 @@ def _synthesize_string(
                                 qubits=(state.mapping.phys(control), state.mapping.phys(target)),
                             )
                         )
-                        delete_qubit(tree_state, control, target)
+                        # The control's parity is folded into the target, so
+                        # the control leaves the working set for good.
+                        if control not in remaining:
+                            raise InvariantError(
+                                f"qubit {control} was already deleted from the ladder"
+                            )
+                        remaining.discard(control)
+                        ladder.append((control, target))
                         protected.append((control, target))
                         progress = True
                     elif v.kind == "swap":
@@ -511,17 +479,8 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
 
 def _closing_swap(mapping: Mapping, u: int, v: int, hw: CouplingGraph) -> tuple[int, int]:
     """The device edge whose SWAP brings non-adjacent ``u`` and ``v`` one hop
-    closer, least ``edge_error`` first and then the lowest edge.  Only an
-    edge at one of their two physical qubits can change their distance."""
-    dist = hw.all_pairs_distance()
-    pu, pv = mapping.phys(u), mapping.phys(v)
-    reducing = [
-        normalize_edge(p, q)
-        for p, other in ((pu, pv), (pv, pu))
-        for q in hw.adjacency[p]
-        if dist[q][other] == dist[p][other] - 1
-    ]
-    return min(reducing, key=lambda e: (hw.edge_error.get(e, 0.0), e))
+    closer, least ``edge_error`` first and then the lowest edge."""
+    return cheapest_swap(useful_swaps([PendingPair((u, v), (u, v))], mapping, hw), hw).edge
 
 
 def _protection_breakers(

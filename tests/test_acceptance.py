@@ -12,30 +12,22 @@ import numpy as np
 import pytest
 
 from chromaroute import (
-    Budget,
     Mapping,
     ScheduledCircuit,
     SynthesisOptions,
     baseline_schedule,
-    build_csg,
-    build_qubit_graph,
-    calculate_depths,
     compile_circuit,
     decoherence_error,
     esp,
     jw_encode,
-    kruskal_mst,
     load_hardware,
     parse_circuit,
     parse_fermion_terms,
-    rank_and_select,
     search_allowance,
     synthesize,
-    useful_swaps,
     verify_routing,
-    welsh_powell,
 )
-from chromaroute.csg import PendingPair
+from chromaroute.csg import Budget, PendingPair, build_csg, useful_swaps
 from chromaroute.fixtures import (
     chain_pair,
     grid6,
@@ -47,7 +39,8 @@ from chromaroute.fixtures import (
     tree7,
     zz_string,
 )
-from chromaroute.scheduler import SelectionContext
+from chromaroute.scheduler import SelectionContext, rank_and_select, welsh_powell
+from chromaroute.vqa import build_qubit_graph, calculate_depths, kruskal_mst
 
 
 def _verdict(n, body, note=""):

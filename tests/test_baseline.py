@@ -4,11 +4,10 @@ from chromaroute import (
     VerificationError,
     baseline_schedule,
     compile_circuit,
-    oblivious_schedule,
     parse_circuit,
-    serialize_crosstalk,
     verify_routing,
 )
+from chromaroute.baseline import oblivious_schedule, serialize_crosstalk
 from chromaroute.fixtures import pair_circuit, ring6_cross
 
 

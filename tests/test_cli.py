@@ -274,6 +274,59 @@ def _nan_device_time(field):
     return make_argv
 
 
+def _program(command, text):
+    def make_argv(tmp, hw, circ):
+        program = tmp / "program.txt"
+        program.write_text(text)
+        return command + [str(program)] + ([] if command[0] == "jw-encode" else ["-H", hw])
+
+    make_argv.__name__ = f"_{command[0]}_program"
+    return make_argv
+
+
+def _edited_schedule(edit):
+    """``report`` on the schedule that ``compile`` writes for the pair
+    circuit on ring6, after ``edit`` changed the document in place."""
+
+    def make_argv(tmp, hw, circ):
+        ring6 = tmp / "ring6.json"
+        ring6.write_text(fixture_text("ring6.json"))
+        out = tmp / "sched.json"
+        assert main(["compile", "-c", circ, "-H", str(ring6), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        edit(doc)
+        out.write_text(json.dumps(doc))
+        return ["report", "-s", str(out), "-H", str(ring6)]
+
+    make_argv.__name__ = edit.__name__
+    return make_argv
+
+
+def _mapping_key(doc):
+    doc["initial_mapping"]["a"] = doc["initial_mapping"].pop("0")
+
+
+def _swap_slice(value):
+    def edit(doc):
+        op = next(op for layer in doc["layers"] for op in layer if op["kind"] == "swap")
+        if value == "missing":
+            del op["slice"]
+        else:
+            op["slice"] = value
+
+    edit.__name__ = f"_swap_slice_{value}"
+    return edit
+
+
+def _kind_list(doc):
+    doc["layers"][0][0]["kind"] = [doc["layers"][0][0]["kind"]]
+
+
+def _ledger_layers(doc):
+    for layer in (0, "x"):
+        doc["crosstalk_ledger"].append({"layer": layer, "edges": [[0, 1], [3, 4]], "excess": 0.0})
+
+
 @pytest.mark.parametrize(
     "make_argv,message",
     [
@@ -283,6 +336,20 @@ def _nan_device_time(field):
         (_nan_device_time("t1"), "error: t1[0] must be positive, got nan"),
         (_nan_device_time("t2"), "error: t2[0] must be positive, got nan"),
         (_nan_device_time("gate_time_cx"), "error: gate_time_cx must be positive and finite, got nan"),
+        (_program(["compile", "-c"], "qubits 2\nrzz nan 0 1\n"), "error: line 2: rzz angle must be"),
+        (_program(["compile", "-c"], "qubits 2\ncx 0 1\nrzz -inf 0 1\n"), "error: line 3: rzz angle"),
+        (_program(["vqe-synth", "-p"], "1e400 ZZ\n"), "error: line 1: coefficient must be"),
+        (_program(["vqe-synth", "-p"], "0.5 ZZ\nnan XX\n"), "error: line 2: coefficient must be"),
+        (_program(["jw-encode", "-f"], "nan 0+ 0-\n1.0 1+ 1-\n"), "error: line 1: coefficient"),
+        (_program(["jw-encode", "-f"], "1.0 0+ 0-\n-1e999 1+ 1-\n"), "error: line 2: coefficient"),
+        (_edited_schedule(_mapping_key), "initial_mapping: a logical qubit key is not an integer"),
+        (_edited_schedule(_swap_slice(None)), "layer 0: SWAP slice None is not 1, 2 or 3"),
+        (_edited_schedule(_swap_slice("missing")), "layer 0: SWAP slice None is not 1, 2 or 3"),
+        (_edited_schedule(_swap_slice(0)), "layer 0: SWAP slice 0 is not 1, 2 or 3"),
+        (_edited_schedule(_swap_slice(4)), "layer 0: SWAP slice 4 is not 1, 2 or 3"),
+        (_edited_schedule(_swap_slice(True)), "layer 0: slice: True has the wrong type"),
+        (_edited_schedule(_kind_list), "layer 0: kind: ['swap'] has the wrong type"),
+        (_edited_schedule(_ledger_layers), "ledger layer: 'x' has the wrong type"),
     ],
 )
 def test_bad_documents_are_usage_errors(paths, capsys, make_argv, message):
@@ -426,3 +493,4 @@ def test_console_script_runs(paths):
     assert proc.returncode == 2, proc.stderr
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+

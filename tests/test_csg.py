@@ -1,23 +1,26 @@
 import pytest
 
 from chromaroute import (
-    Budget,
     CouplingGraph,
     CrosstalkProfile,
     CrosstalkRecord,
     InvariantError,
     Mapping,
-    build_csg,
-    executable_pairs,
-    frontier,
     parse_circuit,
-    rank_and_select,
-    useful_swaps,
-    welsh_powell,
 )
-from chromaroute.csg import InProgressSwap, PendingPair, SwapCandidate
+from chromaroute.csg import (
+    Budget,
+    InProgressSwap,
+    PendingPair,
+    SwapCandidate,
+    build_csg,
+    cheapest_swap,
+    executable_pairs,
+    useful_swaps,
+)
 from chromaroute.fixtures import ring6
-from chromaroute.scheduler import SelectionContext
+from chromaroute.ir import frontier
+from chromaroute.scheduler import SelectionContext, rank_and_select, welsh_powell
 
 
 def line5():
@@ -46,6 +49,21 @@ def test_useful_swaps_strict_reduction():
         ((0, 1), {"g"}),
         ((2, 3), {"g"}),
     ]
+
+
+def test_cheapest_swap_least_error_then_lower_edge():
+    hw = CouplingGraph(
+        5, [(0, 1), (1, 2), (2, 3), (3, 4)], edge_error={(1, 2): 0.01, (2, 3): 0.01, (3, 4): 0.02}
+    )
+
+    def pick(*edges):
+        return cheapest_swap([SwapCandidate(e, frozenset({"g"})) for e in edges], hw).edge
+
+    assert pick((3, 4), (2, 3)) == (2, 3)  # the least isolated error wins
+    assert pick((2, 3), (1, 2)) == (1, 2)  # a tie goes to the lower edge
+    assert pick((1, 2), (0, 1)) == (0, 1)  # no rate for (0, 1): it costs 0.0
+    hw.edge_error[(1, 2)] = 0.0
+    assert pick((1, 2), (0, 1)) == (0, 1)  # and ties an explicit 0.0
 
 
 def test_useful_swaps_ignores_satisfied_gates():
@@ -110,7 +128,7 @@ def test_joint_overshoot_conflicts_on_a_ring():
 def test_stale_help_keys_are_skipped():
     hw = line5()
     m = Mapping(5, 5)
-    ip = InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset({"gone"}), started_layer=0)
+    ip = InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset({"gone"}))
     cand = SwapCandidate(edge=(3, 4), helps=frozenset({"gone"}))
     csg = build_csg([], [cand], [ip], [], m, hw, empty_budget(hw), 0.0)
     assert len(csg.vertices) == 2
@@ -120,7 +138,7 @@ def test_stale_help_keys_are_skipped():
 def test_vertex_ordering_and_busy_edge_skip():
     hw = line5()
     m = Mapping(5, 5)
-    ip = InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset(), started_layer=0)
+    ip = InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset())
     cgates = [PendingPair(7, (0, 1))]
     cands = [
         SwapCandidate(edge=(2, 3), helps=frozenset({7})),  # same edge as the flight
@@ -182,8 +200,8 @@ def test_in_progress_pairs_never_get_crosstalk_edges():
     prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.5, 0.5)])
     m = Mapping(5, 5)
     flights = [
-        InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset(), started_layer=0),
-        InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset(), started_layer=1),
+        InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset()),
+        InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset()),
     ]
     csg = build_csg([], [], flights, [], m, hw, Budget(prof), 0.0)
     assert csg.crosstalk_edges == {}
@@ -214,23 +232,6 @@ def test_two_distant_gates_csg_shape():
     assert chosen.members == [0, 2]
     chosen_edges = {csg.vertices[i].edge for i in chosen.members}
     assert chosen_edges == {(0, 1), (3, 4)}
-
-
-def test_welsh_powell_pinned_override():
-    hw = line5()
-    m = Mapping(5, 5)
-    cands = [
-        SwapCandidate(edge=(0, 1), helps=frozenset({"a"})),
-        SwapCandidate(edge=(1, 2), helps=frozenset({"a"})),
-    ]
-    csg = build_csg([], cands, [], [PendingPair("a", (0, 3))], m, hw, empty_budget(hw), 0.0)
-    classes = welsh_powell(csg, pinned={1})
-    color_of = {}
-    for cls in classes:
-        for vid in cls.members:
-            color_of[vid] = cls.color
-    assert color_of[1] == 0
-    assert color_of[0] == 1
 
 
 def test_every_coloring_is_proper():

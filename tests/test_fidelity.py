@@ -14,12 +14,12 @@ from chromaroute import (
     decoherence_error,
     esp,
     fidelity_report,
-    find_x_max,
     parse_circuit,
     search_allowance,
     tvd,
 )
-from chromaroute.fidelity import search_core
+from chromaroute.csg import Budget
+from chromaroute.fidelity import find_x_max, search_core
 from chromaroute.fixtures import pair_circuit, ring6
 
 
@@ -149,11 +149,11 @@ def test_find_x_max_is_unconstrained_ledger_mass():
     )
     prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.05, 0.05)])
     circ = parse_circuit("qubits 4\ncx 0 1\ncx 2 3\n")
-    x_max = find_x_max(lambda a: compile_circuit(circ, hw, prof, allowance=a))
+    x_max = find_x_max(lambda a: compile_circuit(circ, hw, prof, allowance=a), Budget(prof))
     assert x_max == pytest.approx(0.08)
     hw6, prof6 = ring6()
     circ6 = pair_circuit()
-    assert find_x_max(lambda a: compile_circuit(circ6, hw6, prof6, allowance=a)) == 0.0
+    assert find_x_max(lambda a: compile_circuit(circ6, hw6, prof6, allowance=a), Budget(prof6)) == 0.0
 
 
 def test_search_core_parabola():
@@ -191,6 +191,24 @@ def test_search_allowance_zero_x_max_single_probe():
     best = compile_circuit(circ, hw, prof, allowance=res.best_allowance)
     assert best.depth_cx == 4
     assert best.crosstalk_ledger == []
+
+
+@pytest.mark.parametrize("steps", [1, 4, 32])
+def test_search_allowance_compiles_each_probe_once(steps):
+    # one compile per distinct probe, plus find_x_max's compile at infinity
+    hw, prof = toy_device(t1={q: 50.0 for q in range(4)}, t2={q: 50.0 for q in range(4)})
+    circ = parse_circuit("qubits 4\ncx 0 1\ncx 2 3\ncx 1 2\ncx 0 1\ncx 2 3\n")
+    calls = []
+
+    def compile_fn(allowance):
+        calls.append(allowance)
+        return compile_circuit(circ, hw, prof, allowance=allowance)
+
+    res = search_allowance(compile_fn, hw, prof, steps=steps)
+    assert res.x_max > 0.0
+    assert len(calls) == len(res.probes) + 1
+    assert calls[0] == math.inf
+    assert sorted(calls[1:]) == [x for x, _ in res.probes]
 
 
 def test_search_allowance_prefers_crosstalk_under_heavy_decay():

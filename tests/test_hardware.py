@@ -8,9 +8,9 @@ from chromaroute import (
     Mapping,
     MappingError,
     load_hardware,
-    normalize_edge,
 )
 from chromaroute.fixtures import ring6
+from chromaroute.hardware import normalize_edge
 
 
 def line4():
@@ -28,7 +28,7 @@ def test_graph_basics():
     assert hw.has_edge(0, 1)
     assert hw.has_edge(1, 0)
     assert not hw.has_edge(0, 2)
-    assert hw.sorted_edges() == [(0, 1), (1, 2), (2, 3)]
+    assert sorted(hw.edges) == [(0, 1), (1, 2), (2, 3)]
     assert hw.error_of((2, 3)) == 0.03
 
 

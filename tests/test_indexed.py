@@ -23,7 +23,6 @@ import pytest
 import chromaroute.scheduler as scheduler
 import chromaroute.vqa as vqa
 from chromaroute import (
-    Budget,
     CouplingGraph,
     CrosstalkProfile,
     CrosstalkRecord,
@@ -34,15 +33,12 @@ from chromaroute import (
     Mapping,
     PauliProgram,
     PauliString,
-    build_csg,
     compile_circuit,
-    frontier,
     synthesize,
-    useful_swaps,
-    welsh_powell,
 )
-from chromaroute.csg import PendingPair, SwapCandidate
-from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState
+from chromaroute.csg import Budget, PendingPair, SwapCandidate, build_csg, useful_swaps
+from chromaroute.ir import frontier
+from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, welsh_powell
 
 
 def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None):
@@ -101,7 +97,7 @@ def reference_useful_swaps(pending, mapping, hw, excluded_edges=None):
         if not hw.has_edge(pa, pb):
             unsatisfied.append((p, pa, pb))
     out = []
-    for edge in hw.sorted_edges():
+    for edge in sorted(hw.edges):
         if edge in excluded:
             continue
         a, b = edge
@@ -322,7 +318,7 @@ def reference_protection_breakers(protected, drained, hw):
     out = set()
     if not protected:
         return out
-    for edge in hw.sorted_edges():
+    for edge in sorted(hw.edges):
         preview = drained.copy()
         preview.apply_swap(*edge)
         if any(not hw.has_edge(preview.phys(c), preview.phys(t)) for c, t in protected):
@@ -337,7 +333,7 @@ def reference_closing_swaps(mapping, u, v, hw):
     dist = hw.all_pairs_distance()
     cur = dist[mapping.phys(u)][mapping.phys(v)]
     out = []
-    for edge in hw.sorted_edges():
+    for edge in sorted(hw.edges):
         preview = mapping.copy()
         preview.apply_swap(*edge)
         if dist[preview.phys(u)][preview.phys(v)] == cur - 1:

@@ -6,12 +6,12 @@ from chromaroute import (
     ParseError,
     PauliProgram,
     PauliString,
-    frontier,
     parse_circuit,
     parse_pauli_program,
     serialize_circuit,
     serialize_pauli_program,
 )
+from chromaroute.ir import frontier
 
 
 def test_parse_simple_circuit():

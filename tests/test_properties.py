@@ -6,7 +6,6 @@ from chromaroute import (
     HardwareError,
     Mapping,
     decoherence_error,
-    kruskal_mst,
     parse_circuit,
     parse_pauli_program,
     serialize_circuit,
@@ -14,6 +13,7 @@ from chromaroute import (
     tvd,
 )
 from chromaroute.hardware import normalize_edge
+from chromaroute.vqa import kruskal_mst
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-100.0, max_value=100.0)
 

@@ -9,13 +9,7 @@ from chromaroute import (
     Mapping,
     MappingError,
     SynthesisOptions,
-    SynthesisTree,
-    build_qubit_graph,
-    delete_qubit,
-    graph_center,
-    kruskal_mst,
     parse_pauli_program,
-    pattern_cost,
     synthesize,
     verify_routing,
 )
@@ -29,7 +23,15 @@ from chromaroute.fixtures import (
     zz_string,
 )
 from chromaroute.jw import jw_encode
-from chromaroute.vqa import assign_direction, calculate_depths, derive_gate_sets
+from chromaroute.vqa import (
+    assign_direction,
+    build_qubit_graph,
+    calculate_depths,
+    derive_gate_sets,
+    graph_center,
+    kruskal_mst,
+    pattern_cost,
+)
 
 
 def prufer_edges(seq, n):
@@ -208,16 +210,6 @@ def test_calculate_depths_hand_traces(adj, expected):
 def test_calculate_depths_rejects_empty():
     with pytest.raises(InvariantError):
         calculate_depths({})
-
-
-def test_synthesis_tree_delete_qubit():
-    t = SynthesisTree(remaining={0, 1, 3}, ladder=[])
-    delete_qubit(t, 0, 1)
-    delete_qubit(t, 1, 3)
-    assert t.remaining == {3}
-    assert t.ladder == [(0, 1), (1, 3)]
-    with pytest.raises(InvariantError):
-        delete_qubit(t, 1, 3)
 
 
 def test_pattern_cost_values():
