@@ -4,7 +4,9 @@ removal by delaying.
 The oblivious pass routes like a conventional noise-adaptive mapper: it
 executes whatever is executable, and for every still-distant gate starts
 the distance-reducing SWAP with the lowest isolated error rate, without
-looking at the crosstalk profile at all.  The serialization pass then
+looking at the crosstalk profile at all; after more than ``num_qubits``
+iterations with no gate run it escapes, one least-error SWAP at a time
+toward one gate, as every loop here does.  The serialization pass then
 takes that schedule and pushes operations later until no two profile-linked
 links are ever driven in the same layer.  Together they give the
 "avoid crosstalk by waiting" reference point that the allowance-based
@@ -34,10 +36,10 @@ def oblivious_schedule(
     profile: CrosstalkProfile,
     initial_mapping: Mapping | None = None,
 ) -> ScheduledCircuit:
-    """Route greedily by isolated error rates, ignoring crosstalk.
-
-    Whatever interference the schedule commits is still recorded in the
-    ledger, so its ESP reflects the inflated rates."""
+    """Route greedily by isolated error rates, ignoring crosstalk, and after
+    more than ``num_qubits`` iterations with no gate run walk one gate in
+    by single least-error SWAPs (StallGuard).  Interference the schedule
+    commits is still in the ledger, so its ESP reflects the inflated rates."""
     state = ScheduleState(hw, Budget(profile, math.inf), circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
     guard = StallGuard(len(circuit.gates), hw, "baseline: ")
@@ -53,7 +55,9 @@ def oblivious_schedule(
         helped_now = set()
         for f in state.flights:
             helped_now.update(f.helps)
-        candidates = useful_swaps(two_q, state.mapping, hw)
+        candidates = guard.escape_swaps(two_q, state.mapping, state.flights, criticality={})
+        if candidates is None:
+            candidates = useful_swaps(two_q, state.mapping, hw)
         for p in two_q:
             if p.key in helped_now:
                 continue
@@ -68,7 +72,7 @@ def oblivious_schedule(
                 helped_now.update(c.helps)
                 progress = True
         progress = run.finish_layer(singles) or progress
-        guard.record(progress)
+        guard.record(progress, len(run.executed))
     return state.result()
 
 

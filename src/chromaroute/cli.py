@@ -1,10 +1,10 @@
 """Command line entry points.
 
-Exit codes: 0 success, 2 bad input (files, formats, mappings), 3 the
-scheduler stalled, 4 an internal invariant or verification failure (a bug,
-not a usage problem).  Set CHROMAROUTE_LOG=debug for per-iteration logging
-on stderr.  All JSON output is deterministic: sorted keys, two-space
-indent, trailing newline.
+Exit codes: 0 success, 2 bad input (files, formats, mappings), 3 a loop
+stalled even in escape mode, 4 an internal invariant or verification
+failure (a bug, not a usage problem).  Set CHROMAROUTE_LOG=debug for
+per-iteration logging on stderr.  All JSON output is deterministic:
+sorted keys, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ def _cmd_report(args) -> int:
     hw, profile = load_hardware_file(args.hardware)
     try:
         data = json.loads(_read_text(args.schedule))
+        if data["num_physical"] != hw.num_qubits:
+            raise ParseError(f"num_physical {data['num_physical']!r}, device has {hw.num_qubits}")
         sched = ScheduledCircuit.from_json_dict(data)
     except (json.JSONDecodeError, KeyError, TypeError, IndexError, ParseError) as exc:
         raise ParseError(f"{args.schedule}: not a valid schedule document ({exc})") from exc

@@ -175,10 +175,6 @@ class CrosstalkProfile:
     def __len__(self) -> int:
         return len(self._by_pair)
 
-    def pairs(self) -> list[tuple[Edge, Edge]]:
-        out = [tuple(sorted(key)) for key in self._by_pair]
-        return sorted(out)
-
     def partners(self, edge: Edge) -> list[Edge]:
         """The edges the profile pairs with the normalized ``edge``."""
         return self._partners.get(edge, [])

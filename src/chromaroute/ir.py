@@ -211,11 +211,6 @@ class PauliString:
     def non_identity(self) -> tuple[int, ...]:
         return tuple(i for i, op in enumerate(self.operators) if op != "I")
 
-    @property
-    def locality(self) -> str:
-        """'two_local' when exactly two operators are non-identity."""
-        return "two_local" if len(self.non_identity()) == 2 else "n_local"
-
 
 @dataclass
 class PauliProgram:
@@ -233,7 +228,7 @@ class PauliProgram:
 
     @property
     def all_two_local(self) -> bool:
-        return all(s.locality == "two_local" for s in self.strings)
+        return all(len(s.non_identity()) == 2 for s in self.strings)
 
 
 def parse_pauli_program(text: str) -> PauliProgram:

@@ -269,15 +269,21 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
 
 
 class StallGuard:
-    """The iteration cap and the idle limit of one scheduling loop; every
-    message starts with ``prefix``."""
+    """The iteration cap, the idle limit and the escape mode of one
+    scheduling loop (messages start with ``prefix``).  SWAPs for different
+    gates can cancel each other forever, so after more than ``num_qubits``
+    iterations in a row with no gate run the loop escapes: it drains its
+    flights, then walks one gate in by single least-error SWAPs."""
 
     def __init__(self, work: int, hw: CouplingGraph, prefix: str = ""):
         self.cap = 50 * (work + hw.num_qubits + 10)
-        self.idle_limit = hw.num_qubits
+        self.hw = hw
         self.prefix = prefix
         self.iterations = 0
         self.idle = 0
+        self.gates_done = 0
+        self.gates_idle = 0
+        self.target = None
 
     def next_iteration(self) -> int:
         self.iterations += 1
@@ -285,12 +291,25 @@ class StallGuard:
             raise StallError(f"{self.prefix}no convergence after {self.iterations} iterations")
         return self.iterations
 
-    def record(self, progress: bool) -> None:
+    def record(self, progress: bool, gates_done: int) -> None:
+        self.gates_idle = 0 if gates_done > self.gates_done else self.gates_idle + 1
+        self.gates_done = gates_done
         self.idle = 0 if progress else self.idle + 1
-        if self.idle > self.idle_limit:
+        if self.idle > self.hw.num_qubits:
             raise StallError(
                 f"{self.prefix}no gate executed and no SWAP started for {self.idle} iterations"
             )
+
+    def escape_swaps(self, pending: list, drained: Mapping, flights: list, criticality: dict):
+        """None unless escaping; then [] while flights are open, else one least-error SWAP."""
+        if self.target not in pending:
+            self.target = None
+            if self.gates_idle > self.hw.num_qubits and pending:
+                self.target = min(pending, key=lambda p: (-criticality.get(p.key, 0), p.key))
+        if self.target is None:
+            return None
+        swaps = [] if flights else useful_swaps([self.target], drained, self.hw)
+        return [cheapest_swap(swaps, self.hw)] if swaps else []
 
 
 class ScheduleState:
@@ -535,16 +554,14 @@ def compile_circuit(
 ) -> ScheduledCircuit:
     """Map and schedule a logical circuit onto hardware.
 
-    Inserts SWAPs as needed, never lets the crosstalk ledger exceed
-    ``allowance``, and raises StallError when no progress is possible for
-    longer than the qubit count allows."""
+    Inserts SWAPs as needed and never lets the crosstalk ledger exceed
+    ``allowance``.  After more than ``num_qubits`` iterations with no gate
+    run it escapes: one SWAP at a time for its most critical gate (StallGuard)."""
     budget = Budget(profile, allowance, allowance_units)
     state = ScheduleState(hw, budget, circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
     criticality = circuit.criticality()
     guard = StallGuard(len(circuit.gates), hw)
-    gates_idle = 0
-    escape_target = None
     while not run.done():
         iterations = guard.next_iteration()
         state.open_layer()
@@ -556,25 +573,8 @@ def compile_circuit(
         # undoing an in-flight one, and two such SWAPs can chase each other
         # forever.
         drained = state.drained()
-        if escape_target is not None and all(p.key != escape_target for p in two_q):
-            escape_target = None
-        if escape_target is None and gates_idle > hw.num_qubits and two_q:
-            # SWAPs helping different gates can keep cancelling each other
-            # without any gate ever running.  Drop to single-minded routing:
-            # drain the flights, then walk the most critical gate in, one
-            # SWAP at a time, which reduces its distance every three layers.
-            escape_target = min(
-                two_q, key=lambda p: (-criticality.get(p.key, 0), p.key)
-            ).key
-        if escape_target is not None:
-            if state.flights:
-                swaps = []
-            else:
-                focus = [p for p in two_q if p.key == escape_target]
-                swaps = useful_swaps(focus, drained, hw)
-                if swaps:
-                    swaps = [cheapest_swap(swaps, hw)]
-        else:
+        swaps = guard.escape_swaps(two_q, drained, state.flights, criticality)
+        if swaps is None:
             swaps = useful_swaps(
                 two_q, drained, hw, excluded_edges=state.last_completed_edges
             )
@@ -589,7 +589,6 @@ def compile_circuit(
             state.allowance_left(),
         )
         progress = False
-        gates_before = len(run.executed)
         selected = None
         if csg.vertices:
             classes = welsh_powell(csg)
@@ -618,8 +617,7 @@ def compile_circuit(
                     "allowance_left": state.allowance_left(),
                 }
             )
-        gates_idle = 0 if len(run.executed) > gates_before else gates_idle + 1
-        guard.record(progress)
+        guard.record(progress, len(run.executed))
     return state.result()
 
 
@@ -671,6 +669,8 @@ def verify_routing(
     order, and completeness; synthesized schedules carry no gate ids, so
     they verify structurally.  Raises VerificationError on the first
     violation."""
+    if sched.num_physical != hw.num_qubits:
+        raise VerificationError(f"num_physical {sched.num_physical}, device has {hw.num_qubits}")
     budget = Budget(profile, allowance, allowance_units)
     mapping = sched.initial_mapping.copy()
     executed: set[int] = set()

@@ -276,7 +276,8 @@ def synthesize(
     options: SynthesisOptions | None = None,
     on_iteration=None,
 ) -> ScheduledCircuit:
-    """Schedule a whole Pauli-string program, string by string."""
+    """Schedule a whole Pauli-string program, string by string.  A string with
+    no ladder CX for more than ``num_qubits`` iterations escapes (StallGuard)."""
     if options is None:
         options = SynthesisOptions()
     budget = Budget(profile, allowance, allowance_units)
@@ -342,19 +343,21 @@ def _synthesize_string(
                 if hw.has_edge(state.mapping.phys(e[0]), state.mapping.phys(e[1]))
             ]
             pending = [PendingPair(e, e) for e in non_executable]
-            excluded = set(state.last_completed_edges) | _protection_breakers(protected, drained, hw)
-            candidates = useful_swaps(pending, drained, hw, excluded_edges=excluded)
-            if not candidates and not cgates and not state.flights and pending:
-                # Keeping every executed ladder pair adjacent can rule out
-                # every distance-reducing SWAP.  Adjacency only has to hold
-                # again when the mirror replays a pair, so prefer keeping
-                # it, but break it rather than deadlock; the uncompute pass
-                # re-routes any pair it finds separated.
-                candidates = useful_swaps(
-                    pending, drained, hw, excluded_edges=set(state.last_completed_edges)
-                )
-                if not candidates:
-                    candidates = useful_swaps(pending, drained, hw)
+            candidates = guard.escape_swaps(pending, drained, state.flights, criticality={})
+            if candidates is None:
+                excluded = state.last_completed_edges | _protection_breakers(protected, drained, hw)
+                candidates = useful_swaps(pending, drained, hw, excluded_edges=excluded)
+                if not candidates and not cgates and not state.flights and pending:
+                    # Keeping every executed ladder pair adjacent can rule out
+                    # every distance-reducing SWAP.  Adjacency only has to hold
+                    # again when the mirror replays a pair, so prefer keeping
+                    # it, but break it rather than deadlock; the uncompute pass
+                    # re-routes any pair it finds separated.
+                    candidates = useful_swaps(
+                        pending, drained, hw, excluded_edges=set(state.last_completed_edges)
+                    )
+                    if not candidates:
+                        candidates = useful_swaps(pending, drained, hw)
             csg = build_csg(
                 cgates,
                 candidates,
@@ -416,7 +419,7 @@ def _synthesize_string(
                     "allowance_left": state.allowance_left(),
                 }
             )
-        guard.record(progress)
+        guard.record(progress, len(ladder))
     root = next(iter(remaining))
     state.open_layer()
     state.place(Op(kind="rz", qubits=(state.mapping.phys(root),), param=s.coefficient))

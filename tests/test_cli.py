@@ -327,6 +327,12 @@ def _ledger_layers(doc):
         doc["crosstalk_ledger"].append({"layer": layer, "edges": [[0, 1], [3, 4]], "excess": 0.0})
 
 
+def _device_size(doc):
+    # a gate on qubit 50, which the 6-qubit device does not have
+    doc["num_physical"] = 100
+    doc["layers"].append([{"kind": "u", "qubits": [50], "label": "h"}])
+
+
 @pytest.mark.parametrize(
     "make_argv,message",
     [
@@ -350,6 +356,7 @@ def _ledger_layers(doc):
         (_edited_schedule(_swap_slice(True)), "layer 0: slice: True has the wrong type"),
         (_edited_schedule(_kind_list), "layer 0: kind: ['swap'] has the wrong type"),
         (_edited_schedule(_ledger_layers), "ledger layer: 'x' has the wrong type"),
+        (_edited_schedule(_device_size), "num_physical 100, device has 6"),
     ],
 )
 def test_bad_documents_are_usage_errors(paths, capsys, make_argv, message):

@@ -144,14 +144,13 @@ def test_pauli_string_properties():
     s = PauliString("ZIZI", 0.5)
     assert s.num_qubits == 4
     assert s.non_identity() == (0, 2)
-    assert s.locality == "two_local"
-    assert PauliString("ZZZI", 1.0).locality == "n_local"
-    assert PauliString("IIII", 1.0).locality == "n_local"
 
 
 def test_program_two_local_flag():
     assert parse_pauli_program("0.5 ZZII\n0.5 IXXI\n").all_two_local
+    assert PauliProgram(4, [PauliString("ZIZI", 0.5)]).all_two_local
     assert not parse_pauli_program("0.5 ZZZI\n").all_two_local
+    assert not PauliProgram(4, [PauliString("IIII", 1.0)]).all_two_local
 
 
 def test_pauli_roundtrip():
