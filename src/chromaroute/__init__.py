@@ -18,7 +18,6 @@ from .fidelity import (
     esp,
     fidelity_report,
     search_allowance,
-    tvd,
 )
 from .hardware import (
     CouplingGraph,
@@ -91,6 +90,5 @@ __all__ = [
     "serialize_circuit",
     "serialize_pauli_program",
     "synthesize",
-    "tvd",
     "verify_routing",
 ]

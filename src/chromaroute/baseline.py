@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .csg import Budget, cheapest_swap, executable_pairs, useful_swaps
-from .hardware import CouplingGraph, CrosstalkProfile, Mapping
+from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
 from .ir import LogicalCircuit
 from .scheduler import (
     SWAP_DURATION,
@@ -47,14 +47,10 @@ def oblivious_schedule(
         guard.next_iteration()
         state.open_layer()
         two_q, singles = run.pending()
-        progress = False
         for p in executable_pairs(two_q, state.mapping, hw):
             if all(state.qubit_free(state.mapping.phys(q)) for q in p.logicals):
                 run.run_gate(p.key)
-                progress = True
-        helped_now = set()
-        for f in state.flights:
-            helped_now.update(f.helps)
+        helped_now = {k for f in state.flights for k in f.helps}
         candidates = guard.escape_swaps(two_q, state.mapping, state.flights, criticality={})
         if candidates is None:
             candidates = useful_swaps(two_q, state.mapping, hw)
@@ -70,9 +66,7 @@ def oblivious_schedule(
                 c = cheapest_swap(free, hw)
                 state.start_swap(c.edge, helps=c.helps)
                 helped_now.update(c.helps)
-                progress = True
-        progress = run.finish_layer(singles) or progress
-        guard.record(progress, len(run.executed))
+        guard.record(run.finish_layer(singles), len(run.executed))
     return state.result()
 
 
@@ -84,85 +78,52 @@ def serialize_crosstalk(
 ) -> ScheduledCircuit:
     """Rebuild a schedule with zero committed crosstalk by delaying.
 
-    Operations are replayed in their original order; each is placed at the
-    earliest layer where its qubits are free and its link shares no layer
-    with a profile-linked link.  Op order fixes the mapping evolution, so
-    only timing changes."""
+    Operations are replayed in their original order, a SWAP as one op over
+    its three slices.  ``put`` is the one placement rule: an op goes to the
+    earliest layers, no sooner than its qubits' last use, where its qubits
+    are free and its link shares no layer with a profile-linked link.  Op
+    order fixes the mapping evolution, so only timing changes."""
     layers: list[list[Op]] = []
     busy: list[set[int]] = []
     active: list[set[tuple[int, int]]] = []
     mapping = sched.initial_mapping.copy()
     qubit_ready: dict[int, int] = {}
 
-    def ensure(n: int):
-        while len(layers) < n:
+    def blocked(qubits, edge, li: int) -> bool:
+        if li >= len(layers):
+            return False
+        if busy[li] & set(qubits):
+            return True
+        return edge is not None and any(profile.record_for(edge, o) is not None for o in active[li])
+
+    def put(qubits: tuple[int, ...], duration: int, make_op) -> None:
+        """Place ``make_op(k)`` for slices k = 1..``duration`` in consecutive layers."""
+        edge = normalize_edge(*qubits) if len(qubits) == 2 else None
+        start = max(qubit_ready.get(q, 0) for q in qubits)
+        while any(blocked(qubits, edge, start + k) for k in range(duration)):
+            start += 1
+        while len(layers) < start + duration:
             layers.append([])
             busy.append(set())
             active.append(set())
-
-    def clashes(edge, layer_idx) -> bool:
-        if layer_idx >= len(active):
-            return False
-        for other in active[layer_idx]:
-            if profile.record_for(edge, other) is not None:
-                return True
-        return False
-
-    def fits(qubits, layer_idx) -> bool:
-        if layer_idx >= len(busy):
-            return True
-        return not (busy[layer_idx] & set(qubits))
+        for k in range(duration):
+            layers[start + k].append(make_op(k + 1))
+            busy[start + k].update(qubits)
+            if edge is not None:
+                active[start + k].add(edge)
+        for q in qubits:
+            qubit_ready[q] = start + duration
 
     for layer in sched.layers:
         for op in layer:
-            if op.kind == "swap" and op.slice_index != 1:
-                continue
-            if op.kind == "swap":
-                edge = (min(op.qubits), max(op.qubits))
-                start = max((qubit_ready.get(q, 0) for q in edge), default=0)
-                while True:
-                    ok = all(
-                        fits(edge, start + k) and not clashes(edge, start + k)
-                        for k in range(SWAP_DURATION)
-                    )
-                    if ok:
-                        break
-                    start += 1
-                ensure(start + SWAP_DURATION)
-                for k in range(SWAP_DURATION):
-                    layers[start + k].append(
-                        Op(kind="swap", qubits=edge, gate_id=op.gate_id, slice_index=k + 1)
-                    )
-                    busy[start + k].update(edge)
-                    active[start + k].add(edge)
-                for q in edge:
-                    qubit_ready[q] = start + SWAP_DURATION
+            if op.kind != "swap":
+                pq = tuple(mapping.phys(q) for q in circuit.gate(op.gate_id).qubits)
+                put(pq, 1, lambda k: Op(op.kind, pq, op.gate_id, param=op.param, label=op.label))
+            elif op.slice_index == 1:
+                edge = normalize_edge(*op.qubits)
+                put(edge, SWAP_DURATION, lambda k: Op("swap", edge, op.gate_id, slice_index=k))
                 if op.gate_id is None:
                     mapping.apply_swap(*edge)
-            elif op.kind == "u":
-                g = circuit.gate(op.gate_id)
-                pq = mapping.phys(g.qubits[0])
-                start = qubit_ready.get(pq, 0)
-                while not fits((pq,), start):
-                    start += 1
-                ensure(start + 1)
-                layers[start].append(Op(kind="u", qubits=(pq,), gate_id=op.gate_id, label=op.label))
-                busy[start].add(pq)
-                qubit_ready[pq] = start + 1
-            else:
-                g = circuit.gate(op.gate_id)
-                pq = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
-                edge = (min(pq), max(pq))
-                start = max(qubit_ready.get(q, 0) for q in pq)
-                while not (fits(pq, start) and not clashes(edge, start)):
-                    start += 1
-                ensure(start + 1)
-                layers[start].append(Op(kind=op.kind, qubits=pq, gate_id=op.gate_id, param=op.param))
-                busy[start].add(pq[0])
-                busy[start].add(pq[1])
-                active[start].add(edge)
-                for q in pq:
-                    qubit_ready[q] = start + 1
     packed = [layer for layer in layers if layer]
     return ScheduledCircuit(
         num_physical=sched.num_physical,

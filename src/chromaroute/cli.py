@@ -295,7 +295,7 @@ def _cmd_search(args) -> int:
         len(result.probes),
     )
     if args.schedule_out:
-        best = compile_fn(result.best_allowance)
+        best = result.schedule
         verify_routing(
             sched=best,
             hw=hw,

@@ -69,13 +69,6 @@ def esp(sched: ScheduledCircuit, hw: CouplingGraph, profile: CrosstalkProfile) -
     return p
 
 
-def tvd(p: dict, q: dict) -> float:
-    """Total variation distance between two discrete distributions given as
-    outcome -> probability mappings."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
 @dataclass
 class FidelityReport:
     esp: float
@@ -116,10 +109,14 @@ def find_x_max(compile_fn, budget: Budget) -> float:
 
 @dataclass
 class AllowanceSearchResult:
+    """The search's outcome.  ``schedule`` is the best probe's schedule when
+    search_allowance made it (not part of the JSON document)."""
+
     best_allowance: float
     best_value: float
     x_max: float
     probes: list[tuple[float, float]] = field(default_factory=list)
+    schedule: ScheduledCircuit | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,15 +173,20 @@ def search_allowance(
 
     ``compile_fn(allowance) -> ScheduledCircuit`` is the workload and must
     count its allowance in ``allowance_units``; the interval is
-    [0, find_x_max] in those units, with resolution x_max/steps."""
+    [0, find_x_max] in those units, with resolution x_max/steps.  The
+    result keeps the best probe's schedule, picked as search_core picks."""
+    best = None  # ((value, -x), schedule) of the best probe so far
 
     def objective(x: float) -> float:
-        return esp(compile_fn(x), hw, profile)
+        nonlocal best
+        sched = compile_fn(x)
+        value = esp(sched, hw, profile)
+        if best is None or (value, -x) > best[0]:
+            best = ((value, -x), sched)
+        return value
 
-    x_max = find_x_max(compile_fn, Budget(profile, units=allowance_units))
-    if x_max <= 0.0:
-        value = objective(0.0)
-        return AllowanceSearchResult(
-            best_allowance=0.0, best_value=value, x_max=0.0, probes=[(0.0, value)]
-        )
-    return search_core(0.0, x_max, x_max / steps, objective)
+    # With x_max 0 the search is one probe at 0.
+    x_max = max(0.0, find_x_max(compile_fn, Budget(profile, units=allowance_units)))
+    result = search_core(0.0, x_max, x_max / steps, objective)
+    result.schedule = best[1]
+    return result

@@ -295,6 +295,15 @@ def _number(convert, value, where: str):
         raise HardwareError(f"{where}: expected a number, got {value!r}") from exc
 
 
+def _json(kind: type, value, where: str):
+    """``value`` if it is a JSON array (``list``) or object (``dict``), as
+    ``kind`` says, or a HardwareError naming the field."""
+    if not isinstance(value, kind):
+        what = "array" if kind is list else "object"
+        raise HardwareError(f"{where}: expected a JSON {what}, got {value!r}")
+    return value
+
+
 def _parse_edge_key(key: str) -> Edge:
     parts = key.split("-")
     if len(parts) != 2:
@@ -316,7 +325,7 @@ def _parse_edge(item, where: str) -> Edge:
 def _qubit_table(data: dict, name: str) -> dict[int, float]:
     return {
         _number(int, q, f"{name} key"): _number(float, v, f"{name}[{q}]")
-        for q, v in (data.get(name) or {}).items()
+        for q, v in _json(dict, data.get(name) or {}, name).items()
     }
 
 
@@ -324,7 +333,9 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
     """Build a device and profile from a parsed hardware JSON document.
 
     Unknown top-level fields are rejected so that typos do not silently turn
-    into default behavior, and so is any numeric field that is not a number.
+    into default behavior, and so is any field of the wrong JSON type: a
+    numeric field that is not a number, or a table that is not an array or
+    object.
     """
     if not isinstance(data, dict):
         raise HardwareError("hardware document must be a JSON object")
@@ -336,9 +347,9 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
         raw_edges = data["edges"]
     except KeyError as exc:
         raise HardwareError(f"missing required field {exc.args[0]!r}") from exc
-    edges = [_parse_edge(item, "edges") for item in raw_edges]
+    edges = [_parse_edge(item, "edges") for item in _json(list, raw_edges, "edges")]
     edge_error = {}
-    for key, val in (data.get("edge_error") or {}).items():
+    for key, val in _json(dict, data.get("edge_error") or {}, "edge_error").items():
         edge_error[_parse_edge_key(key)] = _number(float, val, f"edge_error[{key!r}]")
     graph = CouplingGraph(
         num_qubits,
@@ -350,7 +361,7 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
         single_qubit_error=_qubit_table(data, "single_qubit_error"),
     )
     records = []
-    for rec in data.get("crosstalk") or []:
+    for rec in _json(list, data.get("crosstalk") or [], "crosstalk"):
         if not isinstance(rec, dict):
             raise HardwareError(f"bad crosstalk record {rec!r}")
         unknown = set(rec) - _XT_FIELDS

@@ -213,9 +213,12 @@ def welsh_powell(csg: Csg) -> list[ColorClass]:
 
 @dataclass
 class SelectionContext:
+    """What rank_and_select knows beyond the CSG.  ``tie_breaker(csg, tied)``
+    takes the CSG as an argument, so a context can be built before its CSG."""
+
     last_helped: frozenset = field(default_factory=frozenset)
     criticality: dict = field(default_factory=dict)
-    tie_breaker: object = None  # callable(list[ColorClass]) -> ColorClass | None
+    tie_breaker: object = None  # callable(Csg, list[ColorClass]) -> ColorClass | None
 
 
 def class_allowance_usage(csg: Csg, cls: ColorClass) -> float:
@@ -247,8 +250,8 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
     classes are cut down to the ``TOP_K`` largest and ranked by member
     count, cgate count, continued-help count, allowance usage, summed
     criticality, and finally lowest vertex id.  A caller-supplied
-    ``tie_breaker`` gets a shot at any tie that survives the first four
-    keys.
+    ``ctx.tie_breaker(csg, tied)`` gets a shot at any tie that survives the
+    first four keys.
     """
     if not classes:
         raise InvariantError("no color classes to select from")
@@ -262,7 +265,7 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
     best4 = min(metrics[c.color][:4] for c in short)
     tied = [c for c in short if metrics[c.color][:4] == best4]
     if len(tied) > 1 and ctx.tie_breaker is not None:
-        chosen = ctx.tie_breaker(tied)
+        chosen = ctx.tie_breaker(csg, tied)
         if chosen is not None:
             return chosen
     return min(short, key=lambda c: metrics[c.color])
@@ -341,6 +344,7 @@ class ScheduleState:
         self._cur: list[Op] | None = None
         self._cur_edges: set[Edge] = set()
         self._cur_busy: set[int] = set()
+        self._placed = False
 
     def allowance_left(self) -> float:
         return max(self.budget.allowance - self.budget.spent(self.ledger), 0.0)
@@ -368,6 +372,7 @@ class ScheduleState:
         self._cur = []
         self._cur_edges = set()
         self._cur_busy = set()
+        self._placed = False
         for f in self.flights:
             sl = SWAP_DURATION - f.remaining_time + 1
             op = Op(
@@ -399,6 +404,7 @@ class ScheduleState:
             self._cur_edges.add(edge)
         self._cur.append(op)
         self._cur_busy.update(op.qubits)
+        self._placed = True
 
     def start_swap(self, edge: Edge, helps: frozenset = frozenset(), gate_key=None) -> None:
         edge = normalize_edge(*edge)
@@ -439,8 +445,9 @@ class ScheduleState:
             )
 
     def close_layer(self) -> tuple[bool, list[InProgressSwap]]:
-        """Commit the open layer.  Returns (layer appended?, completed
-        flights).  An empty layer is dropped rather than padded in."""
+        """Commit the open layer.  Returns (was an op placed in it?, completed
+        flights); the slices of SWAPs already in flight are not placements.
+        An empty layer is dropped rather than padded in."""
         if self._cur is None:
             raise InvariantError("no open layer")
         ops = self._cur
@@ -462,21 +469,55 @@ class ScheduleState:
                 self.mapping.apply_swap(*f.edge)
                 self.last_completed_edges.add(f.edge)
         self.last_helped = frozenset(helped)
-        return True, completed
+        return self._placed, completed
+
+
+def schedule_layer(
+    state: ScheduleState,
+    cgates: list[PendingPair],
+    swaps: list,
+    pending: list[PendingPair],
+    ctx: SelectionContext,
+    run_cgate,
+) -> tuple[Csg, ColorClass | None]:
+    """One CSG layer step into the open layer: build the candidate set graph
+    of ``cgates``, ``swaps`` and the state's flights, color it, pick a class
+    by ``ctx`` and commit its members in vertex order, ``run_cgate(key)``
+    for a cgate and a started SWAP for a candidate.  Returns (csg, selected
+    class), the class None when the CSG is empty."""
+    csg = build_csg(
+        cgates,
+        swaps,
+        state.flights,
+        pending,
+        state.mapping,
+        state.hw,
+        state.budget,
+        state.allowance_left(),
+    )
+    if not csg.vertices:
+        return csg, None
+    selected = rank_and_select(csg, welsh_powell(csg), ctx)
+    for vid in selected.members:
+        v = csg.vertices[vid]
+        if v.kind == "cgate":
+            run_cgate(v.gate_key)
+        elif v.kind == "swap":
+            state.start_swap(v.edge, helps=v.helps)
+    return csg, selected
 
 
 class CircuitRun:
-    """A gate circuit's progress through a ScheduleState: the gates that ran,
-    the circuit SWAP gates in flight (they count as run when they land), and
-    the ready gates: not started, every predecessor run.  Counting each
-    gate's predecessors still to run keeps the ready set current without
-    rescanning the circuit."""
+    """A gate circuit's progress through a ScheduleState: the gates that ran
+    and the ready gates: not started, every predecessor run.  A circuit SWAP
+    gate counts as run when its flight lands; until then its ``gate_key`` is
+    in ``state.flights``.  Counting each gate's predecessors still to run
+    keeps the ready set current without rescanning the circuit."""
 
     def __init__(self, circuit: LogicalCircuit, state: ScheduleState):
         self.circuit = circuit
         self.state = state
         self.executed: set[int] = set()
-        self.in_flight: set[int] = set()
         self.ready: set[int] = {g.gate_id for g in frontier(circuit, set())}
         self._waiting = {gid: len(preds) for gid, preds in circuit.predecessors.items()}
 
@@ -517,7 +558,6 @@ class CircuitRun:
         pq = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
         if g.kind == "swap":
             self.state.start_swap(pq, gate_key=g.gate_id)
-            self.in_flight.add(g.gate_id)
         else:
             self.state.place(Op(kind=g.kind, qubits=pq, gate_id=g.gate_id, param=g.param))
             self._finish(g.gate_id)
@@ -525,22 +565,19 @@ class CircuitRun:
     def finish_layer(self, singles: list[Gate]) -> bool:
         """Place every ready single-qubit gate whose qubit is still free,
         close the layer and land the circuit SWAP gates that finish.  True
-        when a gate was placed or landed."""
-        progress = False
+        when the layer had an op placed or a circuit SWAP landed."""
         for g in singles:
             p = self.state.mapping.phys(g.qubits[0])
             if self.state.qubit_free(p):
                 self._start(g.gate_id)
                 self.state.place(Op(kind="u", qubits=(p,), gate_id=g.gate_id, label=g.label))
                 self._finish(g.gate_id)
-                progress = True
-        _, completed = self.state.close_layer()
+        placed, completed = self.state.close_layer()
         for f in completed:
             if f.gate_key is not None:
-                self.in_flight.discard(f.gate_key)
                 self._finish(f.gate_key)
-                progress = True
-        return progress
+                placed = True
+        return placed
 
 
 def compile_circuit(
@@ -556,7 +593,8 @@ def compile_circuit(
 
     Inserts SWAPs as needed and never lets the crosstalk ledger exceed
     ``allowance``.  After more than ``num_qubits`` iterations with no gate
-    run it escapes: one SWAP at a time for its most critical gate (StallGuard)."""
+    run it escapes: one SWAP at a time for its most critical gate (StallGuard).
+    ``on_iteration`` gets ``{"iteration", "csg", "selected"}`` after each layer."""
     budget = Budget(profile, allowance, allowance_units)
     state = ScheduleState(hw, budget, circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
@@ -578,46 +616,13 @@ def compile_circuit(
             swaps = useful_swaps(
                 two_q, drained, hw, excluded_edges=state.last_completed_edges
             )
-        csg = build_csg(
-            cgates,
-            swaps,
-            state.flights,
-            two_q,
-            state.mapping,
-            hw,
-            budget,
-            state.allowance_left(),
+        ctx = SelectionContext(
+            last_helped=state.last_helped - run.executed, criticality=criticality
         )
-        progress = False
-        selected = None
-        if csg.vertices:
-            classes = welsh_powell(csg)
-            ctx = SelectionContext(
-                last_helped=frozenset(k for k in state.last_helped if k not in run.executed),
-                criticality=criticality,
-            )
-            selected = rank_and_select(csg, classes, ctx)
-            for vid in selected.members:
-                v = csg.vertices[vid]
-                if v.kind == "cgate":
-                    run.run_gate(v.gate_key)
-                    progress = True
-                elif v.kind == "swap":
-                    state.start_swap(v.edge, helps=v.helps)
-                    progress = True
-        progress = run.finish_layer(singles) or progress
+        csg, selected = schedule_layer(state, cgates, swaps, two_q, ctx, run.run_gate)
+        guard.record(run.finish_layer(singles), len(run.executed))
         if on_iteration is not None:
-            on_iteration(
-                {
-                    "iteration": iterations,
-                    "csg": csg,
-                    "selected": selected,
-                    "executed": set(run.executed),
-                    "mapping": state.mapping.copy(),
-                    "allowance_left": state.allowance_left(),
-                }
-            )
-        guard.record(progress, len(run.executed))
+            on_iteration({"iteration": iterations, "csg": csg, "selected": selected})
     return state.result()
 
 

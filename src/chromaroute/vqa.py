@@ -16,6 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+# build_csg, welsh_powell and rank_and_select are called through schedule_layer.
+# They stay imported because perfbench/tracing.py patches them by name in this
+# module's namespace, and an install fails on a missing name.
 from .csg import Budget, PendingPair, build_csg, cheapest_swap, useful_swaps
 from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
@@ -27,6 +30,7 @@ from .scheduler import (
     SelectionContext,
     StallGuard,
     rank_and_select,
+    schedule_layer,
     welsh_powell,
 )
 
@@ -277,7 +281,8 @@ def synthesize(
     on_iteration=None,
 ) -> ScheduledCircuit:
     """Schedule a whole Pauli-string program, string by string.  A string with
-    no ladder CX for more than ``num_qubits`` iterations escapes (StallGuard)."""
+    no ladder CX for more than ``num_qubits`` iterations escapes (StallGuard).
+    ``on_iteration`` gets compile_circuit's record plus ``"string_index"``."""
     if options is None:
         options = SynthesisOptions()
     budget = Budget(profile, allowance, allowance_units)
@@ -326,9 +331,7 @@ def _synthesize_string(
     while len(remaining) > 1 or state.flights:
         iterations = guard.next_iteration()
         state.open_layer()
-        progress = False
-        selected = None
-        csg = None
+        csg = selected = None
         if len(remaining) > 1:
             drained = state.drained()
             nodes = sorted(remaining)
@@ -358,68 +361,33 @@ def _synthesize_string(
                     )
                     if not candidates:
                         candidates = useful_swaps(pending, drained, hw)
-            csg = build_csg(
-                cgates,
-                candidates,
-                state.flights,
-                pending,
-                state.mapping,
-                hw,
-                state.budget,
-                state.allowance_left(),
-            )
-            if csg.vertices:
-                classes = welsh_powell(csg)
-                pending_keys = {p.key for p in pending}
-
-                def tie_breaker(tied):
-                    return _arbitrate_patterns(
-                        tied, csg, remaining, drained, tree, center, next_active, hw, options
-                    )
-
-                ctx = SelectionContext(
-                    last_helped=frozenset(k for k in state.last_helped if k in pending_keys),
-                    criticality={},
-                    tie_breaker=tie_breaker,
+            def run_cx(edge):
+                control, target = assign_direction(edge, tree, center)
+                state.place(
+                    Op(kind="cx", qubits=(state.mapping.phys(control), state.mapping.phys(target)))
                 )
-                selected = rank_and_select(csg, classes, ctx)
-                for vid in selected.members:
-                    v = csg.vertices[vid]
-                    if v.kind == "cgate":
-                        control, target = assign_direction(v.gate_key, tree, center)
-                        state.place(
-                            Op(
-                                kind="cx",
-                                qubits=(state.mapping.phys(control), state.mapping.phys(target)),
-                            )
-                        )
-                        # The control's parity is folded into the target, so
-                        # the control leaves the working set for good.
-                        if control not in remaining:
-                            raise InvariantError(
-                                f"qubit {control} was already deleted from the ladder"
-                            )
-                        remaining.discard(control)
-                        ladder.append((control, target))
-                        protected.append((control, target))
-                        progress = True
-                    elif v.kind == "swap":
-                        state.start_swap(v.edge, helps=v.helps)
-                        progress = True
-        state.close_layer()
+                # The control's parity is folded into the target, so the
+                # control leaves the working set for good.
+                if control not in remaining:
+                    raise InvariantError(f"qubit {control} was already deleted from the ladder")
+                remaining.discard(control)
+                ladder.append((control, target))
+                protected.append((control, target))
+
+            def tie_breaker(csg, tied):
+                return _arbitrate_patterns(
+                    tied, csg, remaining, drained, tree, center, next_active, hw, options
+                )
+
+            ctx = SelectionContext(
+                last_helped=state.last_helped & {p.key for p in pending}, tie_breaker=tie_breaker
+            )
+            csg, selected = schedule_layer(state, cgates, candidates, pending, ctx, run_cx)
+        guard.record(state.close_layer()[0], len(ladder))
         if on_iteration is not None:
             on_iteration(
-                {
-                    "string_index": string_index,
-                    "iteration": iterations,
-                    "csg": csg,
-                    "selected": selected,
-                    "remaining": set(remaining),
-                    "mapping": state.mapping.copy(),
-                    "allowance_left": state.allowance_left(),
-                }
+                dict(string_index=string_index, iteration=iterations, csg=csg, selected=selected)
             )
-        guard.record(progress, len(ladder))
     root = next(iter(remaining))
     state.open_layer()
     state.place(Op(kind="rz", qubits=(state.mapping.phys(root),), param=s.coefficient))
@@ -474,8 +442,8 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
             else:
                 leftover.append((c, t))
             blocked.update((pc, pt))
-        committed, _ = state.close_layer()
-        if not committed:
+        placed, _ = state.close_layer()
+        if not placed:
             raise InvariantError("uncompute pass failed to place any gate")
         entries = leftover
 

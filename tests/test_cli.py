@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 
 import chromaroute
-from chromaroute import ScheduledCircuit, StallError, VerificationError, parse_pauli_program
+from chromaroute import (
+    ScheduledCircuit,
+    StallError,
+    VerificationError,
+    cli,
+    compile_circuit,
+    load_hardware_file,
+    parse_circuit,
+    parse_pauli_program,
+)
 from chromaroute.cli import main
 from chromaroute.fixtures import fixture_text
 
@@ -218,6 +227,29 @@ def test_search(paths, capsys):
     assert best.depth_cx == 4
 
 
+def test_search_compiles_the_winner_once(paths, capsys, monkeypatch):
+    # one compile per probe plus find_x_max's at infinity; the schedule
+    # written out is the winning probe's, not a recompile
+    tmp, hw, circ = paths
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["allowance"])
+        return compile_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compile_circuit", counted)
+    best_out = tmp / "best.json"
+    argv = ["search", "-c", circ, "-H", hw, "--steps", "8", "--schedule-out", str(best_out)]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert len(calls) == len(result["probes"]) + 1
+    hardware, profile = load_hardware_file(hw)
+    again = compile_circuit(
+        parse_circuit(Path(circ).read_text()), hardware, profile, allowance=result["best_allowance"]
+    )
+    assert read_schedule(best_out.read_text()).to_json_dict() == again.to_json_dict()
+
+
 def test_search_in_pair_units(paths, capsys):
     # the unconstrained compile commits two pairs; every probe counts pairs
     _, hw, circ = paths
@@ -246,6 +278,18 @@ def _non_numeric_edge_error(tmp, hw, circ):
     bad = tmp / "bad_hw.json"
     bad.write_text(json.dumps(data))
     return ["compile", "-c", circ, "-H", str(bad)]
+
+
+def _hardware_field(field, value):
+    def make_argv(tmp, hw, circ):
+        data = json.loads(Path(hw).read_text())
+        data[field] = value
+        bad = tmp / "bad_hw.json"
+        bad.write_text(json.dumps(data))
+        return ["compile", "-c", circ, "-H", str(bad)]
+
+    make_argv.__name__ = f"_hardware_{field}"
+    return make_argv
 
 
 def _non_integer_qubits(tmp, hw, circ):
@@ -357,6 +401,11 @@ def _device_size(doc):
         (_edited_schedule(_kind_list), "layer 0: kind: ['swap'] has the wrong type"),
         (_edited_schedule(_ledger_layers), "ledger layer: 'x' has the wrong type"),
         (_edited_schedule(_device_size), "num_physical 100, device has 6"),
+        (_hardware_field("edges", 5), "error: edges: expected a JSON array, got 5"),
+        (_hardware_field("crosstalk", 5), "error: crosstalk: expected a JSON array, got 5"),
+        (_hardware_field("edge_error", [0.01]), "error: edge_error: expected a JSON object"),
+        (_hardware_field("t1", [50.0]), "error: t1: expected a JSON object, got [50.0]"),
+        (_hardware_field("single_qubit_error", "x"), "error: single_qubit_error: expected a JSON"),
     ],
 )
 def test_bad_documents_are_usage_errors(paths, capsys, make_argv, message):

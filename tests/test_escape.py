@@ -8,6 +8,8 @@ rather than None, so each test also shows that the loops it runs really
 escaped: a loop that never gets stuck would pass without the escape.
 """
 
+import hashlib
+import json
 import math
 import random
 
@@ -42,7 +44,23 @@ def escapes(monkeypatch):
     return counts
 
 
-def test_every_loop_finishes_on_seeded_grids(escapes):
+# sha256 over every schedule JSON a loop emits in the seeded-grid fuzz, in
+# case order.  A change that alters a schedule on purpose re-pins these;
+# ``PYTHONPATH=src python tests/test_golden.py`` prints the current ones.
+SEEDED_GRID_DIGESTS = {
+    "compiler": "bada6181b972d5c6bc3c709ac569db9beb086ddbca7e613de0539905b0713ee6",
+    "baseline": "1f4fbdeb306d3fabba202de274c4b8466609ff6a00f939e457c58c1ea9782c61",
+    "synthesis": "725e20c5849c0f9463716824ce624ae39b9488a3ea6e2104cee5d8f16fa37ee1",
+}
+
+
+def seeded_grid_digests() -> dict[str, str]:
+    """Run the seeded-grid fuzz: every schedule verified, and hashed per loop."""
+    digests = {loop: hashlib.sha256() for loop in SEEDED_GRID_DIGESTS}
+
+    def fold(loop, sched):
+        digests[loop].update(json.dumps(sched.to_json_dict()).encode())
+
     # Synthesis rarely escapes on programs this small; this seed draws two
     # synthesis cases that do (a 5x4 grid at allowance 0, a 6x5 one at inf).
     rng = random.Random(10)
@@ -54,11 +72,19 @@ def test_every_loop_finishes_on_seeded_grids(escapes):
         circuit = random_circuit(n, rng.randint(20, 120), rng)
         sched = compile_circuit(circuit, hw, prof, mapping, allowance=allowance)
         verify_routing(sched, hw, prof, circuit=circuit, allowance=allowance)
+        fold("compiler", sched)
         sched = baseline_schedule(circuit, hw, prof, mapping)
         verify_routing(sched, hw, prof, circuit=circuit, allowance=0.0)
+        fold("baseline", sched)
         program = random_pauli_program(n, rng.randint(2, 8), rng)
         sched = synthesize(program, hw, prof, mapping, allowance=allowance)
         verify_routing(sched, hw, prof, allowance=allowance)
+        fold("synthesis", sched)
+    return {loop: h.hexdigest() for loop, h in digests.items()}
+
+
+def test_every_loop_finishes_on_seeded_grids(escapes):
+    assert seeded_grid_digests() == SEEDED_GRID_DIGESTS
     assert all(escapes.values()), escapes
 
 

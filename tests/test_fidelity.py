@@ -16,7 +16,6 @@ from chromaroute import (
     fidelity_report,
     parse_circuit,
     search_allowance,
-    tvd,
 )
 from chromaroute.csg import Budget
 from chromaroute.fidelity import find_x_max, search_core
@@ -128,17 +127,6 @@ def test_fidelity_report_fields():
     data = rep.to_json_dict()
     assert data["depth_cx"] == 4
     assert data["esp"] == rep.esp
-
-
-def test_tvd_hand_values():
-    assert tvd({0: 0.5, 1: 0.5}, {0: 1.0}) == pytest.approx(0.5)
-    assert tvd({0: 1.0}, {1: 1.0}) == pytest.approx(1.0)
-    p = {0: 0.25, 1: 0.5, 2: 0.25}
-    assert tvd(p, p) == 0.0
-    q = {0: 0.5, 2: 0.5}
-    assert tvd(p, q) == tvd(q, p)
-    # (|0.25-0.5| + |0.5-0| + |0.25-0.5|) / 2
-    assert tvd(p, q) == pytest.approx(0.5)
 
 
 def test_find_x_max_is_unconstrained_ledger_mass():

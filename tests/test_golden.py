@@ -4,8 +4,9 @@ Each case runs one subcommand with ``-o``, ``--emit-timeline`` and
 ``--emit-csg`` and hashes the three files: the schedule JSON, the timeline
 text (which also renders the crosstalk ledger) and the DOT text of every
 candidate set graph the scheduler built.  A change that alters any of them
-on purpose updates the digests here and says why; print the current ones
-with ``PYTHONPATH=src python tests/test_golden.py``.
+on purpose updates the digests here and says why; print the current ones,
+and the per-loop digests of ``test_escape.py``'s seeded-grid fuzz, with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -263,3 +264,10 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digests = run_case(Path(tmp), CASES[name])
         sys.stdout.write(f"    {name!r}: (\n" + "".join(f"        {d!r},\n" for d in digests) + "    ),\n")
+
+    from test_escape import seeded_grid_digests
+
+    sys.stdout.write("\nSEEDED_GRID_DIGESTS = {\n")
+    for loop, digest in seeded_grid_digests().items():
+        sys.stdout.write(f"    {loop!r}: {digest!r},\n")
+    sys.stdout.write("}\n")

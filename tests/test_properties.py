@@ -10,7 +10,6 @@ from chromaroute import (
     parse_pauli_program,
     serialize_circuit,
     serialize_pauli_program,
-    tvd,
 )
 from chromaroute.hardware import normalize_edge
 from chromaroute.vqa import kruskal_mst
@@ -98,24 +97,6 @@ def test_normalize_edge_sorts_and_is_idempotent(a, b):
     e = normalize_edge(a, b)
     assert e == (min(a, b), max(a, b))
     assert normalize_edge(*e) == e
-
-
-dists = st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1, max_size=8).map(
-    lambda ws: {i: w / sum(ws) for i, w in enumerate(ws)}
-)
-
-
-@given(dists, dists)
-def test_tvd_is_a_bounded_metric(p, q):
-    d = tvd(p, q)
-    assert 0.0 <= d <= 1.0 + 1e-12
-    assert tvd(q, p) == d
-    assert tvd(p, p) == 0.0
-
-
-@given(dists, dists, dists)
-def test_tvd_triangle_inequality(p, q, r):
-    assert tvd(p, r) <= tvd(p, q) + tvd(q, r) + 1e-12
 
 
 @given(

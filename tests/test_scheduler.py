@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from chromaroute import (
     MappingError,
     Op,
     ScheduledCircuit,
+    StallError,
     VerificationError,
     compile_circuit,
     expand_two_local,
@@ -21,7 +23,9 @@ from chromaroute import (
     parse_pauli_program,
     verify_routing,
 )
+from chromaroute.csg import Budget
 from chromaroute.fixtures import fixture_text, pair_circuit, ring6, ring6_cross, ring6_cross_hot
+from chromaroute.scheduler import ScheduleState, StallGuard
 
 
 def swap_starts(sched):
@@ -209,7 +213,33 @@ def test_on_iteration_hook_sees_csgs():
     assert first["selected"] is not None
     chosen = {first["csg"].vertices[i].edge for i in first["selected"].members}
     assert chosen == {(0, 1), (3, 4)}
-    assert seen[-1]["executed"] == {0, 1}
+    assert all(set(info) == {"iteration", "csg", "selected"} for info in seen)
+
+
+def test_close_layer_reports_whether_anything_was_placed():
+    hw, prof = ring6()
+    state = ScheduleState(hw, Budget(prof, math.inf), 6)
+    state.open_layer()
+    state.start_swap((0, 1))
+    assert state.close_layer()[0]
+    # the next layer holds only the SWAP's second slice: appended, nothing placed
+    state.open_layer()
+    assert state.close_layer() == (False, [])
+    assert [(op.kind, op.slice_index) for op in state.layers[-1]] == [("swap", 2)]
+    state.open_layer()
+    state.place(Op(kind="u", qubits=(3,)))
+    placed, completed = state.close_layer()
+    assert placed
+    assert [f.edge for f in completed] == [(0, 1)]
+
+
+def test_stall_guard_idle_limit():
+    hw, _ = ring6()
+    guard = StallGuard(10, hw, "loop: ")
+    for _ in range(hw.num_qubits):
+        guard.record(False, 0)
+    with pytest.raises(StallError, match="loop: no gate executed and no SWAP started for 7"):
+        guard.record(False, 0)
 
 
 def test_verify_rejects_tampered_schedules():
