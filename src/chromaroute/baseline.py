@@ -16,6 +16,7 @@ scheduler is measured against.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .csg import Budget, cheapest_swap, executable_pairs, useful_swaps
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
@@ -70,23 +71,19 @@ def oblivious_schedule(
     return state.result()
 
 
-def serialize_crosstalk(
-    sched: ScheduledCircuit,
-    circuit: LogicalCircuit,
-    hw: CouplingGraph,
-    profile: CrosstalkProfile,
-) -> ScheduledCircuit:
+def serialize_crosstalk(sched: ScheduledCircuit, profile: CrosstalkProfile) -> ScheduledCircuit:
     """Rebuild a schedule with zero committed crosstalk by delaying.
 
-    Operations are replayed in their original order, a SWAP as one op over
-    its three slices.  ``put`` is the one placement rule: an op goes to the
-    earliest layers, no sooner than its qubits' last use, where its qubits
-    are free and its link shares no layer with a profile-linked link.  Op
-    order fixes the mapping evolution, so only timing changes."""
+    Operations are replayed in their original order on their own qubits, a
+    SWAP as one op over its three slices.  ``put`` is the one placement
+    rule: an op goes to the earliest layers, no sooner than its qubits' last
+    use, where its qubits are free and its link shares no layer with a
+    profile-linked link.  A routing SWAP holds its qubits until it lands, so
+    keeping each qubit's op order keeps every op's qubits right and the
+    final mapping ``sched.final_mapping``; only timing changes."""
     layers: list[list[Op]] = []
     busy: list[set[int]] = []
     active: list[set[tuple[int, int]]] = []
-    mapping = sched.initial_mapping.copy()
     qubit_ready: dict[int, int] = {}
 
     def blocked(qubits, edge, li: int) -> bool:
@@ -94,7 +91,7 @@ def serialize_crosstalk(
             return False
         if busy[li] & set(qubits):
             return True
-        return edge is not None and any(profile.record_for(edge, o) is not None for o in active[li])
+        return edge is not None and not active[li].isdisjoint(profile.partners(edge))
 
     def put(qubits: tuple[int, ...], duration: int, make_op) -> None:
         """Place ``make_op(k)`` for slices k = 1..``duration`` in consecutive layers."""
@@ -117,20 +114,17 @@ def serialize_crosstalk(
     for layer in sched.layers:
         for op in layer:
             if op.kind != "swap":
-                pq = tuple(mapping.phys(q) for q in circuit.gate(op.gate_id).qubits)
-                put(pq, 1, lambda k: Op(op.kind, pq, op.gate_id, param=op.param, label=op.label))
+                put(op.qubits, 1, lambda k: replace(op))
             elif op.slice_index == 1:
                 edge = normalize_edge(*op.qubits)
                 put(edge, SWAP_DURATION, lambda k: Op("swap", edge, op.gate_id, slice_index=k))
-                if op.gate_id is None:
-                    mapping.apply_swap(*edge)
     packed = [layer for layer in layers if layer]
     return ScheduledCircuit(
         num_physical=sched.num_physical,
         layers=packed,
         crosstalk_ledger=[],
         initial_mapping=sched.initial_mapping,
-        final_mapping=mapping,
+        final_mapping=sched.final_mapping,
     )
 
 
@@ -142,4 +136,4 @@ def baseline_schedule(
 ) -> ScheduledCircuit:
     """Oblivious routing followed by crosstalk removal through delays."""
     routed = oblivious_schedule(circuit, hw, profile, initial_mapping)
-    return serialize_crosstalk(routed, circuit, hw, profile)
+    return serialize_crosstalk(routed, profile)

@@ -45,6 +45,8 @@ class CouplingGraph:
     ):
         if num_qubits <= 0:
             raise HardwareError("device needs a positive qubit count")
+        if len(edges) < num_qubits - 1:  # before a list per qubit is built
+            raise HardwareError(f"{len(edges)} edges cannot connect {num_qubits} qubits")
         self.num_qubits = num_qubits
         self.edges: set[Edge] = set()
         self.adjacency: list[list[int]] = [[] for _ in range(num_qubits)]
@@ -295,9 +297,12 @@ def _number(convert, value, where: str):
         raise HardwareError(f"{where}: expected a number, got {value!r}") from exc
 
 
-def _json(kind: type, value, where: str):
+def _json(kind: type, value, where: str, optional: bool = False):
     """``value`` if it is a JSON array (``list``) or object (``dict``), as
-    ``kind`` says, or a HardwareError naming the field."""
+    ``kind`` says, an empty one for a missing or null ``optional`` table, or
+    a HardwareError naming the field."""
+    if value is None and optional:
+        return kind()
     if not isinstance(value, kind):
         what = "array" if kind is list else "object"
         raise HardwareError(f"{where}: expected a JSON {what}, got {value!r}")
@@ -325,7 +330,7 @@ def _parse_edge(item, where: str) -> Edge:
 def _qubit_table(data: dict, name: str) -> dict[int, float]:
     return {
         _number(int, q, f"{name} key"): _number(float, v, f"{name}[{q}]")
-        for q, v in _json(dict, data.get(name) or {}, name).items()
+        for q, v in _json(dict, data.get(name), name, optional=True).items()
     }
 
 
@@ -349,7 +354,7 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
         raise HardwareError(f"missing required field {exc.args[0]!r}") from exc
     edges = [_parse_edge(item, "edges") for item in _json(list, raw_edges, "edges")]
     edge_error = {}
-    for key, val in _json(dict, data.get("edge_error") or {}, "edge_error").items():
+    for key, val in _json(dict, data.get("edge_error"), "edge_error", optional=True).items():
         edge_error[_parse_edge_key(key)] = _number(float, val, f"edge_error[{key!r}]")
     graph = CouplingGraph(
         num_qubits,
@@ -361,7 +366,7 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
         single_qubit_error=_qubit_table(data, "single_qubit_error"),
     )
     records = []
-    for rec in _json(list, data.get("crosstalk") or [], "crosstalk"):
+    for rec in _json(list, data.get("crosstalk"), "crosstalk", optional=True):
         if not isinstance(rec, dict):
             raise HardwareError(f"bad crosstalk record {rec!r}")
         unknown = set(rec) - _XT_FIELDS

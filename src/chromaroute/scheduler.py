@@ -378,7 +378,7 @@ class ScheduleState:
             op = Op(
                 kind="swap",
                 qubits=f.edge,
-                gate_id=f.gate_key if isinstance(f.gate_key, int) else None,
+                gate_id=f.gate_key,
                 slice_index=sl,
             )
             self._cur.append(op)
@@ -412,7 +412,7 @@ class ScheduleState:
             Op(
                 kind="swap",
                 qubits=edge,
-                gate_id=gate_key if isinstance(gate_key, int) else None,
+                gate_id=gate_key,
                 slice_index=1,
             )
         )
@@ -670,10 +670,13 @@ def verify_routing(
     Walks the layers with its own mapping copy, checking adjacency, qubit
     exclusivity, SWAP slice bookkeeping, the crosstalk ledger (both
     completeness and the allowance bound), and the final mapping.  With the
-    source ``circuit`` it additionally checks gate identity, dependence
-    order, and completeness; synthesized schedules carry no gate ids, so
-    they verify structurally.  Raises VerificationError on the first
-    violation."""
+    source ``circuit`` every op but a routing SWAP (one with no gate id)
+    must start a circuit gate: one of its own kind, not started before,
+    after all its predecessors have run, on the qubits the replayed mapping
+    gives the gate's operands; a circuit SWAP gate counts as run when it
+    lands, and every gate must run.  Synthesized schedules carry no gate
+    ids, so they verify structurally.  Raises VerificationError on the
+    first violation."""
     if sched.num_physical != hw.num_qubits:
         raise VerificationError(f"num_physical {sched.num_physical}, device has {hw.num_qubits}")
     budget = Budget(profile, allowance, allowance_units)
@@ -685,10 +688,24 @@ def verify_routing(
     expected_ledger: list[tuple[int, tuple[Edge, Edge], float]] = []
     active_prev: dict[Edge, int] = {}  # edges continuing from earlier layers
 
-    def check_ready(li: int, g: Gate) -> None:
+    def start_gate(li: int, op: Op) -> None:
+        if circuit is None:
+            return
+        g = gate_of.get(op.gate_id)
+        if g is None or g.kind != op.kind:
+            raise VerificationError(f"layer {li}: gate id {op.gate_id} names no circuit {op.kind}")
+        if g.gate_id in executed or g.gate_id in swap_gate_edge.values():  # run or in flight
+            raise VerificationError(f"layer {li}: gate {g.gate_id} runs twice")
         for p in circuit.predecessors[g.gate_id]:
             if p not in executed:
                 raise VerificationError(f"layer {li}: gate {g.gate_id} before its predecessor {p}")
+        got, want = tuple(op.qubits), tuple(mapping.phys(q) for q in g.qubits)
+        if g.kind == "swap":
+            got, want = normalize_edge(*got), normalize_edge(*want)
+        if got != want:
+            raise VerificationError(f"layer {li}: gate {g.gate_id} on {got}, mapping says {want}")
+        if g.kind != "swap":
+            executed.add(g.gate_id)
 
     for li, layer in enumerate(sched.layers):
         busy: set[int] = set()
@@ -715,55 +732,28 @@ def verify_routing(
                 if not hw.has_edge(*edge):
                     raise VerificationError(f"layer {li}: {op.kind} on non-adjacent {edge}")
                 layer_edges.add(edge)
-            if op.kind == "swap":
-                if op.slice_index not in range(1, SWAP_DURATION + 1):
+            if op.kind != "swap":
+                start_gate(li, op)
+            elif op.slice_index not in range(1, SWAP_DURATION + 1):
+                raise VerificationError(
+                    f"layer {li}: SWAP slice {op.slice_index!r} is not 1, 2 or 3"
+                )
+            elif op.slice_index == 1:
+                if edge in open_swaps:
+                    raise VerificationError(f"layer {li}: SWAP restarted on {edge}")
+                if op.gate_id is not None:
+                    start_gate(li, op)
+                open_swaps[edge] = 2
+                swap_gate_edge[edge] = op.gate_id
+                started_edges.append(edge)
+            else:
+                if open_swaps.get(edge) != op.slice_index:
                     raise VerificationError(
-                        f"layer {li}: SWAP slice {op.slice_index!r} is not 1, 2 or 3"
+                        f"layer {li}: SWAP slice {op.slice_index} on {edge} out of order"
                     )
-                if op.slice_index == 1:
-                    if edge in open_swaps:
-                        raise VerificationError(f"layer {li}: SWAP restarted on {edge}")
-                    if op.gate_id is not None and circuit is not None:
-                        g = gate_of.get(op.gate_id)
-                        if g is None or g.kind != "swap":
-                            raise VerificationError(f"layer {li}: SWAP gate id {op.gate_id} unknown")
-                        check_ready(li, g)
-                        want = normalize_edge(mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
-                        if edge != want:
-                            raise VerificationError(
-                                f"layer {li}: SWAP gate {g.gate_id} on {edge}, mapping says {want}"
-                            )
-                    open_swaps[edge] = 2
-                    swap_gate_edge[edge] = op.gate_id
-                    started_edges.append(edge)
-                else:
-                    if open_swaps.get(edge) != op.slice_index:
-                        raise VerificationError(
-                            f"layer {li}: SWAP slice {op.slice_index} on {edge} out of order"
-                        )
-                    if swap_gate_edge.get(edge) != op.gate_id:
-                        raise VerificationError(f"layer {li}: SWAP on {edge} changed identity")
-                    open_swaps[edge] = op.slice_index + 1
-            elif op.kind in ("cx", "rzz") and circuit is not None:
-                g = gate_of.get(op.gate_id)
-                if g is None or g.kind != op.kind:
-                    raise VerificationError(f"layer {li}: unknown gate id {op.gate_id}")
-                check_ready(li, g)
-                want = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
-                if tuple(op.qubits) != want:
-                    raise VerificationError(
-                        f"layer {li}: gate {g.gate_id} placed on {op.qubits}, mapping says {want}"
-                    )
-                if g.gate_id in executed:
-                    raise VerificationError(f"layer {li}: gate {g.gate_id} executed twice")
-                executed.add(g.gate_id)
-            elif op.kind == "u" and circuit is not None:
-                g = gate_of.get(op.gate_id)
-                if g is not None:
-                    check_ready(li, g)
-                    if (op.qubits[0],) != (mapping.phys(g.qubits[0]),):
-                        raise VerificationError(f"layer {li}: gate {g.gate_id} on wrong qubit")
-                    executed.add(g.gate_id)
+                if swap_gate_edge.get(edge) != op.gate_id:
+                    raise VerificationError(f"layer {li}: SWAP on {edge} changed identity")
+                open_swaps[edge] = op.slice_index + 1
         # continuing swap edges must occupy their qubits
         for edge, nxt in open_swaps.items():
             if edge not in layer_edges and nxt <= SWAP_DURATION:
@@ -774,8 +764,6 @@ def verify_routing(
         for edge in started_edges + [
             op.phys_edge() for op in layer if op.kind in ("cx", "rzz") and op.phys_edge()
         ]:
-            if edge is None:
-                continue
             for other in layer_edges:
                 if other == edge or set(edge) & set(other):
                     continue
@@ -795,10 +783,6 @@ def verify_routing(
             if gid is None:
                 mapping.apply_swap(*edge)
             else:
-                if circuit is not None:
-                    g = gate_of.get(gid)
-                    if g is None or g.kind != "swap":
-                        raise VerificationError(f"layer {li}: SWAP gate id {gid} unknown")
                 executed.add(gid)
             del open_swaps[edge]
         active_prev = {e: 1 for e in open_swaps}

@@ -326,7 +326,6 @@ def _synthesize_string(
     _place_basis_layer(state, active, s.operators, PAULI_PRE_LABEL)
     remaining = set(active)  # the qubits still carrying parity
     ladder: list[tuple[int, int]] = []  # committed CXs in execution order
-    protected: list[tuple[int, int]] = []
     guard = StallGuard(len(active), hw, f"string {string_index}: ")
     while len(remaining) > 1 or state.flights:
         iterations = guard.next_iteration()
@@ -348,7 +347,7 @@ def _synthesize_string(
             pending = [PendingPair(e, e) for e in non_executable]
             candidates = guard.escape_swaps(pending, drained, state.flights, criticality={})
             if candidates is None:
-                excluded = state.last_completed_edges | _protection_breakers(protected, drained, hw)
+                excluded = state.last_completed_edges | _protection_breakers(ladder, drained, hw)
                 candidates = useful_swaps(pending, drained, hw, excluded_edges=excluded)
                 if not candidates and not cgates and not state.flights and pending:
                     # Keeping every executed ladder pair adjacent can rule out
@@ -372,7 +371,6 @@ def _synthesize_string(
                     raise InvariantError(f"qubit {control} was already deleted from the ladder")
                 remaining.discard(control)
                 ladder.append((control, target))
-                protected.append((control, target))
 
             def tie_breaker(csg, tied):
                 return _arbitrate_patterns(

@@ -39,7 +39,7 @@ def test_oblivious_routes_by_isolated_error_only():
 def test_serialize_delays_all_profiled_pairs():
     hw, prof = ring6_cross()
     circ = pair_circuit()
-    sched = serialize_crosstalk(oblivious_schedule(circ, hw, prof), circ, hw, prof)
+    sched = serialize_crosstalk(oblivious_schedule(circ, hw, prof), prof)
     assert len(sched.layers) == 8
     assert sched.crosstalk_ledger == []
     got = [
@@ -62,7 +62,7 @@ def test_baseline_is_oblivious_then_serialized():
     hw, prof = ring6_cross()
     circ = pair_circuit()
     base = baseline_schedule(circ, hw, prof)
-    manual = serialize_crosstalk(oblivious_schedule(circ, hw, prof), circ, hw, prof)
+    manual = serialize_crosstalk(oblivious_schedule(circ, hw, prof), prof)
     assert base.to_json_dict() == manual.to_json_dict()
     assert base.final_mapping.as_dict() == {0: 1, 1: 0, 2: 2, 3: 3, 4: 5, 5: 4}
 

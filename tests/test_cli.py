@@ -406,6 +406,15 @@ def _device_size(doc):
         (_hardware_field("edge_error", [0.01]), "error: edge_error: expected a JSON object"),
         (_hardware_field("t1", [50.0]), "error: t1: expected a JSON object, got [50.0]"),
         (_hardware_field("single_qubit_error", "x"), "error: single_qubit_error: expected a JSON"),
+        (_hardware_field("num_qubits", 10**12), "error: 6 edges cannot connect 1000000000000 qubits"),
+        (_hardware_field("t1", 0), "error: t1: expected a JSON object, got 0"),
+        (_hardware_field("t2", []), "error: t2: expected a JSON object, got []"),
+        (_hardware_field("edge_error", ""), "error: edge_error: expected a JSON object, got ''"),
+        (_hardware_field("crosstalk", 0), "error: crosstalk: expected a JSON array, got 0"),
+        (
+            _hardware_field("single_qubit_error", False),
+            "error: single_qubit_error: expected a JSON object, got False",
+        ),
     ],
 )
 def test_bad_documents_are_usage_errors(paths, capsys, make_argv, message):

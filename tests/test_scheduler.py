@@ -273,6 +273,44 @@ def test_verify_rejects_tampered_schedules():
         verify_routing(broken, hw, prof, circ)
 
 
+def _u_runs_the_cx(layers):
+    layers[1][1] = Op(kind="u", qubits=(0,), gate_id=1)
+
+
+def _u_runs_twice(layers):
+    layers.append([Op(kind="u", qubits=(0,), gate_id=0, label="h")])
+
+
+def _u_without_gate_id(layers):
+    layers.append([Op(kind="u", qubits=(2,), label="h")])
+
+
+def _rz(layers):
+    layers.append([Op(kind="rz", qubits=(2,), param=0.5)])
+
+
+def _swap_gate_runs_twice(layers):
+    layers.extend([Op(kind="swap", qubits=(3, 4), gate_id=2, slice_index=k)] for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "edit", [_u_runs_the_cx, _u_runs_twice, _u_without_gate_id, _rz, _swap_gate_runs_twice]
+)
+def test_verify_runs_each_circuit_gate_once_by_its_own_kind(edit):
+    hw, prof = ring6()
+    circ = parse_circuit("qubits 6\nu h 0\ncx 0 1\nswap 3 4\n")
+    sched = compile_circuit(circ, hw, prof, allowance=0.0)
+    assert verify_routing(sched, hw, prof, circ, allowance=0.0)
+    assert [[(op.kind, op.gate_id) for op in layer] for layer in sched.layers] == [
+        [("swap", 2), ("u", 0)],
+        [("swap", 2), ("cx", 1)],
+        [("swap", 2)],
+    ]
+    edit(sched.layers)
+    with pytest.raises(VerificationError):
+        verify_routing(sched, hw, prof, circ, allowance=0.0)
+
+
 def test_verify_checks_ledger_completeness():
     circ, hw, prof = interfering_pair()
     sched = compile_circuit(circ, hw, prof, allowance=0.08)
