@@ -30,7 +30,7 @@ from .fidelity import fidelity_report, search_allowance
 from .hardware import Mapping, load_hardware_file
 from .ir import parse_circuit, parse_pauli_program, serialize_pauli_program
 from .jw import jw_encode, parse_fermion_terms
-from .scheduler import ScheduledCircuit, compile_circuit, expand_two_local, verify_routing
+from .scheduler import SWAP_DURATION, ScheduledCircuit, compile_circuit, expand_two_local, verify_routing
 from .vqa import SynthesisOptions, synthesize
 
 EXIT_OK = 0
@@ -105,7 +105,7 @@ def format_timeline(sched: ScheduledCircuit) -> str:
         parts = []
         for op in layer:
             if op.kind == "swap":
-                parts.append(f"swap({op.qubits[0]},{op.qubits[1]})[{op.slice_index}/3]")
+                parts.append(f"swap({op.qubits[0]},{op.qubits[1]})[{op.slice_index}/{SWAP_DURATION}]")
             elif len(op.qubits) == 2:
                 parts.append(f"{op.kind}({op.qubits[0]},{op.qubits[1]})")
             elif op.kind == "u":

@@ -11,9 +11,18 @@ buys back as much parallelism as it can pay for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .errors import HardwareError, InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
+
+
+def left_sum(values):
+    """The values added left to right, starting from the int 0 as ``sum``
+    does.  ``sum`` compensates float rounding from Python 3.12 on; this
+    gives every version the older result."""
+    return reduce(add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class Budget:
         """How much of the allowance a ledger of ``LedgerEntry`` has used."""
         if self.units == "pairs":
             return float(len(ledger))
-        return sum(e.excess for e in ledger)
+        return left_sum(e.excess for e in ledger)
 
 
 @dataclass(frozen=True)
@@ -159,12 +168,7 @@ def executable_pairs(pending: list[PendingPair], mapping: Mapping, hw: CouplingG
     return out
 
 
-def useful_swaps(
-    pending: list[PendingPair],
-    mapping: Mapping,
-    hw: CouplingGraph,
-    excluded_edges: set[Edge] | None = None,
-) -> list[SwapCandidate]:
+def useful_swaps(pending: list[PendingPair], mapping: Mapping, hw: CouplingGraph) -> list[SwapCandidate]:
     """Coupling edges whose SWAP reduces, by exactly one hop, the physical
     distance of at least one coupling-unsatisfied pending gate.
 
@@ -172,7 +176,6 @@ def useful_swaps(
     endpoints on one edge would mean the gate is already executable), so the
     per-gate distance change is always in {-1, 0, +1}.
     """
-    excluded = excluded_edges or set()
     dist = hw.all_pairs_distance()
     helps: dict[Edge, set] = {}
     for p in pending:
@@ -184,7 +187,7 @@ def useful_swaps(
         for moved, fixed in ((pa, pb), (pb, pa)):
             for nxt in hw.adjacency[moved]:
                 edge = (moved, nxt) if moved < nxt else (nxt, moved)
-                if edge not in excluded and dist[nxt][fixed] == cur - 1:
+                if dist[nxt][fixed] == cur - 1:
                     helps.setdefault(edge, set()).add(p.key)
     return [SwapCandidate(edge=e, helps=frozenset(helps[e])) for e in sorted(helps)]
 

@@ -238,9 +238,8 @@ class Mapping:
         self.num_logical = num_logical
         self.num_physical = num_physical
         self._l2p = list(placement)
-        self._p2l: list[int | None] = [None] * num_physical
-        for l, p in enumerate(self._l2p):
-            self._p2l[p] = l
+        # keyed by occupied qubit only, so the device size costs no memory
+        self._p2l = {p: l for l, p in enumerate(self._l2p)}
 
     def copy(self) -> "Mapping":
         return Mapping(self.num_logical, self.num_physical, list(self._l2p))
@@ -253,18 +252,19 @@ class Mapping:
     def logical_at(self, physical: int) -> int | None:
         if not 0 <= physical < self.num_physical:
             raise MappingError(f"physical qubit {physical} out of range")
-        return self._p2l[physical]
+        return self._p2l.get(physical)
 
     def apply_swap(self, a: int, b: int):
         """Exchange the occupants of physical qubits a and b."""
         if a == b:
             raise MappingError("swap needs two distinct physical qubits")
         la, lb = self.logical_at(a), self.logical_at(b)
-        self._p2l[a], self._p2l[b] = lb, la
-        if la is not None:
-            self._l2p[la] = b
-        if lb is not None:
-            self._l2p[lb] = a
+        for p, l in ((b, la), (a, lb)):
+            if l is None:
+                self._p2l.pop(p, None)
+            else:
+                self._p2l[p] = l
+                self._l2p[l] = p
 
     def as_dict(self) -> dict[int, int]:
         return {l: p for l, p in enumerate(self._l2p)}

@@ -23,6 +23,7 @@ from .csg import (
     build_csg,
     cheapest_swap,
     executable_pairs,
+    left_sum,
     useful_swaps,
 )
 from .errors import InvariantError, MappingError, ParseError, StallError, VerificationError
@@ -117,7 +118,7 @@ class ScheduledCircuit:
         return n
 
     def ledger_total(self) -> float:
-        return sum(e.excess for e in self.crosstalk_ledger)
+        return left_sum(e.excess for e in self.crosstalk_ledger)
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,11 +139,13 @@ class ScheduledCircuit:
         num_physical = _typed(data["num_physical"], int, "num_physical")
 
         def mapping_from(name: str) -> Mapping:
-            d = data[name]
+            d = _typed(data[name], dict, name)
             try:
                 keys = sorted(d, key=int)
             except ValueError as exc:
                 raise ParseError(f"{name}: a logical qubit key is not an integer ({exc})") from exc
+            if [str(k) for k in keys] != [str(l) for l in range(len(keys))]:
+                raise ParseError(f"{name}: the logical qubit keys are not 0..{len(keys) - 1}")
             placement = [_typed(d[k], int, f"{name}[{k!r}]") for k in keys]
             return Mapping(len(placement), num_physical, placement)
 
@@ -150,16 +153,17 @@ class ScheduledCircuit:
         for li, layer in enumerate(data["layers"]):
             ops = []
             for od in layer:
-                ops.append(
-                    Op(
-                        kind=_typed(od["kind"], str, f"layer {li}: kind"),
-                        qubits=tuple(od["qubits"]),
-                        gate_id=_typed(od.get("gate_id"), int, f"layer {li}: gate_id", optional=True),
-                        param=_typed(od.get("param"), (int, float), f"layer {li}: param", optional=True),
-                        label=_typed(od.get("label"), str, f"layer {li}: label", optional=True),
-                        slice_index=_typed(od.get("slice"), int, f"layer {li}: slice", optional=True),
-                    )
+                op = Op(
+                    kind=_typed(od["kind"], str, f"layer {li}: kind"),
+                    qubits=tuple(od["qubits"]),
+                    gate_id=_typed(od.get("gate_id"), int, f"layer {li}: gate_id", optional=True),
+                    param=_typed(od.get("param"), (int, float), f"layer {li}: param", optional=True),
+                    label=_typed(od.get("label"), str, f"layer {li}: label", optional=True),
+                    slice_index=_typed(od.get("slice"), int, f"layer {li}: slice", optional=True),
                 )
+                if op.slice_index is not None and op.kind != "swap":
+                    raise ParseError(f"layer {li}: a {op.kind} op has a SWAP slice")
+                ops.append(op)
             layers.append(ops)
         ledger = [
             LedgerEntry(
@@ -223,7 +227,7 @@ class SelectionContext:
 
 def class_allowance_usage(csg: Csg, cls: ColorClass) -> float:
     members = set(cls.members)
-    return sum(cost for i, j, cost in csg.permitted_pairs if i in members and j in members)
+    return left_sum(cost for i, j, cost in csg.permitted_pairs if i in members and j in members)
 
 
 def _class_metrics(csg: Csg, cls: ColorClass, ctx: SelectionContext) -> tuple:
@@ -338,6 +342,7 @@ class ScheduleState:
         self.mapping = initial_mapping.copy()
         self.layers: list[list[Op]] = []
         self.ledger: list[LedgerEntry] = []
+        self._spent = budget.spent(self.ledger)  # kept current by _charge
         self.flights: list[InProgressSwap] = []
         self.last_completed_edges: set[Edge] = set()
         self.last_helped: frozenset = frozenset()
@@ -347,7 +352,7 @@ class ScheduleState:
         self._placed = False
 
     def allowance_left(self) -> float:
-        return max(self.budget.allowance - self.budget.spent(self.ledger), 0.0)
+        return max(self.budget.allowance - self._spent, 0.0)
 
     def drained(self) -> Mapping:
         """The mapping that will hold once the in-flight routing SWAPs land."""
@@ -419,12 +424,10 @@ class ScheduleState:
         self.flights.append(InProgressSwap(edge, SWAP_DURATION, helps, gate_key))
 
     def charge_preview(self, edge: Edge) -> float:
-        """Budget delta that placing a two-qubit op on ``edge`` into the
-        open layer would cost."""
+        """Budget delta that placing a two-qubit op on ``edge``, whose qubits
+        are free, into the open layer would cost."""
         total = 0.0
         for other in self._cur_edges:
-            if set(edge) & set(other):
-                continue
             cost = self.budget.cost(edge, other)
             if cost is not None:
                 total += cost
@@ -432,16 +435,18 @@ class ScheduleState:
 
     def _charge(self, edge: Edge) -> None:
         layer_idx = len(self.layers)
+        charged = len(self.ledger)
         for other in sorted(self._cur_edges):
             if self.budget.cost(edge, other) is None:
                 continue
             excess = self.budget.recorded_excess(edge, other)
             pair = tuple(sorted((edge, other)))
             self.ledger.append(LedgerEntry(layer=layer_idx, edges=pair, excess=excess))
-        spent = self.budget.spent(self.ledger)
-        if spent > self.budget.allowance + 1e-9:
+        if len(self.ledger) > charged:
+            self._spent = self.budget.spent(self.ledger)
+        if self._spent > self.budget.allowance + 1e-9:
             raise InvariantError(
-                f"crosstalk ledger {spent:.6g} exceeds allowance {self.budget.allowance:.6g}"
+                f"crosstalk ledger {self._spent:.6g} exceeds allowance {self.budget.allowance:.6g}"
             )
 
     def close_layer(self) -> tuple[bool, list[InProgressSwap]]:
@@ -613,9 +618,9 @@ def compile_circuit(
         drained = state.drained()
         swaps = guard.escape_swaps(two_q, drained, state.flights, criticality)
         if swaps is None:
-            swaps = useful_swaps(
-                two_q, drained, hw, excluded_edges=state.last_completed_edges
-            )
+            # A SWAP that just landed is not undone at once.
+            swaps = useful_swaps(two_q, drained, hw)
+            swaps = [s for s in swaps if s.edge not in state.last_completed_edges]
         ctx = SelectionContext(
             last_helped=state.last_helped - run.executed, criticality=criticality
         )
@@ -686,7 +691,6 @@ def verify_routing(
     open_swaps: dict[Edge, int] = {}  # edge -> expected next slice
     swap_gate_edge: dict[Edge, int | None] = {}
     expected_ledger: list[tuple[int, tuple[Edge, Edge], float]] = []
-    active_prev: dict[Edge, int] = {}  # edges continuing from earlier layers
 
     def start_gate(li: int, op: Op) -> None:
         if circuit is None:
@@ -754,30 +758,20 @@ def verify_routing(
                 if swap_gate_edge.get(edge) != op.gate_id:
                     raise VerificationError(f"layer {li}: SWAP on {edge} changed identity")
                 open_swaps[edge] = op.slice_index + 1
-        # continuing swap edges must occupy their qubits
-        for edge, nxt in open_swaps.items():
-            if edge not in layer_edges and nxt <= SWAP_DURATION:
-                raise VerificationError(f"layer {li}: SWAP on {edge} went missing mid-flight")
-        # expected crosstalk entries: every profile pair where at least one
-        # side starts here, charged once
+        # a SWAP in flight runs its own next slice in every layer
+        missing = open_swaps.keys() - {op.phys_edge() for op in layer if op.kind == "swap"}
+        if missing:
+            raise VerificationError(f"layer {li}: SWAP on {min(missing)} went missing mid-flight")
+        # expected crosstalk entries: every profiled pair where at least one
+        # side starts here, charged once (a layer's ops share no qubit)
         charged_pairs: set[tuple[Edge, Edge]] = set()
-        for edge in started_edges + [
-            op.phys_edge() for op in layer if op.kind in ("cx", "rzz") and op.phys_edge()
-        ]:
-            for other in layer_edges:
-                if other == edge or set(edge) & set(other):
-                    continue
-                if profile.record_for(edge, other) is None:
-                    continue
+        for edge in started_edges + [op.phys_edge() for op in layer if op.kind in ("cx", "rzz")]:
+            for other in layer_edges.intersection(profile.partners(edge)):
                 pair = tuple(sorted((edge, other)))
-                if pair in charged_pairs:
-                    continue
-                # both new: charge once; one continuing: charge at the new one
-                if other in active_prev and edge in active_prev:
-                    continue
-                charged_pairs.add(pair)
-                expected_ledger.append((li, pair, budget.recorded_excess(edge, other)))
-        # close out finished swaps, then roll actives forward
+                if pair not in charged_pairs:
+                    charged_pairs.add(pair)
+                    expected_ledger.append((li, pair, budget.recorded_excess(edge, other)))
+        # close out finished swaps
         for edge in [e for e, nxt in open_swaps.items() if nxt > SWAP_DURATION]:
             gid = swap_gate_edge.pop(edge)
             if gid is None:
@@ -785,7 +779,6 @@ def verify_routing(
             else:
                 executed.add(gid)
             del open_swaps[edge]
-        active_prev = {e: 1 for e in open_swaps}
 
     if open_swaps:
         raise VerificationError(f"unfinished SWAPs at end of schedule: {sorted(open_swaps)}")

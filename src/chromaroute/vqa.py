@@ -19,11 +19,12 @@ from dataclasses import dataclass
 # build_csg, welsh_powell and rank_and_select are called through schedule_layer.
 # They stay imported because perfbench/tracing.py patches them by name in this
 # module's namespace, and an install fails on a missing name.
-from .csg import Budget, PendingPair, build_csg, cheapest_swap, useful_swaps
+from .csg import Budget, PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
 from .errors import InvariantError
-from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
+from .hardware import CouplingGraph, CrosstalkProfile, Mapping
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
 from .scheduler import (
+    SWAP_DURATION,
     Op,
     ScheduleState,
     ScheduledCircuit,
@@ -42,9 +43,9 @@ class SynthesisOptions:
     """Knobs for the tie-break cost model.
 
     ``w1`` weighs estimated crosstalk, ``w2`` weighs SWAP count (times the
-    three layers a SWAP occupies); both live in (0, 1].  ``lookahead``
-    additionally scores how well a candidate SWAP pattern pre-positions the
-    next string."""
+    ``SWAP_DURATION`` layers a SWAP occupies); both live in (0, 1].
+    ``lookahead`` additionally scores how well a candidate SWAP pattern
+    pre-positions the next string."""
 
     w1: float = 0.5
     w2: float = 0.5
@@ -236,8 +237,8 @@ def pattern_cost(
 ) -> float:
     """Score a candidate SWAP pattern for the working set: estimated
     crosstalk (weighted by ``options.w1``) plus estimated ladder depth plus
-    three layers per SWAP (weighted by ``options.w2``).  A pattern that
-    leaves the working set disconnected costs infinity."""
+    ``SWAP_DURATION`` layers per SWAP (weighted by ``options.w2``).  A
+    pattern that leaves the working set disconnected costs infinity."""
     preview = mapping.copy()
     for e in swap_edges:
         preview.apply_swap(*e)
@@ -251,7 +252,7 @@ def pattern_cost(
     if len(_bfs_depths(adj, nodes[0])) != len(nodes):
         return INVALID_PATTERN_COST
     depth_est, xtalk_est = calculate_depths(adj)
-    return options.w1 * xtalk_est + depth_est + 3 * options.w2 * len(swap_edges)
+    return options.w1 * xtalk_est + depth_est + SWAP_DURATION * options.w2 * len(swap_edges)
 
 
 def _lookahead_extra_swaps(
@@ -339,27 +340,20 @@ def _synthesize_string(
             tree = _tree_adjacency(nodes, mst)
             center = graph_center(tree)
             executable_edges, non_executable = derive_gate_sets(mst, weights)
-            cgates = [
-                PendingPair(e, e)
-                for e in executable_edges
-                if hw.has_edge(state.mapping.phys(e[0]), state.mapping.phys(e[1]))
-            ]
+            cgates = executable_pairs([PendingPair(e, e) for e in executable_edges], state.mapping, hw)
             pending = [PendingPair(e, e) for e in non_executable]
             candidates = guard.escape_swaps(pending, drained, state.flights, criticality={})
             if candidates is None:
-                excluded = state.last_completed_edges | _protection_breakers(ladder, drained, hw)
-                candidates = useful_swaps(pending, drained, hw, excluded_edges=excluded)
-                if not candidates and not cgates and not state.flights and pending:
+                reducing = useful_swaps(pending, drained, hw)
+                fresh = [c for c in reducing if c.edge not in state.last_completed_edges]
+                candidates = [c for c in fresh if _keeps_ladder(c.edge, ladder, drained, hw)]
+                if not candidates and not cgates and not state.flights:
                     # Keeping every executed ladder pair adjacent can rule out
                     # every distance-reducing SWAP.  Adjacency only has to hold
                     # again when the mirror replays a pair, so prefer keeping
                     # it, but break it rather than deadlock; the uncompute pass
                     # re-routes any pair it finds separated.
-                    candidates = useful_swaps(
-                        pending, drained, hw, excluded_edges=set(state.last_completed_edges)
-                    )
-                    if not candidates:
-                        candidates = useful_swaps(pending, drained, hw)
+                    candidates = fresh or reducing
             def run_cx(edge):
                 control, target = assign_direction(edge, tree, center)
                 state.place(
@@ -423,6 +417,8 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
         if not hw.has_edge(state.mapping.phys(c), state.mapping.phys(t)):
             _route_pair(state, c, t, hw)
         state.open_layer()
+        # No SWAP is in flight here, so the qubits of the entries already
+        # seen are all the layer holds.
         blocked: set[int] = set()
         leftover: list[tuple[int, int]] = []
         for c, t in entries:
@@ -431,8 +427,6 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
             placeable = (
                 hw.has_edge(pc, pt)
                 and not ({pc, pt} & blocked)
-                and state.qubit_free(pc)
-                and state.qubit_free(pt)
                 and state.charge_preview(edge) <= state.allowance_left() + 1e-12
             )
             if placeable:
@@ -452,25 +446,19 @@ def _closing_swap(mapping: Mapping, u: int, v: int, hw: CouplingGraph) -> tuple[
     return cheapest_swap(useful_swaps([PendingPair((u, v), (u, v))], mapping, hw), hw).edge
 
 
-def _protection_breakers(
-    protected: list[tuple[int, int]], drained: Mapping, hw: CouplingGraph
-) -> set[tuple[int, int]]:
-    """The device edges whose SWAP, applied to ``drained``, leaves some
-    executed ladder pair ``(c, t)`` non-adjacent.  Only an edge at ``c``'s or
-    ``t``'s physical qubit can move the pair.  A pair that is already apart
-    stays apart under every other SWAP, so it rules out every edge except
-    those at its two qubits that bring it back together."""
-    breakers: set[tuple[int, int]] = set()
-    for c, t in protected:
+def _keeps_ladder(
+    edge: tuple[int, int], ladder: list[tuple[int, int]], drained: Mapping, hw: CouplingGraph
+) -> bool:
+    """True when a SWAP on ``edge``, applied to ``drained``, leaves every
+    executed ladder pair ``(c, t)`` adjacent; a pair already apart counts
+    only if this SWAP brings it back together."""
+    a, b = edge
+    moved = {a: b, b: a}
+    for c, t in ladder:
         pc, pt = drained.phys(c), drained.phys(t)
-        incident = {normalize_edge(p, q) for p in (pc, pt) for q in hw.adjacency[p]}
-        if not hw.has_edge(pc, pt):
-            breakers |= hw.edges - incident
-        for a, b in incident:
-            moved = {a: b, b: a}
-            if not hw.has_edge(moved.get(pc, pc), moved.get(pt, pt)):
-                breakers.add((a, b))
-    return breakers
+        if not hw.has_edge(moved.get(pc, pc), moved.get(pt, pt)):
+            return False
+    return True
 
 
 def _arbitrate_patterns(

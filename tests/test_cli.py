@@ -371,6 +371,20 @@ def _ledger_layers(doc):
         doc["crosstalk_ledger"].append({"layer": layer, "edges": [[0, 1], [3, 4]], "excess": 0.0})
 
 
+def _cx_mid_flight(doc):
+    # a cx on the edge of a SWAP between its first and second slice
+    doc["layers"].insert(1, [{"kind": "cx", "qubits": [0, 1]}])
+
+
+def _renumbered_mapping_keys(doc):
+    mapping = doc["initial_mapping"]
+    doc["initial_mapping"] = {str(3 + 7 * int(l)): p for l, p in mapping.items()}
+
+
+def _slice_on_cx(doc):
+    next(op for op in doc["layers"][-1] if op["kind"] == "cx")["slice"] = 1
+
+
 def _device_size(doc):
     # a gate on qubit 50, which the 6-qubit device does not have
     doc["num_physical"] = 100
@@ -401,6 +415,9 @@ def _device_size(doc):
         (_edited_schedule(_kind_list), "layer 0: kind: ['swap'] has the wrong type"),
         (_edited_schedule(_ledger_layers), "ledger layer: 'x' has the wrong type"),
         (_edited_schedule(_device_size), "num_physical 100, device has 6"),
+        (_edited_schedule(_cx_mid_flight), "layer 1: SWAP on (0, 1) went missing mid-flight"),
+        (_edited_schedule(_renumbered_mapping_keys), "initial_mapping: the logical qubit keys are not 0..5"),
+        (_edited_schedule(_slice_on_cx), "layer 3: a cx op has a SWAP slice"),
         (_hardware_field("edges", 5), "error: edges: expected a JSON array, got 5"),
         (_hardware_field("crosstalk", 5), "error: crosstalk: expected a JSON array, got 5"),
         (_hardware_field("edge_error", [0.01]), "error: edge_error: expected a JSON object"),

@@ -1,5 +1,6 @@
 import pytest
 
+import chromaroute.scheduler as scheduler
 from chromaroute import (
     CouplingGraph,
     CrosstalkProfile,
@@ -72,12 +73,32 @@ def test_useful_swaps_ignores_satisfied_gates():
     assert useful_swaps([PendingPair("g", (1, 2))], m, hw) == []
 
 
-def test_useful_swaps_excluded_edges():
-    hw = line5()
-    m = Mapping(5, 5)
-    pending = [PendingPair("g", (0, 3))]
-    cands = useful_swaps(pending, m, hw, excluded_edges={(0, 1)})
-    assert [c.edge for c in cands] == [(2, 3)]
+def test_compile_does_not_undo_a_swap_that_just_landed(monkeypatch):
+    # SWAP(0,1) and SWAP(2,3) both land; each gate is then one hop closer
+    # through (2,3) or (0,1) again, which useful_swaps lists and the
+    # compiler filters out for one iteration
+    hw = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
+    circuit = parse_circuit("qubits 4\ncx 0 2\ncx 1 3\n")
+    states, undoing = [], []
+
+    class RecordedState(scheduler.ScheduleState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    def recorded_useful_swaps(pending, mapping, hw):
+        got = useful_swaps(pending, mapping, hw)
+        undoing.extend(c.edge for c in got if c.edge in states[-1].last_completed_edges)
+        return got
+
+    monkeypatch.setattr(scheduler, "ScheduleState", RecordedState)
+    monkeypatch.setattr(scheduler, "useful_swaps", recorded_useful_swaps)
+    sched = scheduler.compile_circuit(circuit, hw, CrosstalkProfile(hw, []))
+    assert undoing
+    landed: set = set()
+    for layer in sched.layers:
+        assert not landed & {op.phys_edge() for op in layer if op.slice_index == 1}
+        landed = {op.phys_edge() for op in layer if op.slice_index == 3}
 
 
 def test_useful_swaps_multiple_gates_share_an_edge():

@@ -9,10 +9,11 @@ and ``frontier`` recomputed from the executed set.  Seeded grid compiles
 run with checking wrappers around the scheduler's calls, so every state a
 compile meets is compared.
 
-Pauli-ladder synthesis finds the SWAPs that would separate an executed
-ladder pair, and the SWAP that brings a separated pair closer during the
-uncompute pass, through the edges at the pair's two physical qubits.  Its
-references preview a mapping for every coupling edge instead.
+Pauli-ladder synthesis tests whether a candidate SWAP keeps every executed
+ladder pair adjacent by moving the pair's two physical qubits, and finds
+the SWAP that brings a separated pair closer during the uncompute pass
+through the edges at those qubits.  Its references preview a mapping for
+every coupling edge instead.
 """
 
 import math
@@ -87,9 +88,8 @@ def random_circuit(num_qubits: int, size: int, rng: random.Random) -> LogicalCir
     return LogicalCircuit(num_qubits, gates)
 
 
-def reference_useful_swaps(pending, mapping, hw, excluded_edges=None):
+def reference_useful_swaps(pending, mapping, hw):
     """Every coupling edge, tried against every unsatisfied gate."""
-    excluded = excluded_edges or set()
     dist = hw.all_pairs_distance()
     unsatisfied = []
     for p in pending:
@@ -98,8 +98,6 @@ def reference_useful_swaps(pending, mapping, hw, excluded_edges=None):
             unsatisfied.append((p, pa, pb))
     out = []
     for edge in sorted(hw.edges):
-        if edge in excluded:
-            continue
         a, b = edge
         helps = set()
         for p, pa, pb in unsatisfied:
@@ -199,9 +197,9 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units
     circuit = random_circuit(rows * rows, size, rng)
     seen = {"swaps": 0, "csgs": 0, "permitted": 0, "crosstalk": 0, "ties": 0, "in_flight": 0}
 
-    def checked_useful_swaps(pending, mapping, hw, excluded_edges=None):
-        got = useful_swaps(pending, mapping, hw, excluded_edges=excluded_edges)
-        assert got == reference_useful_swaps(pending, mapping, hw, excluded_edges)
+    def checked_useful_swaps(pending, mapping, hw):
+        got = useful_swaps(pending, mapping, hw)
+        assert got == reference_useful_swaps(pending, mapping, hw)
         seen["swaps"] += len(got)
         return got
 
@@ -348,13 +346,17 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
     hw, prof = grid_device(rows, rows, rng, error_levels=(0.01, 0.02))
     program = random_pauli_program(rows * rows, 16, rng)
     seen = {"breakers": 0, "apart": 0, "routed": 0, "route_ties": 0}
-    protection_breakers, closing_swap = vqa._protection_breakers, vqa._closing_swap
+    keeps_ladder, closing_swap = vqa._keeps_ladder, vqa._closing_swap
+    breakers = {}  # the reference's answer per (ladder, drained placement)
 
-    def checked_protection_breakers(protected, drained, hw):
-        got = protection_breakers(protected, drained, hw)
-        assert got == reference_protection_breakers(protected, drained, hw)
-        seen["breakers"] += bool(got)
-        seen["apart"] += sum(not hw.has_edge(drained.phys(c), drained.phys(t)) for c, t in protected)
+    def checked_keeps_ladder(edge, ladder, drained, hw):
+        got = keeps_ladder(edge, ladder, drained, hw)
+        key = (tuple(ladder), tuple(drained.as_dict().items()))
+        if key not in breakers:
+            breakers[key] = reference_protection_breakers(ladder, drained, hw)
+            seen["apart"] += sum(not hw.has_edge(drained.phys(c), drained.phys(t)) for c, t in ladder)
+        assert got == (edge not in breakers[key])
+        seen["breakers"] += not got
         return got
 
     def checked_closing_swap(mapping, u, v, hw):
@@ -365,12 +367,13 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
         seen["route_ties"] += len(want) > 1 and want[0][0] == want[1][0]
         return got
 
-    monkeypatch.setattr(vqa, "_protection_breakers", checked_protection_breakers)
+    monkeypatch.setattr(vqa, "_keeps_ladder", checked_keeps_ladder)
     monkeypatch.setattr(vqa, "_closing_swap", checked_closing_swap)
     for allowance in (0.0, 0.05, math.inf):
         sched = synthesize(program, hw, prof, allowance=allowance, allowance_units=units)
         scheduler.verify_routing(sched, hw, prof, allowance=allowance, allowance_units=units)
-    # the comparisons met a non-empty breaker set, a protected pair that was
-    # already apart, and uncompute routing with a tie on the isolated error
+    # the comparisons met a SWAP that breaks the ladder, a protected pair
+    # that was already apart, and uncompute routing with a tie on the
+    # isolated error
     assert seen["breakers"] and seen["apart"]
     assert seen["routed"] and seen["route_ties"]

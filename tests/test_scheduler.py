@@ -1,9 +1,14 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chromaroute
 from chromaroute import (
     CouplingGraph,
     CrosstalkProfile,
@@ -25,7 +30,7 @@ from chromaroute import (
 )
 from chromaroute.csg import Budget
 from chromaroute.fixtures import fixture_text, pair_circuit, ring6, ring6_cross, ring6_cross_hot
-from chromaroute.scheduler import ScheduleState, StallGuard
+from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard
 
 
 def swap_starts(sched):
@@ -199,6 +204,42 @@ def test_schedule_json_roundtrip():
     again = ScheduledCircuit.from_json_dict(copy.deepcopy(data))
     assert again.to_json_dict() == data
     assert verify_routing(again, hw, prof, circ, allowance=0.0)
+
+
+def test_ledger_total_adds_left_to_right():
+    # sum() compensates float rounding from Python 3.12 on and gives 1.0
+    _, prof = ring6()
+    entries = [LedgerEntry(layer=i, edges=((0, 1), (3, 4)), excess=0.1) for i in range(10)]
+    sched = ScheduledCircuit(6, [], entries, Mapping(6, 6), Mapping(6, 6))
+    assert sched.ledger_total() == 0.9999999999999999
+    assert Budget(prof).spent(entries) == 0.9999999999999999
+    assert repr(ScheduledCircuit(6, [], [], Mapping(6, 6), Mapping(6, 6)).ledger_total()) == "0"
+
+
+def test_a_huge_num_physical_is_a_size_mismatch():
+    hw, prof = ring6()
+    doc = compile_circuit(pair_circuit(), hw, prof).to_json_dict()
+    doc["num_physical"] = 10**12
+    # A child with 1 GiB of address space: a Mapping that allocated one
+    # entry per physical qubit fails there instead of taking the machine.
+    code = (
+        "import json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from chromaroute import ScheduledCircuit, VerificationError, verify_routing\n"
+        "from chromaroute.fixtures import ring6\n"
+        "sched = ScheduledCircuit.from_json_dict(json.load(sys.stdin))\n"
+        "try:\n"
+        "    verify_routing(sched, *ring6())\n"
+        "except VerificationError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(chromaroute.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(doc), capture_output=True, text=True, env=env
+    )
+    assert proc.stdout == "num_physical 1000000000000, device has 6\n", proc.stderr
 
 
 def test_on_iteration_hook_sees_csgs():
