@@ -65,8 +65,13 @@ class Budget:
             # rates can still be budgeted this way
             return 0.0
 
+    def share(self, entry) -> float:
+        """How much of the allowance one ``LedgerEntry`` uses."""
+        return 1.0 if self.units == "pairs" else entry.excess
+
     def spent(self, ledger) -> float:
-        """How much of the allowance a ledger of ``LedgerEntry`` has used."""
+        """How much of the allowance a ledger of ``LedgerEntry`` has used:
+        ``spent([])`` plus each entry's ``share``, left to right."""
         if self.units == "pairs":
             return float(len(ledger))
         return left_sum(e.excess for e in ledger)
@@ -101,14 +106,14 @@ class InProgressSwap:
     gate_key: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CsgVertex:
     vertex_id: int
     kind: str  # "cgate" | "swap" | "inprogress"
     edge: Edge
     gate_key: object = None
     remaining_time: int | None = None
-    helps: frozenset = field(default_factory=frozenset)
+    helps: frozenset = frozenset()
 
     def label(self) -> str:
         a, b = self.edge
@@ -121,22 +126,15 @@ class CsgVertex:
 
 @dataclass
 class Csg:
-    """One iteration's candidate set graph.  The adjacency is derived from
-    the two edge collections when the graph is built, so they must not
-    change afterwards."""
+    """One iteration's candidate set graph.  ``build_csg`` fills the
+    adjacency as it adds each conflict and crosstalk edge, so the edge
+    collections must not change afterwards."""
 
     vertices: list[CsgVertex]
     conflict_edges: set[tuple[int, int]]
     crosstalk_edges: dict[tuple[int, int], float]
     permitted_pairs: list[tuple[int, int, float]]
-    _adjacency: list[set[int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._adjacency = [set() for _ in self.vertices]
-        for edges in (self.conflict_edges, self.crosstalk_edges):
-            for i, j in edges:
-                self._adjacency[i].add(j)
-                self._adjacency[j].add(i)
+    _adjacency: list[set[int]] = field(repr=False, compare=False)
 
     def neighbors(self, vid: int) -> set[int]:
         """Vertices joined to ``vid`` by either kind of edge (the graph's own
@@ -198,43 +196,6 @@ def cheapest_swap(candidates: list[SwapCandidate], hw: CouplingGraph) -> SwapCan
     return min(candidates, key=lambda s: (hw.edge_error.get(s.edge, 0.0), s.edge))
 
 
-def _joint_overshoots(
-    sa_edge: Edge,
-    sb_edge: Edge,
-    shared_keys: frozenset,
-    pending_by_key: dict,
-    mapping: Mapping,
-    hw: CouplingGraph,
-) -> bool:
-    """True when applying both SWAPs together fails to strictly reduce the
-    distance of some gate both of them claim to help.
-
-    Two SWAPs attacking the same gate from opposite ends can cancel out:
-    each alone reduces the distance, both together move the endpoints past
-    each other.  Such pairs are serialized via a conflict edge."""
-
-    def moved(q: int) -> int:
-        for a, b in (sa_edge, sb_edge):
-            if q == a:
-                q = b
-            elif q == b:
-                q = a
-        return q
-
-    dist = hw.all_pairs_distance()
-    for key in shared_keys:
-        # An in-flight SWAP can carry help keys from the iteration it
-        # started in; a gate that has since left the pending set cannot be
-        # re-evaluated, so it cannot justify a conflict either.
-        gate = pending_by_key.get(key)
-        if gate is None:
-            continue
-        pa, pb = mapping.phys(gate.logicals[0]), mapping.phys(gate.logicals[1])
-        if dist[moved(pa)][moved(pb)] >= dist[pa][pb]:
-            return True
-    return False
-
-
 def build_csg(
     cgates: list[PendingPair],
     candidate_swaps: list[SwapCandidate],
@@ -255,85 +216,69 @@ def build_csg(
     """
     vertices: list[CsgVertex] = []
     for ip in sorted(in_progress, key=lambda s: s.edge):
-        vertices.append(
-            CsgVertex(
-                vertex_id=len(vertices),
-                kind="inprogress",
-                edge=ip.edge,
-                remaining_time=ip.remaining_time,
-                helps=ip.helps,
-            )
-        )
-    mapping_phys = {
-        p.key: normalize_edge(mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1]))
-        for p in cgates
-    }
+        vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
     for p in sorted(cgates, key=lambda g: g.key):
-        vertices.append(
-            CsgVertex(
-                vertex_id=len(vertices),
-                kind="cgate",
-                edge=mapping_phys[p.key],
-                gate_key=p.key,
-            )
-        )
+        edge = normalize_edge(mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1]))
+        vertices.append(CsgVertex(len(vertices), "cgate", edge, p.key))
     busy_edges = {ip.edge for ip in in_progress}
     for sc in sorted(candidate_swaps, key=lambda s: s.edge):
-        if sc.edge in busy_edges:
-            # The same physical SWAP is already running; restarting it would
-            # be a different operation on busy qubits anyway.
-            continue
-        vertices.append(
-            CsgVertex(
-                vertex_id=len(vertices),
-                kind="swap",
-                edge=sc.edge,
-                helps=sc.helps,
-            )
-        )
+        # The same physical SWAP may already be running; restarting it would
+        # be a different operation on busy qubits anyway.
+        if sc.edge not in busy_edges:
+            vertices.append(CsgVertex(len(vertices), "swap", sc.edge, None, None, sc.helps))
 
-    # Pairs come from three indexes instead of all V^2 vertex pairs; each
-    # test keeps its precedence: a shared qubit, then a joint overshoot,
-    # then two in-flight SWAPs (never priced), then the crosstalk price.
+    # Each vertex meets the earlier ones through three indexes instead of
+    # all V^2 pairs, and each test keeps its precedence: a shared qubit,
+    # then a joint overshoot, then two in-flight SWAPs (never priced), then
+    # the crosstalk price.  An edge goes into the adjacency when it is found.
+    dist = hw.all_pairs_distance()
+    placed = {p.key: (mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])) for p in pending}
+    partners = budget.profile.partners
+    adjacency: list[set[int]] = [set() for _ in vertices]
+    conflict_edges: set[tuple[int, int]] = set()
+    maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
     by_qubit: dict[int, list[int]] = {}
     by_help: dict[object, list[int]] = {}
     by_edge: dict[Edge, list[int]] = {}
     for v in vertices:
-        for q in v.edge:
-            by_qubit.setdefault(q, []).append(v.vertex_id)
-        if v.kind != "cgate":
-            for key in v.helps:
-                by_help.setdefault(key, []).append(v.vertex_id)
-        by_edge.setdefault(v.edge, []).append(v.vertex_id)
-    conflict_edges: set[tuple[int, int]] = set()
-    for ids in by_qubit.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                conflict_edges.add((ids[a], ids[b]))
-    pending_by_key = {p.key: p for p in pending}
-    overshoot_checked: set[tuple[int, int]] = set()
-    for ids in by_help.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                pair = (ids[a], ids[b])
-                if pair in conflict_edges or pair in overshoot_checked:
-                    continue
-                overshoot_checked.add(pair)
-                u, v = vertices[pair[0]], vertices[pair[1]]
-                if _joint_overshoots(u.edge, v.edge, u.helps & v.helps, pending_by_key, mapping, hw):
-                    conflict_edges.add(pair)
-    maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
-    for u in vertices:
-        i = u.vertex_id
-        for partner in budget.profile.partners(u.edge):
-            for j in by_edge.get(partner, ()):
-                v = vertices[j]
-                if j < i or (i, j) in conflict_edges:
-                    continue
-                if u.kind == "inprogress" and v.kind == "inprogress":
-                    # Their interference, if any, was charged when they started.
+        j = v.vertex_id
+        joined = adjacency[j]
+        a, b = v.edge
+        for q in (a, b):
+            ids = by_qubit.setdefault(q, [])
+            for i in ids:
+                conflict_edges.add((i, j))
+                adjacency[i].add(j)
+                joined.add(i)
+            ids.append(j)
+        # Two SWAPs attacking one gate from opposite ends can cancel out:
+        # each alone reduces its distance, both together move the endpoints
+        # past each other.  An in-flight SWAP can carry help keys from the
+        # iteration it started in; a gate that has since left the pending
+        # set cannot be re-evaluated, so it cannot justify a conflict.
+        for i in {i for key in v.helps for i in by_help.get(key, ())} - joined:
+            u = vertices[i]
+            c, d = u.edge  # shares no qubit with (a, b): each qubit moves once
+            moved = {a: b, b: a, c: d, d: c}
+            for key in u.helps & v.helps:
+                if key in placed:
+                    pa, pb = placed[key]
+                    if dist[moved.get(pa, pa)][moved.get(pb, pb)] >= dist[pa][pb]:
+                        conflict_edges.add((i, j))
+                        adjacency[i].add(j)
+                        joined.add(i)
+                        break
+        for partner in partners(v.edge):
+            for i in by_edge.get(partner, ()):
+                u = vertices[i]
+                if i in joined or (u.kind == "inprogress" and v.kind == "inprogress"):
+                    # Two in-flight SWAPs: their interference, if any, was
+                    # charged when they started.
                     continue
                 maybe_crosstalk.append((budget.cost(u.edge, v.edge), u.edge, v.edge, i, j))
+        for key in v.helps:
+            by_help.setdefault(key, []).append(j)
+        by_edge.setdefault(v.edge, []).append(j)
 
     # (cost, e_i, e_j) ties happen (a cgate and a SWAP on one edge); the
     # vertex ids break them in the order of a nested i < j loop.
@@ -347,9 +292,6 @@ def build_csg(
             permitted.append((i, j, cost))
         else:
             crosstalk_edges[(i, j)] = cost
-    return Csg(
-        vertices=vertices,
-        conflict_edges=conflict_edges,
-        crosstalk_edges=crosstalk_edges,
-        permitted_pairs=permitted,
-    )
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    return Csg(vertices, conflict_edges, crosstalk_edges, permitted, _adjacency=adjacency)

@@ -195,24 +195,29 @@ def welsh_powell(csg: Csg) -> list[ColorClass]:
     """Greedy coloring, highest degree first, with in-flight SWAPs forced
     into color 0 before anything else is considered.  Later vertices may
     still join color 0 when nothing pins them apart."""
-    colors: dict[int, int] = {}
+    neighbors = csg.neighbors
+    colors: list[int] = []  # by vertex id; -1 until colored
+    order: list[int] = []
     for v in csg.vertices:
         if v.kind == "inprogress":
-            colors[v.vertex_id] = 0
-    order = sorted(
-        (v for v in csg.vertices if v.vertex_id not in colors),
-        key=lambda v: (-csg.degree(v.vertex_id), v.vertex_id),
-    )
-    for v in order:
-        taken = {colors[n] for n in csg.neighbors(v.vertex_id) if n in colors}
+            colors.append(0)
+        else:
+            colors.append(-1)
+            order.append(v.vertex_id)
+    # a stable sort of ascending ids: ties on degree go to the lower id
+    order.sort(key=lambda vid: -len(neighbors(vid)))
+    for vid in order:
+        taken = {colors[n] for n in neighbors(vid)}
         c = 0
         while c in taken:
             c += 1
-        colors[v.vertex_id] = c
-    by_color: dict[int, list[int]] = {}
-    for vid, c in colors.items():
-        by_color.setdefault(c, []).append(vid)
-    return [ColorClass(color=c, members=sorted(vids)) for c, vids in sorted(by_color.items())]
+        colors[vid] = c
+    # a vertex takes color c only when colors 0..c-1 are at its neighbors,
+    # so the colors in use are 0..max
+    classes = [ColorClass(color=c, members=[]) for c in range(max(colors, default=-1) + 1)]
+    for vid, c in enumerate(colors):
+        classes[c].members.append(vid)
+    return classes
 
 
 @dataclass
@@ -264,6 +269,8 @@ def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) 
             if cls.color == 0:
                 return cls
         raise InvariantError("in-flight SWAPs present but color 0 missing")
+    if len(classes) == 1:
+        return classes[0]
     short = sorted(classes, key=lambda c: (-len(c.members), min(c.members)))[:TOP_K]
     metrics = {cls.color: _class_metrics(csg, cls, ctx) for cls in short}
     best4 = min(metrics[c.color][:4] for c in short)
@@ -309,7 +316,7 @@ class StallGuard:
 
     def escape_swaps(self, pending: list, drained: Mapping, flights: list, criticality: dict):
         """None unless escaping; then [] while flights are open, else one least-error SWAP."""
-        if self.target not in pending:
+        if self.target is None or self.target not in pending:
             self.target = None
             if self.gates_idle > self.hw.num_qubits and pending:
                 self.target = min(pending, key=lambda p: (-criticality.get(p.key, 0), p.key))
@@ -340,6 +347,7 @@ class ScheduleState:
         self.budget = budget
         self.initial_mapping = initial_mapping
         self.mapping = initial_mapping.copy()
+        self._drained = initial_mapping.copy()  # kept current by start_swap
         self.layers: list[list[Op]] = []
         self.ledger: list[LedgerEntry] = []
         self._spent = budget.spent(self.ledger)  # kept current by _charge
@@ -355,12 +363,13 @@ class ScheduleState:
         return max(self.budget.allowance - self._spent, 0.0)
 
     def drained(self) -> Mapping:
-        """The mapping that will hold once the in-flight routing SWAPs land."""
-        drained = self.mapping.copy()
-        for f in self.flights:
-            if f.gate_key is None:
-                drained.apply_swap(*f.edge)
-        return drained
+        """The mapping that will hold once the in-flight routing SWAPs land.
+        It is the state's own, kept current as each routing SWAP starts, so
+        callers read it and must not change it (``vqa.pattern_cost`` and
+        ``_lookahead_extra_swaps`` preview on copies).  They read it before
+        ``schedule_layer`` commits, as synthesis's tie-breaker does: the
+        SWAPs a commit starts move it."""
+        return self._drained
 
     def result(self) -> ScheduledCircuit:
         return ScheduledCircuit(
@@ -422,6 +431,8 @@ class ScheduleState:
             )
         )
         self.flights.append(InProgressSwap(edge, SWAP_DURATION, helps, gate_key))
+        if gate_key is None:
+            self._drained.apply_swap(*edge)
 
     def charge_preview(self, edge: Edge) -> float:
         """Budget delta that placing a two-qubit op on ``edge``, whose qubits
@@ -434,16 +445,15 @@ class ScheduleState:
         return total
 
     def _charge(self, edge: Edge) -> None:
+        """Write a ledger entry for each profiled pair of ``edge`` with a
+        link of the open layer, and add each entry's share to the running
+        total in ledger order, which is ``budget.spent(ledger)``."""
         layer_idx = len(self.layers)
-        charged = len(self.ledger)
-        for other in sorted(self._cur_edges):
-            if self.budget.cost(edge, other) is None:
-                continue
+        for other in sorted(self._cur_edges.intersection(self.budget.profile.partners(edge))):
             excess = self.budget.recorded_excess(edge, other)
-            pair = tuple(sorted((edge, other)))
-            self.ledger.append(LedgerEntry(layer=layer_idx, edges=pair, excess=excess))
-        if len(self.ledger) > charged:
-            self._spent = self.budget.spent(self.ledger)
+            entry = LedgerEntry(layer=layer_idx, edges=tuple(sorted((edge, other))), excess=excess)
+            self.ledger.append(entry)
+            self._spent += self.budget.share(entry)
         if self._spent > self.budget.allowance + 1e-9:
             raise InvariantError(
                 f"crosstalk ledger {self._spent:.6g} exceeds allowance {self.budget.allowance:.6g}"
@@ -525,6 +535,11 @@ class CircuitRun:
         self.executed: set[int] = set()
         self.ready: set[int] = {g.gate_id for g in frontier(circuit, set())}
         self._waiting = {gid: len(preds) for gid, preds in circuit.predecessors.items()}
+        self._pairs = {
+            g.gate_id: PendingPair(g.gate_id, (g.qubits[0], g.qubits[1]))
+            for g in circuit.gates
+            if g.kind != "u"
+        }
 
     def done(self) -> bool:
         return len(self.executed) == len(self.circuit.gates)
@@ -547,11 +562,11 @@ class CircuitRun:
         two_q: list[PendingPair] = []
         singles: list[Gate] = []
         for gid in sorted(self.ready):
-            g = self.circuit.gate(gid)
-            if g.kind == "u":
-                singles.append(g)
+            pair = self._pairs.get(gid)
+            if pair is None:
+                singles.append(self.circuit.gate(gid))
             else:
-                two_q.append(PendingPair(g.gate_id, (g.qubits[0], g.qubits[1])))
+                two_q.append(pair)
         return two_q, singles
 
     def run_gate(self, gate_id: int) -> None:

@@ -2,12 +2,14 @@
 
 ``useful_swaps`` scans only the edges at an unsatisfied gate's endpoints,
 ``build_csg`` finds its vertex pairs through indexes, ``Csg.neighbors``
-reads adjacency sets built once, and ``CircuitRun`` keeps its ready set
-incrementally.  The references below are the straightforward versions:
+reads the adjacency ``build_csg`` fills, ``CircuitRun`` keeps its ready set
+incrementally, ``ScheduleState`` keeps its drained mapping and its crosstalk
+total as it goes.  The references below are the straightforward versions:
 every coupling edge, every vertex pair, both edge sets scanned per lookup,
-and ``frontier`` recomputed from the executed set.  Seeded grid compiles
-run with checking wrappers around the scheduler's calls, so every state a
-compile meets is compared.
+``frontier`` recomputed from the executed set, a mapping copy with the
+in-flight routing SWAPs applied, and the ledger summed again.  Seeded grid
+compiles run with checking wrappers around the scheduler's calls, so every
+state a compile meets is compared.
 
 Pauli-ladder synthesis tests whether a candidate SWAP keeps every executed
 ladder pair adjacent by moving the pair's two physical qubits, and finds
@@ -171,6 +173,15 @@ def reference_neighbors(csg, vid):
     return out
 
 
+def reference_drained(state):
+    """The mapping once the in-flight routing SWAPs land, built afresh."""
+    drained = state.mapping.copy()
+    for f in state.flights:
+        if f.gate_key is None:
+            drained.apply_swap(*f.edge)
+    return drained
+
+
 def reference_welsh_powell(csg):
     colors = {v.vertex_id: 0 for v in csg.vertices if v.kind == "inprogress"}
     order = sorted(
@@ -189,19 +200,9 @@ def reference_welsh_powell(csg):
     return [ColorClass(color=c, members=sorted(m)) for c, m in sorted(by_color.items())]
 
 
-@pytest.mark.parametrize("units", ["error", "pairs"])
-@pytest.mark.parametrize("rows,seed,size", [(4, 1, 90), (5, 2, 110), (6, 3, 130)])
-def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units):
-    rng = random.Random(seed)
-    hw, prof = grid_device(rows, rows, rng)
-    circuit = random_circuit(rows * rows, size, rng)
-    seen = {"swaps": 0, "csgs": 0, "permitted": 0, "crosstalk": 0, "ties": 0, "in_flight": 0}
-
-    def checked_useful_swaps(pending, mapping, hw):
-        got = useful_swaps(pending, mapping, hw)
-        assert got == reference_useful_swaps(pending, mapping, hw)
-        seen["swaps"] += len(got)
-        return got
+def checking_build_csg(seen):
+    """``build_csg`` wrapped to compare each CSG and its coloring with the
+    references, counting what it saw into ``seen``."""
 
     def checked_build_csg(cgates, swaps, in_prog, pending, mapping, hw, budget, allowance_left):
         csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, budget, allowance_left)
@@ -223,6 +224,25 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units
         seen["ties"] += ties
         return csg
 
+    return checked_build_csg
+
+
+@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("rows,seed,size", [(4, 1, 90), (5, 2, 110), (6, 3, 130)])
+def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units):
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, size, rng)
+    seen = dict.fromkeys(
+        ("swaps", "csgs", "permitted", "crosstalk", "ties", "in_flight", "routing_in_flight"), 0
+    )
+
+    def checked_useful_swaps(pending, mapping, hw):
+        got = useful_swaps(pending, mapping, hw)
+        assert got == reference_useful_swaps(pending, mapping, hw)
+        seen["swaps"] += len(got)
+        return got
+
     runs = []
 
     class RecordedRun(CircuitRun):
@@ -235,10 +255,12 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units
         in_flight = {f.gate_key for f in run.state.flights if f.gate_key is not None}
         want = {g.gate_id for g in frontier(circuit, run.executed)} - in_flight
         assert run.ready == want
+        assert run.state.drained().as_dict() == reference_drained(run.state).as_dict()
         seen["in_flight"] += len(in_flight)
+        seen["routing_in_flight"] += sum(f.gate_key is None for f in run.state.flights)
 
     monkeypatch.setattr(scheduler, "useful_swaps", checked_useful_swaps)
-    monkeypatch.setattr(scheduler, "build_csg", checked_build_csg)
+    monkeypatch.setattr(scheduler, "build_csg", checking_build_csg(seen))
     monkeypatch.setattr(scheduler, "CircuitRun", RecordedRun)
     for allowance in (0.0, 0.05, math.inf):
         sched = compile_circuit(
@@ -248,9 +270,37 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units
             sched, hw, prof, circuit=circuit, allowance=allowance, allowance_units=units
         )
     # the comparisons saw every kind of outcome
-    assert seen["swaps"] and seen["csgs"] and seen["in_flight"]
+    assert seen["swaps"] and seen["csgs"] and seen["in_flight"] and seen["routing_in_flight"]
     # ties on (cost, e_i, e_j): a cgate and a candidate SWAP on one edge
     assert seen["permitted"] and seen["crosstalk"] and seen["ties"]
+
+
+@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("allowance", [0.05, math.inf])
+def test_running_crosstalk_total_is_the_ledger_sum(monkeypatch, allowance, units):
+    """``ScheduleState`` adds each ledger entry's share to its total as the
+    entry is written; after every placement, in both scheduling loops, the
+    total is exactly the budget's left-to-right sum of the ledger."""
+    place = ScheduleState.place
+    seen = {"placements": 0, "entries": 0}
+
+    def checked_place(state, op):
+        place(state, op)
+        assert state._spent == state.budget.spent(state.ledger)
+        seen["placements"] += 1
+        seen["entries"] = max(seen["entries"], len(state.ledger))
+
+    monkeypatch.setattr(ScheduleState, "place", checked_place)
+    for rows, seed in ((4, 1), (5, 2), (6, 3)):
+        rng = random.Random(seed)
+        hw, prof = grid_device(rows, rows, rng)
+        circuit = random_circuit(rows * rows, 100, rng)
+        program = random_pauli_program(rows * rows, 8, rng)
+        compile_circuit(circuit, hw, prof, allowance=allowance, allowance_units=units)
+        synthesize(program, hw, prof, allowance=allowance, allowance_units=units)
+    assert seen["placements"]
+    # a pair costs 1 when counting pairs, so 0.05 of them buys none
+    assert seen["entries"] > 1 or (units == "pairs" and allowance < 1)
 
 
 def test_missing_isolated_rate_raises_only_when_the_pair_is_priced():
@@ -345,7 +395,10 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng, error_levels=(0.01, 0.02))
     program = random_pauli_program(rows * rows, 16, rng)
-    seen = {"breakers": 0, "apart": 0, "routed": 0, "route_ties": 0}
+    seen = dict.fromkeys(
+        ("breakers", "apart", "routed", "route_ties", "drained", "csgs", "permitted", "crosstalk", "ties"),
+        0,
+    )
     keeps_ladder, closing_swap = vqa._keeps_ladder, vqa._closing_swap
     breakers = {}  # the reference's answer per (ladder, drained placement)
 
@@ -367,8 +420,18 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
         seen["route_ties"] += len(want) > 1 and want[0][0] == want[1][0]
         return got
 
+    class CheckedState(ScheduleState):
+        def drained(self):
+            got = super().drained()
+            assert got.as_dict() == reference_drained(self).as_dict()
+            seen["drained"] += 1
+            return got
+
     monkeypatch.setattr(vqa, "_keeps_ladder", checked_keeps_ladder)
     monkeypatch.setattr(vqa, "_closing_swap", checked_closing_swap)
+    # synthesis reaches build_csg through scheduler.schedule_layer
+    monkeypatch.setattr(scheduler, "build_csg", checking_build_csg(seen))
+    monkeypatch.setattr(vqa, "ScheduleState", CheckedState)
     for allowance in (0.0, 0.05, math.inf):
         sched = synthesize(program, hw, prof, allowance=allowance, allowance_units=units)
         scheduler.verify_routing(sched, hw, prof, allowance=allowance, allowance_units=units)
@@ -377,3 +440,4 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
     # isolated error
     assert seen["breakers"] and seen["apart"]
     assert seen["routed"] and seen["route_ties"]
+    assert seen["csgs"] and seen["drained"] and seen["permitted"] and seen["crosstalk"]
