@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .csg import Budget, cheapest_swap, executable_pairs, useful_swaps
+from .csg import cheapest_swap, executable_pairs, useful_swaps
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping, normalize_edge
 from .ir import LogicalCircuit
 from .scheduler import (
@@ -41,7 +41,7 @@ def oblivious_schedule(
     more than ``num_qubits`` iterations with no gate run walk one gate in
     by single least-error SWAPs (StallGuard).  Interference the schedule
     commits is still in the ledger, so its ESP reflects the inflated rates."""
-    state = ScheduleState(hw, Budget(profile, math.inf), circuit.num_qubits, initial_mapping)
+    state = ScheduleState(hw, profile, math.inf, circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
     guard = StallGuard(len(circuit.gates), hw, "baseline: ")
     while not run.done():

@@ -173,7 +173,6 @@ def _load_inputs(args):
         kwargs = {
             "initial_mapping": mapping,
             "allowance": allowance,
-            "allowance_units": args.allowance_units,
             "on_iteration": hook,
         }
         if circuit is not None:
@@ -212,14 +211,7 @@ def _cmd_compile(args) -> int:
         verify_routing(sched, hw, profile, circuit=circuit)
     else:
         sched = schedule(args.allowance, hook=hook)
-        verify_routing(
-            sched,
-            hw,
-            profile,
-            circuit=circuit,
-            allowance=args.allowance,
-            allowance_units=args.allowance_units,
-        )
+        verify_routing(sched, hw, profile, circuit=circuit, allowance=args.allowance)
     return _emit_schedule(args, sched, hook, "compiled")
 
 
@@ -238,17 +230,10 @@ def _cmd_vqe_synth(args) -> int:
         profile,
         initial_mapping=mapping,
         allowance=args.allowance,
-        allowance_units=args.allowance_units,
         options=options,
         on_iteration=hook,
     )
-    verify_routing(
-        sched,
-        hw,
-        profile,
-        allowance=args.allowance,
-        allowance_units=args.allowance_units,
-    )
+    verify_routing(sched, hw, profile, allowance=args.allowance)
     return _emit_schedule(args, sched, hook, "synthesized")
 
 
@@ -284,9 +269,7 @@ def _cmd_search(args) -> int:
     def compile_fn(allowance: float) -> ScheduledCircuit:
         return schedule(allowance, options)
 
-    result = search_allowance(
-        compile_fn, hw, profile, steps=args.steps, allowance_units=args.allowance_units
-    )
+    result = search_allowance(compile_fn, hw, profile, steps=args.steps)
     log.info(
         "search: best allowance %g of x_max %g, esp %g (%d probes)",
         result.best_allowance,
@@ -296,14 +279,7 @@ def _cmd_search(args) -> int:
     )
     if args.schedule_out:
         best = result.schedule
-        verify_routing(
-            sched=best,
-            hw=hw,
-            profile=profile,
-            circuit=circuit,
-            allowance=result.best_allowance,
-            allowance_units=args.allowance_units,
-        )
+        verify_routing(best, hw, profile, circuit=circuit, allowance=result.best_allowance)
         _write_text(_json_text(best.to_json_dict()), args.schedule_out)
     _write_text(_json_text(result.to_json_dict()), args.out)
     return EXIT_OK
@@ -329,12 +305,6 @@ def _add_device_args(p: argparse.ArgumentParser):
     p.add_argument("--hardware", "-H", required=True, help="hardware description JSON")
     p.add_argument("--mapping", "-m", help="initial placement, e.g. '0:2,1:0,2:1'")
     p.add_argument("--out", "-o", help="output file (default: stdout)")
-    p.add_argument(
-        "--allowance-units",
-        choices=("error", "pairs"),
-        default="error",
-        help="budget accumulated error mass, or count permitted pairs",
-    )
 
 
 def _add_common_compile_args(p: argparse.ArgumentParser):
@@ -344,7 +314,8 @@ def _add_common_compile_args(p: argparse.ArgumentParser):
         "-a",
         type=_at_least(float, 0.0, "a number >= 0 or 'inf'"),
         default=0.0,
-        help="crosstalk budget (default 0; 'inf' allowed)",
+        help="crosstalk allowance: the excess error mass the committed link pairs "
+        "may add up to (default 0; 'inf' allowed)",
     )
     p.add_argument("--emit-csg", help="write every iteration's candidate set graph as DOT")
     p.add_argument("--emit-timeline", help="write a human-readable layer timeline")
@@ -383,7 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jw-encode", help="encode fermionic terms as a Pauli program")
     p.add_argument("--fermions", "-f", required=True, help="fermion term input file")
-    p.add_argument("--modes", "-n", type=int, help="mode count (default: inferred)")
+    p.add_argument(
+        "--modes",
+        "-n",
+        type=_at_least(int, 1, "a whole number >= 1"),
+        help="mode count (default: inferred)",
+    )
     p.add_argument("--out", "-o", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_jw_encode)
 

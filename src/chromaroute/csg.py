@@ -11,70 +11,8 @@ buys back as much parallelism as it can pay for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
-from .errors import HardwareError, InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
-
-
-def left_sum(values):
-    """The values added left to right, starting from the int 0 as ``sum``
-    does.  ``sum`` compensates float rounding from Python 3.12 on; this
-    gives every version the older result."""
-    return reduce(add, values, 0)
-
-
-@dataclass(frozen=True)
-class Budget:
-    """A crosstalk allowance and the units it is counted in: ``"error"``
-    budgets the accumulated excess error mass of the committed link pairs,
-    ``"pairs"`` simply counts them.  Only this class knows the units."""
-
-    profile: CrosstalkProfile
-    allowance: float = 0.0
-    units: str = "error"
-    _costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.units not in ("error", "pairs"):
-            raise InvariantError(f"unknown allowance units {self.units!r}")
-
-    def cost(self, e1: Edge, e2: Edge) -> float | None:
-        """What running the two links in one layer costs the budget, or
-        None when the profile does not pair them.  Memoised per ordered
-        pair; a lookup that raises is not remembered."""
-        key = (e1, e2)
-        if key in self._costs:
-            return self._costs[key]
-        if self.profile.record_for(e1, e2) is None:
-            cost = None
-        else:
-            cost = self.profile.excess_error(e1, e2) if self.units == "error" else 1.0
-        self._costs[key] = cost
-        return cost
-
-    def recorded_excess(self, e1: Edge, e2: Edge) -> float:
-        """The excess error the ledger records for a profiled link pair."""
-        try:
-            return self.profile.excess_error(e1, e2)
-        except HardwareError:
-            if self.units != "pairs":
-                raise
-            # counting pairs, not error mass; devices without isolated
-            # rates can still be budgeted this way
-            return 0.0
-
-    def share(self, entry) -> float:
-        """How much of the allowance one ``LedgerEntry`` uses."""
-        return 1.0 if self.units == "pairs" else entry.excess
-
-    def spent(self, ledger) -> float:
-        """How much of the allowance a ledger of ``LedgerEntry`` has used:
-        ``spent([])`` plus each entry's ``share``, left to right."""
-        if self.units == "pairs":
-            return float(len(ledger))
-        return left_sum(e.excess for e in ledger)
 
 
 @dataclass(frozen=True)
@@ -203,16 +141,16 @@ def build_csg(
     pending: list[PendingPair],
     mapping: Mapping,
     hw: CouplingGraph,
-    budget: Budget,
+    profile: CrosstalkProfile,
     allowance_left: float,
 ) -> Csg:
     """Assemble the candidate set graph for one scheduling iteration.
 
     Vertex ids are assigned deterministically: in-progress SWAPs first (by
     edge), then cgates (by gate key), then candidate SWAPs (by edge).
-    Crosstalk pairs are sorted ascending by ``budget`` cost and permitted
-    while the running total stays within ``allowance_left``; only the pairs
-    that did not fit become crosstalk edges.
+    Crosstalk pairs are sorted ascending by ``profile.excess_error`` and
+    permitted while the running total stays within ``allowance_left``; only
+    the pairs that did not fit become crosstalk edges.
     """
     vertices: list[CsgVertex] = []
     for ip in sorted(in_progress, key=lambda s: s.edge):
@@ -233,7 +171,7 @@ def build_csg(
     # the crosstalk price.  An edge goes into the adjacency when it is found.
     dist = hw.all_pairs_distance()
     placed = {p.key: (mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])) for p in pending}
-    partners = budget.profile.partners
+    partners = profile.partners
     adjacency: list[set[int]] = [set() for _ in vertices]
     conflict_edges: set[tuple[int, int]] = set()
     maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
@@ -275,7 +213,7 @@ def build_csg(
                     # Two in-flight SWAPs: their interference, if any, was
                     # charged when they started.
                     continue
-                maybe_crosstalk.append((budget.cost(u.edge, v.edge), u.edge, v.edge, i, j))
+                maybe_crosstalk.append((profile.excess_error(u.edge, v.edge), u.edge, v.edge, i, j))
         for key in v.helps:
             by_help.setdefault(key, []).append(j)
         by_edge.setdefault(v.edge, []).append(j)

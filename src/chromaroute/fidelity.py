@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .csg import Budget
 from .hardware import CouplingGraph, CrosstalkProfile
 from .scheduler import ScheduledCircuit
 
@@ -27,8 +26,11 @@ SEARCH_MAX_ITER = 64
 
 
 def decoherence_error(t: float, t1: float, t2: float) -> float:
-    """Probability that a qubit idling for time ``t`` is lost to relaxation
-    or dephasing.  Infinite T1/T2 mean a perfect memory."""
+    """The product (1 - e^{-t/T1}) (1 - e^{-t/T2}): the probability that a
+    qubit idling for time ``t`` is lost to both relaxation and dephasing,
+    taken as independent.  Whether the loss should rather be either of the
+    two, 1 - e^{-t/T1 - t/T2}, is an open model question (ROADMAP item 2).
+    Infinite T1/T2 mean a perfect memory."""
     if t < 0:
         raise ValueError(f"negative duration {t}")
     return (1.0 - math.exp(-t / t1)) * (1.0 - math.exp(-t / t2))
@@ -48,7 +50,13 @@ def _conditional_rates(sched: ScheduledCircuit, profile: CrosstalkProfile):
 
 
 def esp(sched: ScheduledCircuit, hw: CouplingGraph, profile: CrosstalkProfile) -> float:
-    """Estimated success probability of a schedule on the given device."""
+    """Estimated success probability of a schedule on the given device.
+
+    Every op of every layer is one survival factor.  A SWAP's three slices
+    are three ops, so a SWAP costs three factors of its edge's CX error.
+    An edge in the ledger at a layer uses the highest conditional rate its
+    entries there give it; any other two-qubit op uses its edge's isolated
+    rate, and a single-qubit op its qubit's rate."""
     inflated = _conditional_rates(sched, profile)
     p = 1.0
     used_qubits: set[int] = set(sched.initial_mapping.as_dict().values())
@@ -100,11 +108,11 @@ def fidelity_report(sched: ScheduledCircuit, hw: CouplingGraph, profile: Crossta
     )
 
 
-def find_x_max(compile_fn, budget: Budget) -> float:
-    """Upper end of the allowance search interval: the crosstalk an
-    unconstrained compilation actually commits, in ``budget``'s units.
-    ``compile_fn`` maps an allowance to a ScheduledCircuit."""
-    return budget.spent(compile_fn(math.inf).crosstalk_ledger)
+def find_x_max(compile_fn) -> float:
+    """Upper end of the allowance search interval: the excess error an
+    unconstrained compilation actually commits.  ``compile_fn`` maps an
+    allowance to a ScheduledCircuit."""
+    return compile_fn(math.inf).ledger_total()
 
 
 @dataclass
@@ -167,14 +175,13 @@ def search_allowance(
     hw: CouplingGraph,
     profile: CrosstalkProfile,
     steps: int = 32,
-    allowance_units: str = "error",
 ) -> AllowanceSearchResult:
     """Find the crosstalk allowance with the best ESP for one workload.
 
-    ``compile_fn(allowance) -> ScheduledCircuit`` is the workload and must
-    count its allowance in ``allowance_units``; the interval is
-    [0, find_x_max] in those units, with resolution x_max/steps.  The
-    result keeps the best probe's schedule, picked as search_core picks."""
+    ``compile_fn(allowance) -> ScheduledCircuit`` is the workload; the
+    interval is [0, find_x_max] in excess error, with resolution
+    x_max/steps.  The result keeps the best probe's schedule, picked as
+    search_core picks."""
     best = None  # ((value, -x), schedule) of the best probe so far
 
     def objective(x: float) -> float:
@@ -186,7 +193,7 @@ def search_allowance(
         return value
 
     # With x_max 0 the search is one probe at 0.
-    x_max = max(0.0, find_x_max(compile_fn, Budget(profile, units=allowance_units)))
+    x_max = max(0.0, find_x_max(compile_fn))
     result = search_core(0.0, x_max, x_max / steps, objective)
     result.schedule = best[1]
     return result

@@ -173,6 +173,7 @@ class CrosstalkProfile:
             self._partners.setdefault(e1, []).append(e2)
             self._partners.setdefault(e2, []).append(e1)
         self.graph = graph
+        self._excess: dict[tuple[Edge, Edge], float] = {}
 
     def __len__(self) -> int:
         return len(self._by_pair)
@@ -200,18 +201,26 @@ class CrosstalkProfile:
         return rec.e1_given_e2 if of_edge == rec.e1 else rec.e2_given_e1
 
     def excess_error(self, e1: Edge, e2: Edge) -> float:
-        """Total error inflation of running e1 and e2 simultaneously.
+        """Total error inflation of running e1 and e2 simultaneously: the
+        one price of a link pair that the crosstalk allowance pays.
 
         Zero when the pair is not in the profile.  Never negative thanks to
-        the load-time check against isolated rates.
+        the load-time check against isolated rates.  Memoised per ordered
+        pair; a lookup that raises is not remembered.
         """
-        rec = self.record_for(e1, e2)
-        if rec is None:
-            return 0.0
-        excess = (rec.e1_given_e2 - self.graph.error_of(rec.e1)) + (
-            rec.e2_given_e1 - self.graph.error_of(rec.e2)
-        )
-        return max(excess, 0.0)
+        key = (e1, e2)
+        excess = self._excess.get(key)
+        if excess is None:
+            rec = self.record_for(e1, e2)
+            excess = 0.0
+            if rec is not None:
+                excess = max(
+                    (rec.e1_given_e2 - self.graph.error_of(rec.e1))
+                    + (rec.e2_given_e1 - self.graph.error_of(rec.e2)),
+                    0.0,
+                )
+            self._excess[key] = excess
+        return excess
 
 
 class Mapping:

@@ -111,8 +111,10 @@ def jw_encode(terms: list[FermionTerm], num_modes: int | None = None) -> PauliPr
     highest = max((t.max_mode() for t in terms), default=-1)
     if num_modes is None:
         num_modes = highest + 1
-    if num_modes <= 0:
-        raise EncodingError("cannot infer mode count: no ladder operators present")
+        if num_modes <= 0:
+            raise EncodingError("cannot infer mode count: no ladder operators present")
+    elif num_modes <= 0:
+        raise EncodingError(f"mode count must be at least 1, got {num_modes}")
     if highest >= num_modes:
         raise EncodingError(f"mode {highest} out of range for {num_modes} modes")
     identity = "I" * num_modes

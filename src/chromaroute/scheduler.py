@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .csg import (
-    Budget,
     Csg,
     InProgressSwap,
     PendingPair,
     build_csg,
     cheapest_swap,
     executable_pairs,
-    left_sum,
     useful_swaps,
 )
 from .errors import InvariantError, MappingError, ParseError, StallError, VerificationError
@@ -45,6 +45,13 @@ TOP_K = 3
 
 # Qubit count of each operation kind a schedule may hold.
 OP_ARITY = {**GATE_ARITY, "rz": 1}
+
+
+def left_sum(values):
+    """The values added left to right, starting from the int 0 as ``sum``
+    does.  ``sum`` compensates float rounding from Python 3.12 on; this
+    gives every version the older result."""
+    return reduce(add, values, 0)
 
 
 def _typed(value, types, where: str, optional: bool = False):
@@ -329,13 +336,14 @@ class StallGuard:
 class ScheduleState:
     """Mutable engine shared by the circuit compiler, the reference
     compiler and the ansatz synthesizer: opens a layer, places operations
-    with crosstalk charging against ``budget``, closes the layer advancing
-    in-flight SWAPs."""
+    with crosstalk charging against ``allowance``, an excess error mass that
+    ``profile`` prices, closes the layer advancing in-flight SWAPs."""
 
     def __init__(
         self,
         hw: CouplingGraph,
-        budget: Budget,
+        profile: CrosstalkProfile,
+        allowance: float,
         num_logical: int,
         initial_mapping: Mapping | None = None,
     ):
@@ -344,13 +352,14 @@ class ScheduleState:
         if initial_mapping is None:
             initial_mapping = Mapping(num_logical, hw.num_qubits)
         self.hw = hw
-        self.budget = budget
+        self.profile = profile
+        self.allowance = allowance
         self.initial_mapping = initial_mapping
         self.mapping = initial_mapping.copy()
         self._drained = initial_mapping.copy()  # kept current by start_swap
         self.layers: list[list[Op]] = []
         self.ledger: list[LedgerEntry] = []
-        self._spent = budget.spent(self.ledger)  # kept current by _charge
+        self._spent = 0  # ledger_total() of self.ledger, kept current by _charge
         self.flights: list[InProgressSwap] = []
         self.last_completed_edges: set[Edge] = set()
         self.last_helped: frozenset = frozenset()
@@ -360,7 +369,7 @@ class ScheduleState:
         self._placed = False
 
     def allowance_left(self) -> float:
-        return max(self.budget.allowance - self._spent, 0.0)
+        return max(self.allowance - self._spent, 0.0)
 
     def drained(self) -> Mapping:
         """The mapping that will hold once the in-flight routing SWAPs land.
@@ -435,28 +444,25 @@ class ScheduleState:
             self._drained.apply_swap(*edge)
 
     def charge_preview(self, edge: Edge) -> float:
-        """Budget delta that placing a two-qubit op on ``edge``, whose qubits
-        are free, into the open layer would cost."""
-        total = 0.0
-        for other in self._cur_edges:
-            cost = self.budget.cost(edge, other)
-            if cost is not None:
-                total += cost
-        return total
+        """Excess error that placing a two-qubit op on ``edge``, whose qubits
+        are free, into the open layer would charge."""
+        partners = self.profile.partners(edge)
+        return left_sum(
+            self.profile.excess_error(edge, other) for other in self._cur_edges if other in partners
+        )
 
     def _charge(self, edge: Edge) -> None:
         """Write a ledger entry for each profiled pair of ``edge`` with a
-        link of the open layer, and add each entry's share to the running
-        total in ledger order, which is ``budget.spent(ledger)``."""
+        link of the open layer, and add each entry's excess to the running
+        total in ledger order, which is the ledger's ``ledger_total``."""
         layer_idx = len(self.layers)
-        for other in sorted(self._cur_edges.intersection(self.budget.profile.partners(edge))):
-            excess = self.budget.recorded_excess(edge, other)
-            entry = LedgerEntry(layer=layer_idx, edges=tuple(sorted((edge, other))), excess=excess)
-            self.ledger.append(entry)
-            self._spent += self.budget.share(entry)
-        if self._spent > self.budget.allowance + 1e-9:
+        for other in sorted(self._cur_edges.intersection(self.profile.partners(edge))):
+            excess = self.profile.excess_error(edge, other)
+            self.ledger.append(LedgerEntry(layer_idx, tuple(sorted((edge, other))), excess))
+            self._spent += excess
+        if self._spent > self.allowance + 1e-9:
             raise InvariantError(
-                f"crosstalk ledger {self._spent:.6g} exceeds allowance {self.budget.allowance:.6g}"
+                f"crosstalk ledger {self._spent:.6g} exceeds allowance {self.allowance:.6g}"
             )
 
     def close_layer(self) -> tuple[bool, list[InProgressSwap]]:
@@ -507,7 +513,7 @@ def schedule_layer(
         pending,
         state.mapping,
         state.hw,
-        state.budget,
+        state.profile,
         state.allowance_left(),
     )
     if not csg.vertices:
@@ -606,17 +612,16 @@ def compile_circuit(
     profile: CrosstalkProfile,
     initial_mapping: Mapping | None = None,
     allowance: float = 0.0,
-    allowance_units: str = "error",
     on_iteration=None,
 ) -> ScheduledCircuit:
     """Map and schedule a logical circuit onto hardware.
 
     Inserts SWAPs as needed and never lets the crosstalk ledger exceed
-    ``allowance``.  After more than ``num_qubits`` iterations with no gate
-    run it escapes: one SWAP at a time for its most critical gate (StallGuard).
+    ``allowance``, an excess error mass.  After more than ``num_qubits``
+    iterations with no gate run it escapes: one SWAP at a time for its most
+    critical gate (StallGuard).
     ``on_iteration`` gets ``{"iteration", "csg", "selected"}`` after each layer."""
-    budget = Budget(profile, allowance, allowance_units)
-    state = ScheduleState(hw, budget, circuit.num_qubits, initial_mapping)
+    state = ScheduleState(hw, profile, allowance, circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
     criticality = circuit.criticality()
     guard = StallGuard(len(circuit.gates), hw)
@@ -683,7 +688,6 @@ def verify_routing(
     profile: CrosstalkProfile,
     circuit: LogicalCircuit | None = None,
     allowance: float = math.inf,
-    allowance_units: str = "error",
 ) -> bool:
     """Independent replay of a schedule.
 
@@ -699,7 +703,6 @@ def verify_routing(
     first violation."""
     if sched.num_physical != hw.num_qubits:
         raise VerificationError(f"num_physical {sched.num_physical}, device has {hw.num_qubits}")
-    budget = Budget(profile, allowance, allowance_units)
     mapping = sched.initial_mapping.copy()
     executed: set[int] = set()
     gate_of = {g.gate_id: g for g in circuit.gates} if circuit is not None else {}
@@ -785,7 +788,7 @@ def verify_routing(
                 pair = tuple(sorted((edge, other)))
                 if pair not in charged_pairs:
                     charged_pairs.add(pair)
-                    expected_ledger.append((li, pair, budget.recorded_excess(edge, other)))
+                    expected_ledger.append((li, pair, profile.excess_error(edge, other)))
         # close out finished swaps
         for edge in [e for e, nxt in open_swaps.items() if nxt > SWAP_DURATION]:
             gid = swap_gate_edge.pop(edge)
@@ -806,7 +809,7 @@ def verify_routing(
         raise VerificationError(
             f"crosstalk ledger mismatch: schedule has {sorted(got)}, replay expects {sorted(expected_ledger)}"
         )
-    total = budget.spent(sched.crosstalk_ledger)
+    total = sched.ledger_total()
     if total > allowance + 1e-9:
         raise VerificationError(f"ledger total {total:.6g} exceeds allowance {allowance:.6g}")
     if mapping.as_dict() != sched.final_mapping.as_dict():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 # build_csg, welsh_powell and rank_and_select are called through schedule_layer.
 # They stay imported because perfbench/tracing.py patches them by name in this
 # module's namespace, and an install fails on a missing name.
-from .csg import Budget, PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
+from .csg import PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
 from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
@@ -277,7 +277,6 @@ def synthesize(
     profile: CrosstalkProfile,
     initial_mapping: Mapping | None = None,
     allowance: float = 0.0,
-    allowance_units: str = "error",
     options: SynthesisOptions | None = None,
     on_iteration=None,
 ) -> ScheduledCircuit:
@@ -286,8 +285,7 @@ def synthesize(
     ``on_iteration`` gets compile_circuit's record plus ``"string_index"``."""
     if options is None:
         options = SynthesisOptions()
-    budget = Budget(profile, allowance, allowance_units)
-    state = ScheduleState(hw, budget, program.num_qubits, initial_mapping)
+    state = ScheduleState(hw, profile, allowance, program.num_qubits, initial_mapping)
     for idx, s in enumerate(program.strings):
         active = s.non_identity()
         if not active:

@@ -27,7 +27,7 @@ from chromaroute import (
     synthesize,
     verify_routing,
 )
-from chromaroute.csg import Budget, PendingPair, build_csg, useful_swaps
+from chromaroute.csg import PendingPair, build_csg, useful_swaps
 from chromaroute.fixtures import (
     chain_pair,
     grid6,
@@ -76,7 +76,7 @@ def test_criterion_02_candidate_set_graph_two_coloring():
         m = Mapping(6, 6)
         pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
         cands = useful_swaps(pending, m, hw)
-        csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
+        csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
         assert sum(1 for v in csg.vertices if v.kind == "cgate") == 0
         assert sum(1 for v in csg.vertices if v.kind == "swap") == 4
         classes = welsh_powell(csg)

@@ -93,6 +93,9 @@ def test_compile_two_local_pauli_uses_the_gate_path(paths, capsys):
 
 
 def test_compile_in_pair_units(tmp_path, capsys):
+    # The allowance counts excess error mass only: each pair of the hot ring
+    # inflates error by about 1.78, so an allowance of 1 buys none, and no
+    # option counts it as one pair instead.
     hot = tmp_path / "hot.json"
     hot.write_text(fixture_text("ring6_cross_hot.json"))
     circ = tmp_path / "pair.txt"
@@ -100,10 +103,10 @@ def test_compile_in_pair_units(tmp_path, capsys):
     base = ["compile", "-c", str(circ), "-H", str(hot), "-a", "1"]
     assert main(base) == 0
     assert read_schedule(capsys.readouterr().out).depth_cx == 8
-    assert main(base + ["--allowance-units", "pairs"]) == 0
-    sched = read_schedule(capsys.readouterr().out)
-    assert sched.depth_cx == 5
-    assert len(sched.crosstalk_ledger) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--allowance-units", "pairs"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allowance-units pairs" in capsys.readouterr().err
 
 
 def test_compile_requires_exactly_one_workload(paths, capsys):
@@ -251,15 +254,15 @@ def test_search_compiles_the_winner_once(paths, capsys, monkeypatch):
 
 
 def test_search_in_pair_units(paths, capsys):
-    # the unconstrained compile commits two pairs; every probe counts pairs
-    _, hw, circ = paths
-    argv = ["search", "-c", circ, "-H", hw, "--steps", "4", "--allowance-units", "pairs"]
-    assert main(argv) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["x_max"] == 2.0
-    assert [x for x, _ in result["probes"]] == [0.0, 0.5, 1.0, 1.5, 2.0]
-    assert result["best_allowance"] == 2.0
-    assert result["best_esp"] == pytest.approx(0.8867, abs=1e-4)
+    # search and vqe-synth count the allowance in excess error mass only
+    tmp, hw, circ = paths
+    pauli = tmp / "zz.txt"
+    pauli.write_text("0.5 ZZZIII\n")
+    for argv in (["search", "-c", circ, "--steps", "4"], ["vqe-synth", "-p", str(pauli)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-H", hw, "--allowance-units", "pairs"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allowance-units pairs" in capsys.readouterr().err
 
 
 def _cx_without_qubits(tmp, hw, circ):
@@ -475,15 +478,22 @@ def test_bad_circuit_is_a_usage_error(paths, tmp_path, capsys):
         ["vqe-synth", "-a", "-0.5"],
         ["search", "--steps", "0"],
         ["search", "--steps", "-1"],
+        ["jw-encode", "--modes", "0"],
+        ["jw-encode", "-n", "-2"],
     ],
 )
 def test_bad_numeric_options_are_usage_errors(paths, capsys, argv):
     tmp, hw, circ = paths
     pauli = tmp / "zz.txt"
     pauli.write_text("0.5 ZZZIII\n")
-    workload = ["-p", str(pauli)] if argv[0] == "vqe-synth" else ["-c", circ]
+    ferm = tmp / "h2.txt"
+    ferm.write_text(fixture_text("h2_fermion.txt"))
+    workload = {
+        "vqe-synth": ["-p", str(pauli), "-H", hw],
+        "jw-encode": ["-f", str(ferm)],
+    }.get(argv[0], ["-c", circ, "-H", hw])
     with pytest.raises(SystemExit) as exc:
-        main(argv + workload + ["-H", hw])
+        main(argv + workload)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert any(line.startswith(f"chromaroute {argv[0]}: error: argument") for line in err.splitlines())

@@ -59,11 +59,12 @@ def _run(argv):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """ring6_cross.json, the pair circuit, and the schedule ``compile``
-    writes for them at allowance inf."""
+    """ring6_cross.json, the pair circuit, the chain Pauli program, and the
+    schedule ``compile`` writes for the circuit at allowance inf."""
     tmp = tmp_path_factory.mktemp("fuzz")
     (tmp / "hw.json").write_text(fixture_text("ring6_cross.json"))
     (tmp / "pair.txt").write_text(fixture_text("pair_circuit.txt"))
+    (tmp / "chain.txt").write_text(fixture_text("chain_pair.txt"))
     argv = ["compile", "-c", str(tmp / "pair.txt"), "-H", str(tmp / "hw.json"), "-a", "inf"]
     assert _run(argv + ["-o", str(tmp / "sched.json")]) == (0, "")
     return tmp
@@ -72,14 +73,20 @@ def workdir(tmp_path_factory):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.data())
 def test_mutated_hardware_compiles_or_is_a_usage_error(workdir, data):
+    """Every entry point that prices crosstalk on the device: compile,
+    synthesis and the allowance search."""
     hardware = json.loads((workdir / "hw.json").read_text())
     bad = workdir / "bad_hw.json"
     bad.write_text(json.dumps(_draw_mutated(data, hardware)))
     allowance = data.draw(st.sampled_from(("0", "0.05", "inf")))
-    argv = ["compile", "-c", str(workdir / "pair.txt"), "-H", str(bad), "-a", allowance]
-    code, err = _run(argv + ["-o", str(workdir / "out.json")])
-    assert code in (0, 2), err
-    assert "Traceback" not in err
+    for argv in (
+        ["compile", "-c", str(workdir / "pair.txt"), "-a", allowance],
+        ["vqe-synth", "-p", str(workdir / "chain.txt"), "-a", allowance],
+        ["search", "-c", str(workdir / "pair.txt"), "--steps", "4"],
+    ):
+        code, err = _run(argv + ["-H", str(bad), "-o", str(workdir / "out.json")])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

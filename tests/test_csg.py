@@ -5,12 +5,10 @@ from chromaroute import (
     CouplingGraph,
     CrosstalkProfile,
     CrosstalkRecord,
-    InvariantError,
     Mapping,
     parse_circuit,
 )
 from chromaroute.csg import (
-    Budget,
     InProgressSwap,
     PendingPair,
     SwapCandidate,
@@ -28,8 +26,8 @@ def line5():
     return CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
-def empty_budget(hw):
-    return Budget(CrosstalkProfile(hw, []))
+def empty_profile(hw):
+    return CrosstalkProfile(hw, [])
 
 
 def test_executable_pairs_checks_adjacency():
@@ -137,7 +135,7 @@ def test_joint_overshoot_conflicts_on_a_ring():
     pending = [PendingPair("g", (0, 2))]
     cands = useful_swaps(pending, m, hw)
     assert [c.edge for c in cands] == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    csg = build_csg([], cands, [], pending, m, hw, empty_budget(hw), 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
     assert len(csg.vertices) == 4
     # fully conflicted: 4 shared-qubit pairs plus 2 overshoot pairs
     assert len(csg.conflict_edges) == 6
@@ -151,7 +149,7 @@ def test_stale_help_keys_are_skipped():
     m = Mapping(5, 5)
     ip = InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset({"gone"}))
     cand = SwapCandidate(edge=(3, 4), helps=frozenset({"gone"}))
-    csg = build_csg([], [cand], [ip], [], m, hw, empty_budget(hw), 0.0)
+    csg = build_csg([], [cand], [ip], [], m, hw, empty_profile(hw), 0.0)
     assert len(csg.vertices) == 2
     assert csg.conflict_edges == set()
 
@@ -165,7 +163,7 @@ def test_vertex_ordering_and_busy_edge_skip():
         SwapCandidate(edge=(2, 3), helps=frozenset({7})),  # same edge as the flight
         SwapCandidate(edge=(3, 4), helps=frozenset({7})),
     ]
-    csg = build_csg(cgates, cands, [ip], cgates, m, hw, empty_budget(hw), 0.0)
+    csg = build_csg(cgates, cands, [ip], cgates, m, hw, empty_profile(hw), 0.0)
     kinds = [(v.kind, v.edge) for v in csg.vertices]
     assert kinds == [("inprogress", (2, 3)), ("cgate", (0, 1)), ("swap", (3, 4))]
     assert csg.vertices[0].remaining_time == 1
@@ -187,33 +185,15 @@ def test_allowance_greedy_permits_cheapest_first():
     )
     m = Mapping(5, 5)
     cgates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3)), PendingPair(2, (3, 4))]
-    csg = build_csg(cgates, [], [], cgates, m, hw, Budget(prof), allowance_left=0.03)
+    csg = build_csg(cgates, [], [], cgates, m, hw, prof, allowance_left=0.03)
     # excesses: (0,1)/(2,3) costs 0.01, (0,1)/(3,4) costs 0.05
     assert csg.permitted_pairs == [(0, 1, pytest.approx(0.01))]
     assert set(csg.crosstalk_edges) == {(0, 2)}
     assert csg.crosstalk_edges[(0, 2)] == pytest.approx(0.05)
-    # with no budget both pairs become edges
-    csg0 = build_csg(cgates, [], [], cgates, m, hw, Budget(prof), allowance_left=0.0)
+    # with no allowance both pairs become edges
+    csg0 = build_csg(cgates, [], [], cgates, m, hw, prof, allowance_left=0.0)
     assert csg0.permitted_pairs == []
     assert set(csg0.crosstalk_edges) == {(0, 1), (0, 2)}
-
-
-def test_allowance_in_pair_units():
-    hw = line5()
-    prof = CrosstalkProfile(
-        hw,
-        [
-            CrosstalkRecord((0, 1), (2, 3), 0.01, 0.01),
-            CrosstalkRecord((0, 1), (3, 4), 0.03, 0.03),
-        ],
-    )
-    m = Mapping(5, 5)
-    cgates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3)), PendingPair(2, (3, 4))]
-    csg = build_csg(cgates, [], [], cgates, m, hw, Budget(prof, units="pairs"), 1.0)
-    assert [(i, j) for i, j, _ in csg.permitted_pairs] == [(0, 1)]
-    assert set(csg.crosstalk_edges) == {(0, 2)}
-    with pytest.raises(InvariantError):
-        Budget(prof, units="bogus")
 
 
 def test_in_progress_pairs_never_get_crosstalk_edges():
@@ -224,7 +204,7 @@ def test_in_progress_pairs_never_get_crosstalk_edges():
         InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset()),
         InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset()),
     ]
-    csg = build_csg([], [], flights, [], m, hw, Budget(prof), 0.0)
+    csg = build_csg([], [], flights, [], m, hw, prof, 0.0)
     assert csg.crosstalk_edges == {}
     assert csg.conflict_edges == set()
 
@@ -240,7 +220,7 @@ def test_two_distant_gates_csg_shape():
         ((3, 4), {1}),
         ((4, 5), {1}),
     ]
-    csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
     assert sum(1 for v in csg.vertices if v.kind == "cgate") == 0
     assert sum(1 for v in csg.vertices if v.kind == "swap") == 4
     assert csg.conflict_edges == {(0, 1), (2, 3)}
@@ -260,7 +240,7 @@ def test_every_coloring_is_proper():
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
     cands = useful_swaps(pending, m, hw)
-    csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
     classes = welsh_powell(csg)
     color_of = {}
     for cls in classes:
@@ -275,7 +255,7 @@ def test_to_dot_mentions_every_vertex():
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2))]
     cands = useful_swaps(pending, m, hw)
-    csg = build_csg([], cands, [], pending, m, hw, Budget(prof), 0.0)
+    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
     dot = csg.to_dot("it0")
     assert dot.startswith("graph it0 {")
     for v in csg.vertices:

@@ -86,12 +86,3 @@ def seeded_grid_digests() -> dict[str, str]:
 def test_every_loop_finishes_on_seeded_grids(escapes):
     assert seeded_grid_digests() == SEEDED_GRID_DIGESTS
     assert all(escapes.values()), escapes
-
-
-def test_synthesis_finishes_at_unlimited_pair_allowance(escapes):
-    rng = random.Random(3)
-    hw, prof = grid_device(6, 6, rng)
-    program = random_pauli_program(36, 16, rng)
-    sched = synthesize(program, hw, prof, allowance=math.inf, allowance_units="pairs")
-    verify_routing(sched, hw, prof, allowance=math.inf, allowance_units="pairs")
-    assert escapes["synthesis"]

@@ -17,7 +17,6 @@ from chromaroute import (
     parse_circuit,
     search_allowance,
 )
-from chromaroute.csg import Budget
 from chromaroute.fidelity import find_x_max, search_core
 from chromaroute.fixtures import pair_circuit, ring6
 
@@ -137,11 +136,11 @@ def test_find_x_max_is_unconstrained_ledger_mass():
     )
     prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.05, 0.05)])
     circ = parse_circuit("qubits 4\ncx 0 1\ncx 2 3\n")
-    x_max = find_x_max(lambda a: compile_circuit(circ, hw, prof, allowance=a), Budget(prof))
+    x_max = find_x_max(lambda a: compile_circuit(circ, hw, prof, allowance=a))
     assert x_max == pytest.approx(0.08)
     hw6, prof6 = ring6()
     circ6 = pair_circuit()
-    assert find_x_max(lambda a: compile_circuit(circ6, hw6, prof6, allowance=a), Budget(prof6)) == 0.0
+    assert find_x_max(lambda a: compile_circuit(circ6, hw6, prof6, allowance=a)) == 0.0
 
 
 def test_search_core_parabola():

@@ -62,25 +62,14 @@ FILES = {
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
-    for units in ("error", "pairs"):
-        for allowance in ("0", "0.05", "inf"):
-            cases[f"compile-pair-{units}-{allowance}"] = [
-                "compile", "-c", "pair_circuit.txt", "-H", "ring6_cross.json",
-                "-a", allowance, "--allowance-units", units,
-            ]
-            cases[f"compile-mixed-{units}-{allowance}"] = [
-                "compile", "-c", "mixed.txt", "-H", "grid6.json",
-                "-a", allowance, "--allowance-units", units,
-            ]
-    for units, allowance in (("error", "0.1"), ("pairs", "1")):
-        cases[f"compile-mixed-{units}-{allowance}"] = [
-            "compile", "-c", "mixed.txt", "-H", "grid6.json",
-            "-a", allowance, "--allowance-units", units,
+    for allowance in ("0", "0.05", "inf"):
+        cases[f"compile-pair-error-{allowance}"] = [
+            "compile", "-c", "pair_circuit.txt", "-H", "ring6_cross.json", "-a", allowance,
         ]
-    cases["compile-hot-pairs-1"] = [
-        "compile", "-c", "pair_circuit.txt", "-H", "ring6_cross_hot.json",
-        "-a", "1", "--allowance-units", "pairs",
-    ]
+    for allowance in ("0", "0.05", "0.1", "inf"):
+        cases[f"compile-mixed-error-{allowance}"] = [
+            "compile", "-c", "mixed.txt", "-H", "grid6.json", "-a", allowance,
+        ]
     cases["compile-mixed-mapped"] = [
         "compile", "-c", "mixed.txt", "-H", "ring6_cross.json",
         "-a", "0.004", "-m", "0:3,1:0,2:5,3:1,4:2,5:4",
@@ -94,10 +83,6 @@ def _cases() -> dict[str, list[str]]:
         cases[f"synth-wide-{look}"] = [
             "vqe-synth", "-p", "wide.txt", "-H", "grid6.json", "-a", "0.05", "--lookahead", look,
         ]
-    cases["synth-wide-pairs-1"] = [
-        "vqe-synth", "-p", "wide.txt", "-H", "ring6_cross.json",
-        "-a", "1", "--allowance-units", "pairs",
-    ]
     cases["synth-zz-tree7"] = ["vqe-synth", "-p", "zz_string.txt", "-H", "tree7.json", "-a", "inf"]
     cases["compile-wide-pauli"] = ["compile", "-p", "wide.txt", "-H", "ring6_cross.json", "-a", "0.004"]
     return cases
@@ -117,11 +102,6 @@ EXPECTED: dict[str, tuple[str, str, str]] = {
         'f55854ad0956ab5043a411e4282d8cc05446f61ca32fd07647785c573265b7cb',
         '5b1ecf4a2a6ec9af99db619b178a95d837acdc101f6b24490c05481441c572d0',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-    ),
-    'compile-hot-pairs-1': (
-        '7e7bf37aacdcb229a45dfd2bb7cdc4bb0cd4b1578adbf36908543de63cd3faf3',
-        'e6bf267e399df4158187c7c11f9a06e186270658f8326615cc8899bfd3e0c7bb',
-        '77da592eed3cdd1c876b51f548efbd52546ba1fcb30c21b3a0989c65c1b9f545',
     ),
     'compile-mixed-error-0': (
         'e3bb4eaa6ae4b2be9249e12908797cbdb2d4567108eda8fcb516c786228f181a',
@@ -148,26 +128,6 @@ EXPECTED: dict[str, tuple[str, str, str]] = {
         '818f8d7d1759d8a679320ed129e238e38fbc359083454f7a534f0e4b5ff53f36',
         '92029e5a96bd17e21699e410f0118d56518832bf87206767935de047a5ada2ca',
     ),
-    'compile-mixed-pairs-0': (
-        'e3bb4eaa6ae4b2be9249e12908797cbdb2d4567108eda8fcb516c786228f181a',
-        '1e23c6ffddf990103a62c67fdfd5fbb0aa57c55e6c5f86cf25a06f6d2782a9b7',
-        '6e816cc523426474e7444f587e06e7c27b4629c2d166f33479e5d4776077801b',
-    ),
-    'compile-mixed-pairs-0.05': (
-        'e3bb4eaa6ae4b2be9249e12908797cbdb2d4567108eda8fcb516c786228f181a',
-        '1e23c6ffddf990103a62c67fdfd5fbb0aa57c55e6c5f86cf25a06f6d2782a9b7',
-        '6e816cc523426474e7444f587e06e7c27b4629c2d166f33479e5d4776077801b',
-    ),
-    'compile-mixed-pairs-1': (
-        '4035cc3926f636c6a62cef7c97b420acb556c7f69806429e41e3ce26e3ed4594',
-        '9920c7d928df841ec16da86437f5d43af4ef216350100c8f6a6fd6d08f97ac5d',
-        '7b114f5622a219e369b19f188647451d7db3e99eba96042c078451565d97c8b6',
-    ),
-    'compile-mixed-pairs-inf': (
-        'fc12d327f1dc0d037da6853a615b62bb0bf7027ec945eb344fa48e7e3805887f',
-        'eef9d79e15f4b9834c1e9565a1533ebe11bb5f3e90a8d71d1998fea2b27e1213',
-        '6e9fbb30337487cf169514686733610425e483bdc60c44640d9ab576dad4dc95',
-    ),
     'compile-pair-error-0': (
         '8e74985bd6a5b972f7045184762546d36644137ae831dfde1bf1f9239846e9a3',
         'd61ec1bc34c4ca463f437d2131bf2c1d5d40b507156bd41af0146e33c16e3623',
@@ -179,21 +139,6 @@ EXPECTED: dict[str, tuple[str, str, str]] = {
         '9d781d19d6657e846498886c39e67d44d928267d519069a32480ebee97f22126',
     ),
     'compile-pair-error-inf': (
-        'e900aa3bb66ef09c5d24f8b1e9635e8df6a2882378e61d26637675d4143bfc07',
-        'e332dde7b3dc16077c9f062b2e655780b353a1481e024e8ffa3cdaa5cc581ad0',
-        '9d781d19d6657e846498886c39e67d44d928267d519069a32480ebee97f22126',
-    ),
-    'compile-pair-pairs-0': (
-        '8e74985bd6a5b972f7045184762546d36644137ae831dfde1bf1f9239846e9a3',
-        'd61ec1bc34c4ca463f437d2131bf2c1d5d40b507156bd41af0146e33c16e3623',
-        '7574c6ac887e24a425834ef8c7ac3dc09ca2896367bf798ab973e8c98662d253',
-    ),
-    'compile-pair-pairs-0.05': (
-        '8e74985bd6a5b972f7045184762546d36644137ae831dfde1bf1f9239846e9a3',
-        'd61ec1bc34c4ca463f437d2131bf2c1d5d40b507156bd41af0146e33c16e3623',
-        '7574c6ac887e24a425834ef8c7ac3dc09ca2896367bf798ab973e8c98662d253',
-    ),
-    'compile-pair-pairs-inf': (
         'e900aa3bb66ef09c5d24f8b1e9635e8df6a2882378e61d26637675d4143bfc07',
         'e332dde7b3dc16077c9f062b2e655780b353a1481e024e8ffa3cdaa5cc581ad0',
         '9d781d19d6657e846498886c39e67d44d928267d519069a32480ebee97f22126',
@@ -222,11 +167,6 @@ EXPECTED: dict[str, tuple[str, str, str]] = {
         '9e89cc7cb50fd60a4cb2536d4ca05df384f5f181f2c3253f43a6ad95114f2ea7',
         '157751e41b1f81a691b7a68d5bb44eeea787cf47aedc3f9708634bb816cda795',
         '779ee4cdc11640da2d9bdccc391bc4721d7f5bd810d830821b52ca186d9e8464',
-    ),
-    'synth-wide-pairs-1': (
-        '71a9760198ad765e1f014fec3209c8bd76334347010f23e4fc8aea27e697869a',
-        '23b6ed2dac8e8f29d75620321b23b80dea4e94481e3e0bdec5e9ebeabcc1fc95',
-        'de09f00de42c00e9bc11fc1f847b679f6fdb0603d59fcbcfd0dadd5de440fdfb',
     ),
     'synth-zz-tree7': (
         '3d0c1e9aeb06285d2f7b33fc31bc8c0d730b828034f866b4fb17c6477596415b',

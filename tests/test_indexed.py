@@ -39,9 +39,12 @@ from chromaroute import (
     compile_circuit,
     synthesize,
 )
-from chromaroute.csg import Budget, PendingPair, SwapCandidate, build_csg, useful_swaps
+from chromaroute.csg import PendingPair, SwapCandidate, build_csg, useful_swaps
 from chromaroute.ir import frontier
 from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, welsh_powell
+
+# The seeded compiles count their allowance in excess error, the only unit.
+UNITS = ["error"]
 
 
 def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None):
@@ -127,7 +130,17 @@ def reference_overshoots(u, v, pending_by_key, mapping, hw):
     return False
 
 
-def reference_pairs(vertices, pending, mapping, hw, budget, allowance_left):
+def reference_excess(prof, e1, e2):
+    """The excess error of two links from their crosstalk record, never
+    from the profile's memo; None when the profile does not pair them."""
+    rec = prof.record_for(e1, e2)
+    if rec is None:
+        return None
+    error_of = prof.graph.error_of
+    return max((rec.e1_given_e2 - error_of(rec.e1)) + (rec.e2_given_e1 - error_of(rec.e2)), 0.0)
+
+
+def reference_pairs(vertices, pending, mapping, hw, prof, allowance_left):
     """Every vertex pair in a nested i < j loop; stable sort on the cost and
     the two edges.  Returns (conflict edges, crosstalk edges, permitted
     pairs, number of cost/edge ties)."""
@@ -146,7 +159,7 @@ def reference_pairs(vertices, pending, mapping, hw, budget, allowance_left):
                     continue
             if u.kind == "inprogress" and v.kind == "inprogress":
                 continue
-            cost = budget.cost(u.edge, v.edge)
+            cost = reference_excess(prof, u.edge, v.edge)
             if cost is not None:
                 maybe.append((cost, u.edge, v.edge, i, j))
     maybe.sort(key=lambda t: t[:3])
@@ -204,12 +217,10 @@ def checking_build_csg(seen):
     """``build_csg`` wrapped to compare each CSG and its coloring with the
     references, counting what it saw into ``seen``."""
 
-    def checked_build_csg(cgates, swaps, in_prog, pending, mapping, hw, budget, allowance_left):
-        csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, budget, allowance_left)
-        # a Budget of its own, so no cost comes from the indexed run's memo
-        fresh = Budget(budget.profile, budget.allowance, budget.units)
+    def checked_build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, allowance_left):
+        csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, allowance_left)
         conflict, crosstalk, permitted, ties = reference_pairs(
-            csg.vertices, pending, mapping, hw, fresh, allowance_left
+            csg.vertices, pending, mapping, hw, prof, allowance_left
         )
         assert csg.conflict_edges == conflict
         assert csg.crosstalk_edges == crosstalk
@@ -227,7 +238,7 @@ def checking_build_csg(seen):
     return checked_build_csg
 
 
-@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("units", UNITS)
 @pytest.mark.parametrize("rows,seed,size", [(4, 1, 90), (5, 2, 110), (6, 3, 130)])
 def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units):
     rng = random.Random(seed)
@@ -263,30 +274,26 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units
     monkeypatch.setattr(scheduler, "build_csg", checking_build_csg(seen))
     monkeypatch.setattr(scheduler, "CircuitRun", RecordedRun)
     for allowance in (0.0, 0.05, math.inf):
-        sched = compile_circuit(
-            circuit, hw, prof, allowance=allowance, allowance_units=units, on_iteration=check_ready
-        )
-        scheduler.verify_routing(
-            sched, hw, prof, circuit=circuit, allowance=allowance, allowance_units=units
-        )
+        sched = compile_circuit(circuit, hw, prof, allowance=allowance, on_iteration=check_ready)
+        scheduler.verify_routing(sched, hw, prof, circuit=circuit, allowance=allowance)
     # the comparisons saw every kind of outcome
     assert seen["swaps"] and seen["csgs"] and seen["in_flight"] and seen["routing_in_flight"]
     # ties on (cost, e_i, e_j): a cgate and a candidate SWAP on one edge
     assert seen["permitted"] and seen["crosstalk"] and seen["ties"]
 
 
-@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("units", UNITS)
 @pytest.mark.parametrize("allowance", [0.05, math.inf])
 def test_running_crosstalk_total_is_the_ledger_sum(monkeypatch, allowance, units):
-    """``ScheduleState`` adds each ledger entry's share to its total as the
+    """``ScheduleState`` adds each ledger entry's excess to its total as the
     entry is written; after every placement, in both scheduling loops, the
-    total is exactly the budget's left-to-right sum of the ledger."""
+    total is exactly the ledger's left-to-right sum, ``ledger_total``."""
     place = ScheduleState.place
     seen = {"placements": 0, "entries": 0}
 
     def checked_place(state, op):
         place(state, op)
-        assert state._spent == state.budget.spent(state.ledger)
+        assert state._spent == state.result().ledger_total()
         seen["placements"] += 1
         seen["entries"] = max(seen["entries"], len(state.ledger))
 
@@ -296,11 +303,10 @@ def test_running_crosstalk_total_is_the_ledger_sum(monkeypatch, allowance, units
         hw, prof = grid_device(rows, rows, rng)
         circuit = random_circuit(rows * rows, 100, rng)
         program = random_pauli_program(rows * rows, 8, rng)
-        compile_circuit(circuit, hw, prof, allowance=allowance, allowance_units=units)
-        synthesize(program, hw, prof, allowance=allowance, allowance_units=units)
+        compile_circuit(circuit, hw, prof, allowance=allowance)
+        synthesize(program, hw, prof, allowance=allowance)
     assert seen["placements"]
-    # a pair costs 1 when counting pairs, so 0.05 of them buys none
-    assert seen["entries"] > 1 or (units == "pairs" and allowance < 1)
+    assert seen["entries"] > 1
 
 
 def test_missing_isolated_rate_raises_only_when_the_pair_is_priced():
@@ -313,32 +319,35 @@ def test_missing_isolated_rate_raises_only_when_the_pair_is_priced():
             CrosstalkRecord((0, 1), (3, 4), 0.02, 0.02),
         ],
     )
-    budget = Budget(prof, allowance=1.0)
     m = Mapping(5, 5)
     # (3, 4) has no isolated rate, but it shares qubit 3 with (2, 3), so
     # the conflict comes first and its profiled pair with (0, 1) is absent
     gates = [PendingPair(0, (2, 3)), PendingPair(1, (3, 4))]
-    csg = build_csg(gates, [], [], gates, m, hw, budget, 1.0)
+    csg = build_csg(gates, [], [], gates, m, hw, prof, 1.0)
     assert csg.conflict_edges == {(0, 1)}
     gates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3))]
-    csg = build_csg(gates, [], [], gates, m, hw, budget, 1.0)
+    csg = build_csg(gates, [], [], gates, m, hw, prof, 1.0)
     assert csg.permitted_pairs == [(0, 1, pytest.approx(0.02))]
     gates = [PendingPair(0, (0, 1)), PendingPair(1, (3, 4))]
     with pytest.raises(HardwareError, match=r"missing error rate for edge \(3, 4\)"):
-        build_csg(gates, [], [], gates, m, hw, budget, 1.0)
-    # a lookup that raised is asked again, not remembered
+        build_csg(gates, [], [], gates, m, hw, prof, 1.0)
+    # a lookup that raised is asked again, not remembered; one that
+    # returned is remembered per ordered pair
+    asked = []
+    record_for = prof.record_for
+    prof.record_for = lambda e1, e2: asked.append((e1, e2)) or record_for(e1, e2)
     with pytest.raises(HardwareError, match="missing error rate"):
-        budget.cost((0, 1), (3, 4))
-    # counting pairs needs no isolated rate; unknown edges raise either way
-    assert Budget(prof, units="pairs").cost((0, 1), (3, 4)) == 1.0
+        prof.excess_error((0, 1), (3, 4))
+    assert prof.excess_error((2, 3), (0, 1)) == prof.excess_error((2, 3), (0, 1))
+    assert asked == [((0, 1), (3, 4)), ((2, 3), (0, 1))]
     with pytest.raises(HardwareError, match="unknown edge"):
-        budget.cost((0, 1), (0, 4))
+        prof.excess_error((0, 1), (0, 4))
 
 
 def test_starting_a_gate_that_is_not_ready_is_an_invariant_error():
     hw = CouplingGraph(3, [(0, 1), (1, 2)])
     circuit = LogicalCircuit(3, [Gate(0, "cx", (0, 1)), Gate(1, "cx", (1, 2))])
-    state = ScheduleState(hw, Budget(CrosstalkProfile(hw, [])), 3)
+    state = ScheduleState(hw, CrosstalkProfile(hw, []), 0.0, 3)
     run = CircuitRun(circuit, state)
     assert run.ready == {0}
     state.open_layer()
@@ -389,7 +398,7 @@ def reference_closing_swaps(mapping, u, v, hw):
     return sorted(out)
 
 
-@pytest.mark.parametrize("units", ["error", "pairs"])
+@pytest.mark.parametrize("units", UNITS)
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
 def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
     rng = random.Random(seed)
@@ -433,8 +442,8 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
     monkeypatch.setattr(scheduler, "build_csg", checking_build_csg(seen))
     monkeypatch.setattr(vqa, "ScheduleState", CheckedState)
     for allowance in (0.0, 0.05, math.inf):
-        sched = synthesize(program, hw, prof, allowance=allowance, allowance_units=units)
-        scheduler.verify_routing(sched, hw, prof, allowance=allowance, allowance_units=units)
+        sched = synthesize(program, hw, prof, allowance=allowance)
+        scheduler.verify_routing(sched, hw, prof, allowance=allowance)
     # the comparisons met a SWAP that breaks the ladder, a protected pair
     # that was already apart, and uncompute routing with a tie on the
     # isolated error

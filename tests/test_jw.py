@@ -123,6 +123,9 @@ def test_non_hermitian_input_rejected():
 def test_mode_out_of_range():
     with pytest.raises(EncodingError):
         jw_encode([FermionTerm(1.0, ((3, True), (3, False)))], num_modes=2)
+    for num_modes in (0, -2):
+        with pytest.raises(EncodingError, match=f"mode count must be at least 1, got {num_modes}"):
+            jw_encode([FermionTerm(1.0, ((0, True), (0, False)))], num_modes=num_modes)
 
 
 def test_annihilation_squared_vanishes():

@@ -28,7 +28,6 @@ from chromaroute import (
     parse_pauli_program,
     verify_routing,
 )
-from chromaroute.csg import Budget
 from chromaroute.fixtures import fixture_text, pair_circuit, ring6, ring6_cross, ring6_cross_hot
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard
 
@@ -103,37 +102,33 @@ def test_ledger_never_exceeds_allowance():
         assert verify_routing(sched, hw, prof, circ, allowance=allowance)
 
 
-def test_pair_units_buy_what_error_mass_cannot():
-    # Each cross pair of the hot ring inflates error by 1.777, more than the
-    # whole allowance; counted as pairs, the same allowance buys one.
+def test_a_hot_pair_costs_more_error_mass_than_the_allowance():
+    # Each cross pair of the hot ring inflates error by about 1.78, more
+    # than the whole allowance of 1; the allowance 2 buys the cheapest one.
     hw, prof = ring6_cross_hot()
     circ = pair_circuit()
     err = compile_circuit(circ, hw, prof, allowance=1.0)
     assert err.depth_cx == 8
     assert err.crosstalk_ledger == []
     assert verify_routing(err, hw, prof, circ, allowance=1.0)
-    pairs = compile_circuit(circ, hw, prof, allowance=1.0, allowance_units="pairs")
-    assert pairs.depth_cx == 5
-    assert len(pairs.crosstalk_ledger) == 1
-    assert pairs.crosstalk_ledger[0].excess == pytest.approx(1.777)
-    assert verify_routing(pairs, hw, prof, circ, allowance=1.0, allowance_units="pairs")
+    hot = compile_circuit(circ, hw, prof, allowance=2.0)
+    assert hot.depth_cx == 5
+    assert len(hot.crosstalk_ledger) == 1
+    assert hot.crosstalk_ledger[0].excess == pytest.approx(1.775)
+    assert verify_routing(hot, hw, prof, circ, allowance=2.0)
     with pytest.raises(VerificationError):
-        verify_routing(pairs, hw, prof, circ, allowance=1.0)
-    with pytest.raises(VerificationError):
-        verify_routing(pairs, hw, prof, circ, allowance=0.5, allowance_units="pairs")
+        verify_routing(hot, hw, prof, circ, allowance=1.0)
 
 
-def test_pair_units_need_no_isolated_error_rates():
+def test_pricing_a_pair_needs_isolated_error_rates():
+    # The device loads without isolated rates, but a compile that prices a
+    # profiled pair cannot, at any allowance.
     data = json.loads(fixture_text("ring6_cross_hot.json"))
     del data["edge_error"]
     hw, prof = load_hardware(data)
-    circ = pair_circuit()
-    with pytest.raises(HardwareError, match="missing error rate"):
-        compile_circuit(circ, hw, prof, allowance=1.0)
-    sched = compile_circuit(circ, hw, prof, allowance=1.0, allowance_units="pairs")
-    assert sched.depth_cx == 5
-    assert [e.excess for e in sched.crosstalk_ledger] == [0.0]
-    assert verify_routing(sched, hw, prof, circ, allowance=1.0, allowance_units="pairs")
+    for allowance in (1.0, math.inf):
+        with pytest.raises(HardwareError, match="missing error rate"):
+            compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
 
 
 def test_more_allowance_never_hurts_depth_here():
@@ -208,11 +203,9 @@ def test_schedule_json_roundtrip():
 
 def test_ledger_total_adds_left_to_right():
     # sum() compensates float rounding from Python 3.12 on and gives 1.0
-    _, prof = ring6()
     entries = [LedgerEntry(layer=i, edges=((0, 1), (3, 4)), excess=0.1) for i in range(10)]
     sched = ScheduledCircuit(6, [], entries, Mapping(6, 6), Mapping(6, 6))
     assert sched.ledger_total() == 0.9999999999999999
-    assert Budget(prof).spent(entries) == 0.9999999999999999
     assert repr(ScheduledCircuit(6, [], [], Mapping(6, 6), Mapping(6, 6)).ledger_total()) == "0"
 
 
@@ -259,7 +252,7 @@ def test_on_iteration_hook_sees_csgs():
 
 def test_close_layer_reports_whether_anything_was_placed():
     hw, prof = ring6()
-    state = ScheduleState(hw, Budget(prof, math.inf), 6)
+    state = ScheduleState(hw, prof, math.inf, 6)
     state.open_layer()
     state.start_swap((0, 1))
     assert state.close_layer()[0]

@@ -323,27 +323,27 @@ def test_synthesis_is_deterministic():
     assert a == b
 
 
-def test_synthesis_in_pair_units():
+def test_synthesis_buys_hot_pairs_with_error_mass():
     hw, prof = grid6()
-    sched = synthesize(chain_pair(), hw, prof, allowance=1.0, allowance_units="pairs")
+    sched = synthesize(chain_pair(), hw, prof, allowance=1.0)
     assert len(sched.crosstalk_ledger) == 1
-    assert verify_routing(sched, hw, prof, allowance=1.0, allowance_units="pairs")
-    # the hot ring's pairs cost more error mass than the allowance holds
+    assert verify_routing(sched, hw, prof, allowance=1.0)
+    # each pair of the hot ring costs about 1.78 of error mass
     hw, prof = ring6_cross_hot()
     prog = parse_pauli_program("0.5 ZZIZZI\n")
     err = synthesize(prog, hw, prof, allowance=1.0)
     assert (err.depth_cx, err.crosstalk_ledger) == (13, [])
-    pairs = synthesize(prog, hw, prof, allowance=1.0, allowance_units="pairs")
-    assert (pairs.depth_cx, len(pairs.crosstalk_ledger)) == (12, 1)
-    assert verify_routing(pairs, hw, prof, allowance=1.0, allowance_units="pairs")
-    # The uncompute pass prices its pairs through the budget as well: two
-    # pairs fit, the second one in the mirrored ladder (layer 5).
+    hot = synthesize(prog, hw, prof, allowance=2.0)
+    assert (hot.depth_cx, len(hot.crosstalk_ledger)) == (12, 1)
+    assert verify_routing(hot, hw, prof, allowance=2.0)
+    # The uncompute pass prices its pairs the same way: two pairs fit in
+    # 4, the second one in the mirrored ladder (layer 5).
     prog = parse_pauli_program("0.5 ZXIIZY\n")
     assert synthesize(prog, hw, prof, allowance=2.0).depth_cx == 8
-    pairs = synthesize(prog, hw, prof, allowance=2.0, allowance_units="pairs")
-    assert pairs.depth_cx == 7
-    assert [e.layer for e in pairs.crosstalk_ledger] == [1, 5]
-    assert verify_routing(pairs, hw, prof, allowance=2.0, allowance_units="pairs")
+    hot = synthesize(prog, hw, prof, allowance=4.0)
+    assert hot.depth_cx == 7
+    assert [e.layer for e in hot.crosstalk_ledger] == [1, 5]
+    assert verify_routing(hot, hw, prof, allowance=4.0)
 
 
 def test_program_wider_than_device_rejected():
