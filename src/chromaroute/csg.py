@@ -23,7 +23,7 @@ class PendingPair:
     logicals: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwapCandidate:
     """A coupling edge whose SWAP strictly reduces some pending gate's
     physical distance; ``helps`` holds the keys of those gates."""
@@ -96,35 +96,20 @@ class Csg:
 
 def executable_pairs(pending: list[PendingPair], mapping: Mapping, hw: CouplingGraph) -> list[PendingPair]:
     """Pending gates whose logical endpoints sit on adjacent physical qubits."""
-    out = []
-    for p in pending:
-        pa, pb = mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])
-        if hw.has_edge(pa, pb):
-            out.append(p)
-    return out
+    l2p = mapping.placement
+    return [p for p in pending if hw.has_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])]
 
 
 def useful_swaps(pending: list[PendingPair], mapping: Mapping, hw: CouplingGraph) -> list[SwapCandidate]:
     """Coupling edges whose SWAP reduces, by exactly one hop, the physical
-    distance of at least one coupling-unsatisfied pending gate.
-
-    A SWAP can move at most one endpoint of any unsatisfied gate (both
-    endpoints on one edge would mean the gate is already executable), so the
-    per-gate distance change is always in {-1, 0, +1}.
+    distance of at least one coupling-unsatisfied pending gate: each gate's
+    ``CouplingGraph.closer_swaps``, merged per edge.
     """
-    dist = hw.all_pairs_distance()
+    closer_swaps, l2p = hw.closer_swaps, mapping.placement
     helps: dict[Edge, set] = {}
     for p in pending:
-        pa, pb = mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])
-        cur = dist[pa][pb]
-        if cur == 1:
-            continue
-        # Only a SWAP on an edge at one of the endpoints moves the gate.
-        for moved, fixed in ((pa, pb), (pb, pa)):
-            for nxt in hw.adjacency[moved]:
-                edge = (moved, nxt) if moved < nxt else (nxt, moved)
-                if dist[nxt][fixed] == cur - 1:
-                    helps.setdefault(edge, set()).add(p.key)
+        for edge in closer_swaps(l2p[p.logicals[0]], l2p[p.logicals[1]]):
+            helps.setdefault(edge, set()).add(p.key)
     return [SwapCandidate(edge=e, helps=frozenset(helps[e])) for e in sorted(helps)]
 
 
@@ -152,11 +137,12 @@ def build_csg(
     permitted while the running total stays within ``allowance_left``; only
     the pairs that did not fit become crosstalk edges.
     """
+    l2p = mapping.placement
     vertices: list[CsgVertex] = []
     for ip in sorted(in_progress, key=lambda s: s.edge):
         vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
     for p in sorted(cgates, key=lambda g: g.key):
-        edge = normalize_edge(mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1]))
+        edge = normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])
         vertices.append(CsgVertex(len(vertices), "cgate", edge, p.key))
     busy_edges = {ip.edge for ip in in_progress}
     for sc in sorted(candidate_swaps, key=lambda s: s.edge):
@@ -170,7 +156,7 @@ def build_csg(
     # then a joint overshoot, then two in-flight SWAPs (never priced), then
     # the crosstalk price.  An edge goes into the adjacency when it is found.
     dist = hw.all_pairs_distance()
-    placed = {p.key: (mapping.phys(p.logicals[0]), mapping.phys(p.logicals[1])) for p in pending}
+    placed = None  # pending gate key -> its two physical qubits, built on first use
     partners = profile.partners
     adjacency: list[set[int]] = [set() for _ in vertices]
     conflict_edges: set[tuple[int, int]] = set()
@@ -198,6 +184,8 @@ def build_csg(
             u = vertices[i]
             c, d = u.edge  # shares no qubit with (a, b): each qubit moves once
             moved = {a: b, b: a, c: d, d: c}
+            if placed is None:
+                placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
             for key in u.helps & v.helps:
                 if key in placed:
                     pa, pb = placed[key]

@@ -82,6 +82,7 @@ class CouplingGraph:
                 raise HardwareError(f"single-qubit error {eps} outside [0,1) for {q}")
         self._check_connected()
         self._dist: list[list[int]] | None = None
+        self._closer: dict[int, tuple[Edge, ...]] = {}  # keyed min * num_qubits + max
 
     def _bfs_row(self, src: int) -> list[int]:
         """Hop count from ``src`` to every qubit, -1 where unreachable."""
@@ -112,6 +113,25 @@ class CouplingGraph:
 
     def distance(self, a: int, b: int) -> int:
         return self.all_pairs_distance()[a][b]
+
+    def closer_swaps(self, pa: int, pb: int) -> tuple[Edge, ...]:
+        """The sorted edges whose SWAP brings qubits ``pa`` and ``pb`` one
+        hop closer; () when they are adjacent.  Only an edge at one of the
+        two moves them, and a SWAP moves at most one of two non-adjacent
+        qubits.  Memoised per pair: (pb, pa) has the same answer."""
+        key = pa * self.num_qubits + pb if pa < pb else pb * self.num_qubits + pa
+        swaps = self._closer.get(key)
+        if swaps is None:
+            dist = self.all_pairs_distance()
+            cur = dist[pa][pb]
+            found = []
+            if cur > 1:
+                for moved, fixed in ((pa, pb), (pb, pa)):
+                    for nxt in self.adjacency[moved]:
+                        if dist[nxt][fixed] == cur - 1:
+                            found.append((moved, nxt) if moved < nxt else (nxt, moved))
+            swaps = self._closer[key] = tuple(sorted(found))
+        return swaps
 
     def error_of(self, edge: Edge) -> float:
         e = normalize_edge(*edge)
@@ -252,6 +272,12 @@ class Mapping:
 
     def copy(self) -> "Mapping":
         return Mapping(self.num_logical, self.num_physical, list(self._l2p))
+
+    @property
+    def placement(self) -> list[int]:
+        """The physical qubit of each logical qubit, unchecked: the
+        mapping's own list, so do not modify it."""
+        return self._l2p
 
     def phys(self, logical: int) -> int:
         if not 0 <= logical < self.num_logical:

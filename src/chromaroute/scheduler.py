@@ -1,13 +1,13 @@
 """Layer-by-layer scheduler built on coloring the candidate set graph.
 
-Each iteration assembles the candidate set graph for the current frontier,
-colors it (in-flight SWAPs pinned to the first color), picks one color
-class by a ranked tie-break chain, and commits that class as the next
-layer.  SWAPs occupy their qubits for three consecutive layers; the
-logical-to-physical mapping changes when a routing SWAP finishes.  Every
-crosstalk pair actually committed is written to a ledger at the layer
-where the later of the two operations starts, and the ledger total can
-never exceed the configured allowance.
+Each iteration assembles the candidate set graph for the current frontier
+and commits one color class as the next layer: while SWAPs are in flight
+the first color, which holds them, and otherwise the class a ranked
+tie-break chain picks from a full coloring.  SWAPs occupy their qubits for
+three consecutive layers; the logical-to-physical mapping changes when a
+routing SWAP finishes.  Every crosstalk pair actually committed is written
+to a ledger at the layer where the later of the two operations starts, and
+the ledger total can never exceed the configured allowance.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _typed(value, types, where: str, optional: bool = False):
     raise ParseError(f"{where}: {value!r} has the wrong type")
 
 
-@dataclass
+@dataclass(slots=True)
 class Op:
     """One scheduled operation on physical qubits.  ``qubits`` keeps the
     control/target order for directed gates; ``slice_index`` is 1..3 for
@@ -121,8 +121,7 @@ class ScheduledCircuit:
 
     @property
     def swap_count(self) -> int:
-        n = sum(1 for layer in self.layers for op in layer if op.kind == "swap" and op.slice_index == 1)
-        return n
+        return sum(1 for layer in self.layers for op in layer if op.kind == "swap" and op.slice_index == 1)
 
     def ledger_total(self) -> float:
         return left_sum(e.excess for e in self.crosstalk_ledger)
@@ -170,6 +169,8 @@ class ScheduledCircuit:
                 )
                 if op.slice_index is not None and op.kind != "swap":
                     raise ParseError(f"layer {li}: a {op.kind} op has a SWAP slice")
+                if op.param is not None and not math.isfinite(op.param):
+                    raise ParseError(f"layer {li}: param {op.param!r} is not finite")
                 ops.append(op)
             layers.append(ops)
         ledger = [
@@ -198,21 +199,28 @@ class ColorClass:
     members: list[int]  # sorted vertex ids
 
 
-def welsh_powell(csg: Csg) -> list[ColorClass]:
-    """Greedy coloring, highest degree first, with in-flight SWAPs forced
-    into color 0 before anything else is considered.  Later vertices may
-    still join color 0 when nothing pins them apart."""
+def _coloring_order(csg: Csg) -> tuple[list[int], list[int]]:
+    """(the in-flight SWAPs, pinned to color 0; every other vertex in
+    Welsh–Powell order: degree descending, ties to the lower id)."""
     neighbors = csg.neighbors
-    colors: list[int] = []  # by vertex id; -1 until colored
+    pinned: list[int] = []
     order: list[int] = []
     for v in csg.vertices:
-        if v.kind == "inprogress":
-            colors.append(0)
-        else:
-            colors.append(-1)
-            order.append(v.vertex_id)
+        (pinned if v.kind == "inprogress" else order).append(v.vertex_id)
     # a stable sort of ascending ids: ties on degree go to the lower id
     order.sort(key=lambda vid: -len(neighbors(vid)))
+    return pinned, order
+
+
+def welsh_powell(csg: Csg) -> list[ColorClass]:
+    """Greedy first-fit coloring in ``_coloring_order``: in-flight SWAPs
+    are forced into color 0 before anything else is considered, and later
+    vertices may still join color 0 when nothing pins them apart."""
+    neighbors = csg.neighbors
+    pinned, order = _coloring_order(csg)
+    colors = [-1] * len(csg.vertices)  # by vertex id; -1 until colored
+    for vid in pinned:
+        colors[vid] = 0
     for vid in order:
         taken = {colors[n] for n in neighbors(vid)}
         c = 0
@@ -225,6 +233,20 @@ def welsh_powell(csg: Csg) -> list[ColorClass]:
     for vid, c in enumerate(colors):
         classes[c].members.append(vid)
     return classes
+
+
+def color_zero(csg: Csg) -> ColorClass:
+    """``welsh_powell(csg)``'s color 0 without coloring the rest: first fit
+    in one order peels greedy independent sets, so color 0 is the in-flight
+    SWAPs and then each vertex, in ``_coloring_order``, with no neighbor
+    in color 0 yet."""
+    neighbors = csg.neighbors
+    pinned, order = _coloring_order(csg)
+    members = set(pinned)
+    for vid in order:
+        if members.isdisjoint(neighbors(vid)):
+            members.add(vid)
+    return ColorClass(color=0, members=sorted(members))
 
 
 @dataclass
@@ -259,26 +281,21 @@ def _class_metrics(csg: Csg, cls: ColorClass, ctx: SelectionContext) -> tuple:
 
 
 def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) -> ColorClass:
-    """Pick the color class to commit next.
+    """Pick the color class to commit next from a CSG with no SWAP in
+    flight (``schedule_layer`` commits ``color_zero`` while one is).
 
-    With SWAPs in flight the class holding them (color 0) is committed
-    unconditionally: an interrupted SWAP is not a thing.  Otherwise the
-    classes are cut down to the ``TOP_K`` largest and ranked by member
+    The classes are cut down to the ``TOP_K`` largest and ranked by member
     count, cgate count, continued-help count, allowance usage, summed
-    criticality, and finally lowest vertex id.  A caller-supplied
+    criticality, and finally lowest vertex id.  A strictly largest class
+    wins on the first key, so it is returned unranked.  A caller-supplied
     ``ctx.tie_breaker(csg, tied)`` gets a shot at any tie that survives the
     first four keys.
     """
     if not classes:
         raise InvariantError("no color classes to select from")
-    if any(v.kind == "inprogress" for v in csg.vertices):
-        for cls in classes:
-            if cls.color == 0:
-                return cls
-        raise InvariantError("in-flight SWAPs present but color 0 missing")
-    if len(classes) == 1:
-        return classes[0]
     short = sorted(classes, key=lambda c: (-len(c.members), min(c.members)))[:TOP_K]
+    if len(short) == 1 or len(short[0].members) > len(short[1].members):
+        return short[0]
     metrics = {cls.color: _class_metrics(csg, cls, ctx) for cls in short}
     best4 = min(metrics[c.color][:4] for c in short)
     tied = [c for c in short if metrics[c.color][:4] == best4]
@@ -398,13 +415,7 @@ class ScheduleState:
         self._placed = False
         for f in self.flights:
             sl = SWAP_DURATION - f.remaining_time + 1
-            op = Op(
-                kind="swap",
-                qubits=f.edge,
-                gate_id=f.gate_key,
-                slice_index=sl,
-            )
-            self._cur.append(op)
+            self._cur.append(Op(kind="swap", qubits=f.edge, gate_id=f.gate_key, slice_index=sl))
             self._cur_edges.add(f.edge)
             self._cur_busy.update(f.edge)
 
@@ -431,14 +442,7 @@ class ScheduleState:
 
     def start_swap(self, edge: Edge, helps: frozenset = frozenset(), gate_key=None) -> None:
         edge = normalize_edge(*edge)
-        self.place(
-            Op(
-                kind="swap",
-                qubits=edge,
-                gate_id=gate_key,
-                slice_index=1,
-            )
-        )
+        self.place(Op(kind="swap", qubits=edge, gate_id=gate_key, slice_index=1))
         self.flights.append(InProgressSwap(edge, SWAP_DURATION, helps, gate_key))
         if gate_key is None:
             self._drained.apply_swap(*edge)
@@ -502,10 +506,13 @@ def schedule_layer(
     run_cgate,
 ) -> tuple[Csg, ColorClass | None]:
     """One CSG layer step into the open layer: build the candidate set graph
-    of ``cgates``, ``swaps`` and the state's flights, color it, pick a class
-    by ``ctx`` and commit its members in vertex order, ``run_cgate(key)``
-    for a cgate and a started SWAP for a candidate.  Returns (csg, selected
-    class), the class None when the CSG is empty."""
+    of ``cgates``, ``swaps`` and the state's flights, pick a class and
+    commit its members in vertex order, ``run_cgate(key)`` for a cgate and
+    a started SWAP for a candidate.  With SWAPs in flight the class is
+    ``color_zero``, the one holding them: an interrupted SWAP is not a
+    thing.  Otherwise the CSG is colored and ``rank_and_select`` picks by
+    ``ctx``.  Returns (csg, selected class), the class None when the CSG is
+    empty."""
     csg = build_csg(
         cgates,
         swaps,
@@ -518,7 +525,10 @@ def schedule_layer(
     )
     if not csg.vertices:
         return csg, None
-    selected = rank_and_select(csg, welsh_powell(csg), ctx)
+    if state.flights:
+        selected = color_zero(csg)
+    else:
+        selected = rank_and_select(csg, welsh_powell(csg), ctx)
     for vid in selected.members:
         v = csg.vertices[vid]
         if v.kind == "cgate":

@@ -16,9 +16,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-# build_csg, welsh_powell and rank_and_select are called through schedule_layer.
-# They stay imported because perfbench/tracing.py patches them by name in this
-# module's namespace, and an install fails on a missing name.
+# build_csg is called through schedule_layer, and so are welsh_powell and
+# rank_and_select, only on layers with no SWAP in flight.  They stay imported
+# because perfbench/tracing.py patches them by name in this module's
+# namespace, and an install fails on a missing name.
 from .csg import PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
 from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping

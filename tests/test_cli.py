@@ -341,8 +341,8 @@ def _edited_schedule(edit):
         out = tmp / "sched.json"
         assert main(["compile", "-c", circ, "-H", str(ring6), "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
-        edit(doc)
-        out.write_text(json.dumps(doc))
+        text = edit(doc)
+        out.write_text(json.dumps(doc) if text is None else text)
         return ["report", "-s", str(out), "-H", str(ring6)]
 
     make_argv.__name__ = edit.__name__
@@ -388,6 +388,17 @@ def _slice_on_cx(doc):
     next(op for op in doc["layers"][-1] if op["kind"] == "cx")["slice"] = 1
 
 
+def _op_param(literal):
+    """The first op's ``param`` written as the JSON text ``literal``."""
+
+    def edit(doc):
+        doc["layers"][0][0]["param"] = 0.5
+        return json.dumps(doc).replace('"param": 0.5', f'"param": {literal}', 1)
+
+    edit.__name__ = f"_op_param_{literal}"
+    return edit
+
+
 def _device_size(doc):
     # a gate on qubit 50, which the 6-qubit device does not have
     doc["num_physical"] = 100
@@ -421,6 +432,8 @@ def _device_size(doc):
         (_edited_schedule(_cx_mid_flight), "layer 1: SWAP on (0, 1) went missing mid-flight"),
         (_edited_schedule(_renumbered_mapping_keys), "initial_mapping: the logical qubit keys are not 0..5"),
         (_edited_schedule(_slice_on_cx), "layer 3: a cx op has a SWAP slice"),
+        (_edited_schedule(_op_param("NaN")), "layer 0: param nan is not finite"),
+        (_edited_schedule(_op_param("1e309")), "layer 0: param inf is not finite"),
         (_hardware_field("edges", 5), "error: edges: expected a JSON array, got 5"),
         (_hardware_field("crosstalk", 5), "error: crosstalk: expected a JSON array, got 5"),
         (_hardware_field("edge_error", [0.01]), "error: edge_error: expected a JSON object"),

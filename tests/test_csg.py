@@ -235,6 +235,47 @@ def test_two_distant_gates_csg_shape():
     assert chosen_edges == {(0, 1), (3, 4)}
 
 
+def test_a_strictly_largest_class_is_taken_unranked(monkeypatch):
+    # on a line, the gate on (1, 2) clashes with those on (0, 1) and (2, 3):
+    # it takes color 0 alone, and the other two share color 1
+    hw = line5()
+    m = Mapping(5, 5)
+    cgates = [PendingPair(0, (0, 1)), PendingPair(1, (1, 2)), PendingPair(2, (2, 3))]
+    csg = build_csg(cgates, [], [], cgates, m, hw, empty_profile(hw), 0.0)
+    classes = welsh_powell(csg)
+    assert [cls.members for cls in classes] == [[1], [0, 2]]
+
+    def refuse(*args):
+        raise AssertionError("a strictly largest class needs no ranking")
+
+    monkeypatch.setattr(scheduler, "_class_metrics", refuse)
+    chosen = rank_and_select(csg, classes, SelectionContext(tie_breaker=refuse))
+    assert chosen.members == [0, 2]
+
+
+def test_a_size_tie_is_ranked_in_full(monkeypatch):
+    hw, prof = ring6()
+    m = Mapping(6, 6)
+    pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
+    csg = build_csg([], useful_swaps(pending, m, hw), [], pending, m, hw, prof, 0.0)
+    classes = welsh_powell(csg)
+    assert [len(cls.members) for cls in classes] == [2, 2]
+    ranked, asked = [], []
+    class_metrics = scheduler._class_metrics
+
+    def counted(csg, cls, ctx):
+        ranked.append(cls.color)
+        return class_metrics(csg, cls, ctx)
+
+    monkeypatch.setattr(scheduler, "_class_metrics", counted)
+    ctx = SelectionContext(tie_breaker=lambda csg, tied: asked.append(tied))
+    chosen = rank_and_select(csg, classes, ctx)
+    # both classes tie on the first four keys; the lowest vertex id decides
+    assert sorted(ranked) == [0, 1]
+    assert asked == [classes]
+    assert chosen.members == [0, 2]
+
+
 def test_every_coloring_is_proper():
     hw, prof = ring6()
     m = Mapping(6, 6)

@@ -1,11 +1,14 @@
 """The indexed hot path against brute-force references kept in this file.
 
-``useful_swaps`` scans only the edges at an unsatisfied gate's endpoints,
-``build_csg`` finds its vertex pairs through indexes, ``Csg.neighbors``
-reads the adjacency ``build_csg`` fills, ``CircuitRun`` keeps its ready set
-incrementally, ``ScheduleState`` keeps its drained mapping and its crosstalk
-total as it goes.  The references below are the straightforward versions:
-every coupling edge, every vertex pair, both edge sets scanned per lookup,
+``useful_swaps`` merges each unsatisfied gate's memoised
+``CouplingGraph.closer_swaps``, which scans only the edges at the gate's
+endpoints, ``build_csg`` finds its vertex pairs through indexes,
+``Csg.neighbors`` reads the adjacency ``build_csg`` fills, a layer with
+SWAPs in flight commits ``color_zero`` without coloring the rest,
+``CircuitRun`` keeps its ready set incrementally, ``ScheduleState`` keeps
+its drained mapping and its crosstalk total as it goes.  The references
+below are the straightforward versions: every coupling edge, every vertex
+pair, both edge sets scanned per lookup, the full coloring's color 0,
 ``frontier`` recomputed from the executed set, a mapping copy with the
 in-flight routing SWAPs applied, and the ledger summed again.  Seeded grid
 compiles run with checking wrappers around the scheduler's calls, so every
@@ -367,6 +370,77 @@ def random_pauli_program(width: int, num_strings: int, rng: random.Random) -> Pa
             ops[q] = rng.choice("XYZ")
         strings.append(PauliString("".join(ops), round(rng.uniform(-1.0, 1.0), 6)))
     return PauliProgram(width, strings)
+
+
+@pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
+def test_flight_layers_commit_the_reference_color_zero(monkeypatch, rows, seed):
+    """While SWAPs are in flight ``schedule_layer`` commits ``color_zero``
+    without coloring the rest; it must be the full coloring's color 0."""
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, 110, rng)
+    program = random_pauli_program(rows * rows, 12, rng)
+    seen = {"flight_layers": 0, "joined": 0}
+
+    def check_color_zero(info):
+        csg = info["csg"]
+        if csg is None or not any(v.kind == "inprogress" for v in csg.vertices):
+            return
+        want = reference_welsh_powell(csg)[0]
+        assert info["selected"] == want
+        seen["flight_layers"] += 1
+        seen["joined"] += any(csg.vertices[i].kind != "inprogress" for i in want.members)
+
+    def without_flights(fn):
+        def checked(csg, *args):
+            assert not any(v.kind == "inprogress" for v in csg.vertices)
+            return fn(csg, *args)
+
+        return checked
+
+    # the other layers are colored and ranked as before
+    monkeypatch.setattr(scheduler, "welsh_powell", without_flights(welsh_powell))
+    monkeypatch.setattr(scheduler, "rank_and_select", without_flights(scheduler.rank_and_select))
+    for allowance in (0.0, 0.05, math.inf):
+        compile_circuit(circuit, hw, prof, allowance=allowance, on_iteration=check_color_zero)
+        synthesize(program, hw, prof, allowance=allowance, on_iteration=check_color_zero)
+    # flight layers where a cgate or a new SWAP joined the flights
+    assert seen["flight_layers"] and seen["joined"]
+
+
+def test_closer_swaps_match_a_scan_of_every_edge():
+    grid = [(r * 4 + c, r * 4 + c + 1) for r in range(4) for c in range(3)]
+    grid += [(q, q + 4) for q in range(12)]
+    # the 16-qubit heavy-hex of a Falcon r4P device
+    heavy_hex = [(0, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 7), (5, 8), (6, 7)]
+    heavy_hex += [(7, 10), (8, 9), (8, 11), (10, 12), (11, 14), (12, 13), (12, 15), (13, 14)]
+    devices = {
+        "grid": CouplingGraph(16, grid),
+        "line": CouplingGraph(7, [(q, q + 1) for q in range(6)]),
+        "ring": CouplingGraph(8, [(q, (q + 1) % 8) for q in range(8)]),
+        "heavy_hex": CouplingGraph(16, heavy_hex),
+    }
+    for name, hw in devices.items():
+        dist = hw.all_pairs_distance()
+        adjacent = 0
+        for pa in range(hw.num_qubits):
+            for pb in range(hw.num_qubits):
+                if pa == pb:
+                    continue
+                want = []
+                for edge in sorted(hw.edges):
+                    moved = {edge[0]: edge[1], edge[1]: edge[0]}
+                    if dist[moved.get(pa, pa)][moved.get(pb, pb)] == dist[pa][pb] - 1:
+                        want.append(edge)
+                got = hw.closer_swaps(pa, pb)
+                assert got == tuple(want), (name, pa, pb)
+                assert hw.closer_swaps(pb, pa) is got  # one memo entry per pair
+                if dist[pa][pb] == 1:
+                    assert got == ()
+                    adjacent += 1
+                else:
+                    assert got
+        assert adjacent == 2 * len(hw.edges)
 
 
 def reference_protection_breakers(protected, drained, hw):
