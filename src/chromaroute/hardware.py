@@ -325,11 +325,20 @@ _XT_FIELDS = {"e1", "e2", "e1_given_e2", "e2_given_e1"}
 
 
 def _number(convert, value, where: str):
-    """``convert(value)``, or a HardwareError naming the field."""
+    """``convert(value)`` for a JSON number (never a string or a bool), an
+    integer one where ``convert`` is ``int``; a HardwareError naming the field
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int if convert is int else (int, float)):
+        what = "an integer" if convert is int else "a number"
+        raise HardwareError(f"{where}: expected {what}, got {value!r}")
+    return convert(value)
+
+
+def _qubit_key(key: str, where: str) -> int:
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise HardwareError(f"{where}: expected a number, got {value!r}") from exc
+        return int(key)
+    except ValueError as exc:
+        raise HardwareError(f"{where}: bad qubit key {key!r}") from exc
 
 
 def _json(kind: type, value, where: str, optional: bool = False):
@@ -364,7 +373,7 @@ def _parse_edge(item, where: str) -> Edge:
 
 def _qubit_table(data: dict, name: str) -> dict[int, float]:
     return {
-        _number(int, q, f"{name} key"): _number(float, v, f"{name}[{q}]")
+        _qubit_key(q, f"{name} key"): _number(float, v, f"{name}[{q}]")
         for q, v in _json(dict, data.get(name), name, optional=True).items()
     }
 
@@ -374,8 +383,9 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
 
     Unknown top-level fields are rejected so that typos do not silently turn
     into default behavior, and so is any field of the wrong JSON type: a
-    numeric field that is not a number, or a table that is not an array or
-    object.
+    numeric field that is not a JSON number (a string or a bool is not), a
+    qubit count or edge endpoint that is not an integer, or a table that is
+    not an array or object.  Object keys (``"0"``, ``"0-1"``) are parsed.
     """
     if not isinstance(data, dict):
         raise HardwareError("hardware document must be a JSON object")

@@ -13,9 +13,10 @@ the ledger total can never exceed the configured allowance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
+from types import MappingProxyType
 
 from .csg import (
     Csg,
@@ -199,108 +200,73 @@ class ColorClass:
     members: list[int]  # sorted vertex ids
 
 
-def _coloring_order(csg: Csg) -> tuple[list[int], list[int]]:
-    """(the in-flight SWAPs, pinned to color 0; every other vertex in
-    Welsh–Powell order: degree descending, ties to the lower id)."""
+def color_classes(csg: Csg):
+    """Welsh–Powell's greedy coloring of ``csg``, one class at a time.  The
+    in-flight SWAPs are pinned to color 0; every other vertex, in
+    Welsh–Powell order (degree descending, ties to the lower id), joins the
+    current class when it has no neighbor there.  First fit in one order
+    peels greedy independent sets in that order, so each class is the one a
+    first-fit coloring gives that color, and a caller can stop after the
+    first."""
     neighbors = csg.neighbors
-    pinned: list[int] = []
-    order: list[int] = []
-    for v in csg.vertices:
-        (pinned if v.kind == "inprogress" else order).append(v.vertex_id)
-    # a stable sort of ascending ids: ties on degree go to the lower id
-    order.sort(key=lambda vid: -len(neighbors(vid)))
-    return pinned, order
+    members = {v.vertex_id for v in csg.vertices if v.kind == "inprogress"}
+    rest = [v.vertex_id for v in csg.vertices if v.kind != "inprogress"]
+    rest.sort(key=lambda vid: -len(neighbors(vid)))  # stable: degree ties go to the lower id
+    color = 0
+    while members or rest:
+        left = []
+        for vid in rest:
+            if members.isdisjoint(neighbors(vid)):
+                members.add(vid)
+            else:
+                left.append(vid)
+        yield ColorClass(color=color, members=sorted(members))
+        members, rest, color = set(), left, color + 1
 
 
 def welsh_powell(csg: Csg) -> list[ColorClass]:
-    """Greedy first-fit coloring in ``_coloring_order``: in-flight SWAPs
-    are forced into color 0 before anything else is considered, and later
-    vertices may still join color 0 when nothing pins them apart."""
-    neighbors = csg.neighbors
-    pinned, order = _coloring_order(csg)
-    colors = [-1] * len(csg.vertices)  # by vertex id; -1 until colored
-    for vid in pinned:
-        colors[vid] = 0
-    for vid in order:
-        taken = {colors[n] for n in neighbors(vid)}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[vid] = c
-    # a vertex takes color c only when colors 0..c-1 are at its neighbors,
-    # so the colors in use are 0..max
-    classes = [ColorClass(color=c, members=[]) for c in range(max(colors, default=-1) + 1)]
-    for vid, c in enumerate(colors):
-        classes[c].members.append(vid)
-    return classes
+    """Every class of ``color_classes(csg)``, color 0 first."""
+    return list(color_classes(csg))
 
 
-def color_zero(csg: Csg) -> ColorClass:
-    """``welsh_powell(csg)``'s color 0 without coloring the rest: first fit
-    in one order peels greedy independent sets, so color 0 is the in-flight
-    SWAPs and then each vertex, in ``_coloring_order``, with no neighbor
-    in color 0 yet."""
-    neighbors = csg.neighbors
-    pinned, order = _coloring_order(csg)
-    members = set(pinned)
-    for vid in order:
-        if members.isdisjoint(neighbors(vid)):
-            members.add(vid)
-    return ColorClass(color=0, members=sorted(members))
-
-
-@dataclass
-class SelectionContext:
-    """What rank_and_select knows beyond the CSG.  ``tie_breaker(csg, tied)``
-    takes the CSG as an argument, so a context can be built before its CSG."""
-
-    last_helped: frozenset = field(default_factory=frozenset)
-    criticality: dict = field(default_factory=dict)
-    tie_breaker: object = None  # callable(Csg, list[ColorClass]) -> ColorClass | None
-
-
-def class_allowance_usage(csg: Csg, cls: ColorClass) -> float:
-    members = set(cls.members)
-    return left_sum(cost for i, j, cost in csg.permitted_pairs if i in members and j in members)
-
-
-def _class_metrics(csg: Csg, cls: ColorClass, ctx: SelectionContext) -> tuple:
+def _class_metrics(csg: Csg, cls: ColorClass, last_helped: frozenset, criticality) -> tuple:
     verts = [csg.vertices[i] for i in cls.members]
     cgates = sum(1 for v in verts if v.kind == "cgate")
-    continuing = sum(
-        1 for v in verts if v.kind == "swap" and (v.helps & ctx.last_helped)
-    )
-    usage = class_allowance_usage(csg, cls)
+    continuing = sum(1 for v in verts if v.kind == "swap" and (v.helps & last_helped))
+    members = set(cls.members)
+    usage = left_sum(cost for i, j, cost in csg.permitted_pairs if i in members and j in members)
     crit = 0
     for v in verts:
         if v.kind == "cgate":
-            crit += ctx.criticality.get(v.gate_key, 0)
+            crit += criticality.get(v.gate_key, 0)
         elif v.helps:
-            crit += max(ctx.criticality.get(k, 0) for k in v.helps)
+            crit += max(criticality.get(k, 0) for k in v.helps)
     return (-len(cls.members), -cgates, -continuing, usage, -crit, min(cls.members))
 
 
-def rank_and_select(csg: Csg, classes: list[ColorClass], ctx: SelectionContext) -> ColorClass:
+def rank_and_select(
+    csg: Csg, classes: list[ColorClass], last_helped: frozenset, criticality, tie_breaker
+) -> ColorClass:
     """Pick the color class to commit next from a CSG with no SWAP in
-    flight (``schedule_layer`` commits ``color_zero`` while one is).
+    flight (``schedule_layer`` commits the first class while one is).
 
     The classes are cut down to the ``TOP_K`` largest and ranked by member
-    count, cgate count, continued-help count, allowance usage, summed
-    criticality, and finally lowest vertex id.  A strictly largest class
-    wins on the first key, so it is returned unranked.  A caller-supplied
-    ``ctx.tie_breaker(csg, tied)`` gets a shot at any tie that survives the
-    first four keys.
+    count, cgate count, count of SWAPs that help a gate ``last_helped``
+    names, allowance usage, summed ``criticality``, and finally lowest
+    vertex id.  A strictly largest class wins on the first key, so it is
+    returned unranked.  ``tie_breaker(csg, tied)``, when not None, gets a
+    shot at any tie that survives the first four keys.
     """
     if not classes:
         raise InvariantError("no color classes to select from")
     short = sorted(classes, key=lambda c: (-len(c.members), min(c.members)))[:TOP_K]
     if len(short) == 1 or len(short[0].members) > len(short[1].members):
         return short[0]
-    metrics = {cls.color: _class_metrics(csg, cls, ctx) for cls in short}
+    metrics = {cls.color: _class_metrics(csg, cls, last_helped, criticality) for cls in short}
     best4 = min(metrics[c.color][:4] for c in short)
     tied = [c for c in short if metrics[c.color][:4] == best4]
-    if len(tied) > 1 and ctx.tie_breaker is not None:
-        chosen = ctx.tie_breaker(csg, tied)
+    if len(tied) > 1 and tie_breaker is not None:
+        chosen = tie_breaker(csg, tied)
         if chosen is not None:
             return chosen
     return min(short, key=lambda c: metrics[c.color])
@@ -502,17 +468,20 @@ def schedule_layer(
     cgates: list[PendingPair],
     swaps: list,
     pending: list[PendingPair],
-    ctx: SelectionContext,
     run_cgate,
+    *,
+    criticality=MappingProxyType({}),
+    tie_breaker=None,
 ) -> tuple[Csg, ColorClass | None]:
     """One CSG layer step into the open layer: build the candidate set graph
     of ``cgates``, ``swaps`` and the state's flights, pick a class and
     commit its members in vertex order, ``run_cgate(key)`` for a cgate and
-    a started SWAP for a candidate.  With SWAPs in flight the class is
-    ``color_zero``, the one holding them: an interrupted SWAP is not a
-    thing.  Otherwise the CSG is colored and ``rank_and_select`` picks by
-    ``ctx``.  Returns (csg, selected class), the class None when the CSG is
-    empty."""
+    a started SWAP for a candidate.  With SWAPs in flight the class is the
+    first of ``color_classes``, the one holding them: an interrupted SWAP
+    is not a thing.  Otherwise the CSG is colored in full and
+    ``rank_and_select`` picks by the state's ``last_helped``,
+    ``criticality`` (gate key -> weight) and ``tie_breaker``.  Returns
+    (csg, selected class), the class None when the CSG is empty."""
     csg = build_csg(
         cgates,
         swaps,
@@ -526,9 +495,9 @@ def schedule_layer(
     if not csg.vertices:
         return csg, None
     if state.flights:
-        selected = color_zero(csg)
+        selected = next(color_classes(csg))
     else:
-        selected = rank_and_select(csg, welsh_powell(csg), ctx)
+        selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
     for vid in selected.members:
         v = csg.vertices[vid]
         if v.kind == "cgate":
@@ -651,10 +620,9 @@ def compile_circuit(
             # A SWAP that just landed is not undone at once.
             swaps = useful_swaps(two_q, drained, hw)
             swaps = [s for s in swaps if s.edge not in state.last_completed_edges]
-        ctx = SelectionContext(
-            last_helped=state.last_helped - run.executed, criticality=criticality
+        csg, selected = schedule_layer(
+            state, cgates, swaps, two_q, run.run_gate, criticality=criticality
         )
-        csg, selected = schedule_layer(state, cgates, swaps, two_q, ctx, run.run_gate)
         guard.record(run.finish_layer(singles), len(run.executed))
         if on_iteration is not None:
             on_iteration({"iteration": iterations, "csg": csg, "selected": selected})

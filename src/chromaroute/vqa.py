@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
-# build_csg is called through schedule_layer, and so are welsh_powell and
-# rank_and_select, only on layers with no SWAP in flight.  They stay imported
-# because perfbench/tracing.py patches them by name in this module's
-# namespace, and an install fails on a missing name.
+# Synthesis reaches build_csg, welsh_powell and rank_and_select only through
+# scheduler.schedule_layer.  They stay imported because perfbench/tracing.py
+# patches them by name in this module's namespace, and an install fails on a
+# missing name.
 from .csg import PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
 from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping
@@ -29,7 +30,6 @@ from .scheduler import (
     Op,
     ScheduleState,
     ScheduledCircuit,
-    SelectionContext,
     StallGuard,
     rank_and_select,
     schedule_layer,
@@ -120,6 +120,7 @@ def derive_gate_sets(
 
 
 def _tree_adjacency(nodes: list[int], edges: list[tuple[int, int]]) -> dict[int, list[int]]:
+    """Sorted neighbor lists of the graph on ``nodes`` with ``edges``, a tree's or any other."""
     adj: dict[int, list[int]] = {n: [] for n in nodes}
     for a, b in edges:
         adj[a].append(b)
@@ -143,18 +144,18 @@ def _bfs_depths(adj: dict[int, list[int]], root: int, skip=None) -> dict[int, in
     return depth
 
 
-def graph_center(adj: dict[int, list[int]]) -> int:
-    """Node with the smallest eccentricity; ties go to the lowest index."""
-    best = None
-    best_ecc = None
+def graph_center(adj: dict[int, list[int]]) -> tuple[int, dict[int, int]]:
+    """(the node with the smallest eccentricity, ties to the lowest index;
+    its hop count to every node)."""
+    best = best_ecc = best_depth = None
     for node in sorted(adj):
         depth = _bfs_depths(adj, node)
         if len(depth) != len(adj):
             raise InvariantError("graph_center needs a connected graph")
         ecc = max(depth.values())
         if best_ecc is None or ecc < best_ecc:
-            best, best_ecc = node, ecc
-    return best
+            best, best_ecc, best_depth = node, ecc, depth
+    return best, best_depth
 
 
 def bfs_tree(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
@@ -196,7 +197,7 @@ def calculate_depths(adj: dict[int, list[int]]) -> tuple[int, int]:
     edge_count = sum(len(v) for v in adj.values()) // 2
     if edge_count == n - 1 and max(len(v) for v in adj.values()) <= 2:
         return n - 1, 0
-    center = graph_center(adj)
+    center, _ = graph_center(adj)
     tree = adj if edge_count == n - 1 else bfs_tree(adj, center)
     depths = []
     for child in tree[center]:
@@ -214,19 +215,12 @@ def calculate_depths(adj: dict[int, list[int]]) -> tuple[int, int]:
     return 2 * max(depths) + 1, crosstalk
 
 
-def assign_direction(
-    edge: tuple[int, int], tree_adj: dict[int, list[int]], center: int
-) -> tuple[int, int]:
-    """(control, target) for a ladder CX: the endpoint nearer the tree
-    center absorbs the parity and survives; ties keep the lower index."""
-    depth = _bfs_depths(tree_adj, center)
+def assign_direction(edge: tuple[int, int], depth: dict[int, int]) -> tuple[int, int]:
+    """(control, target) for a ladder CX on a tree edge: the endpoint nearer
+    the tree center, by ``depth`` (``graph_center``'s hop counts), absorbs
+    the parity and survives.  A tree edge's two ends are one level apart."""
     a, b = edge
-    if depth[a] == depth[b]:
-        target = min(a, b)
-    else:
-        target = a if depth[a] < depth[b] else b
-    control = b if target == a else a
-    return control, target
+    return (b, a) if depth[a] < depth[b] else (a, b)
 
 
 def pattern_cost(
@@ -244,12 +238,8 @@ def pattern_cost(
     for e in swap_edges:
         preview.apply_swap(*e)
     nodes = sorted(remaining)
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if hw.has_edge(preview.phys(a), preview.phys(b)):
-                adj[a].append(b)
-                adj[b].append(a)
+    linked = [(a, b) for a, b in combinations(nodes, 2) if hw.has_edge(preview.phys(a), preview.phys(b))]
+    adj = _tree_adjacency(nodes, linked)
     if len(_bfs_depths(adj, nodes[0])) != len(nodes):
         return INVALID_PATTERN_COST
     depth_est, xtalk_est = calculate_depths(adj)
@@ -336,8 +326,7 @@ def _synthesize_string(
             nodes = sorted(remaining)
             weights = build_qubit_graph(tuple(nodes), drained, hw)
             mst = kruskal_mst(nodes, weights)
-            tree = _tree_adjacency(nodes, mst)
-            center = graph_center(tree)
+            _, depth = graph_center(_tree_adjacency(nodes, mst))
             executable_edges, non_executable = derive_gate_sets(mst, weights)
             cgates = executable_pairs([PendingPair(e, e) for e in executable_edges], state.mapping, hw)
             pending = [PendingPair(e, e) for e in non_executable]
@@ -354,7 +343,7 @@ def _synthesize_string(
                     # re-routes any pair it finds separated.
                     candidates = fresh or reducing
             def run_cx(edge):
-                control, target = assign_direction(edge, tree, center)
+                control, target = assign_direction(edge, depth)
                 state.place(
                     Op(kind="cx", qubits=(state.mapping.phys(control), state.mapping.phys(target)))
                 )
@@ -367,13 +356,12 @@ def _synthesize_string(
 
             def tie_breaker(csg, tied):
                 return _arbitrate_patterns(
-                    tied, csg, remaining, drained, tree, center, next_active, hw, options
+                    tied, csg, remaining, drained, depth, next_active, hw, options
                 )
 
-            ctx = SelectionContext(
-                last_helped=state.last_helped & {p.key for p in pending}, tie_breaker=tie_breaker
+            csg, selected = schedule_layer(
+                state, cgates, candidates, pending, run_cx, tie_breaker=tie_breaker
             )
-            csg, selected = schedule_layer(state, cgates, candidates, pending, ctx, run_cx)
         guard.record(state.close_layer()[0], len(ladder))
         if on_iteration is not None:
             on_iteration(
@@ -465,8 +453,7 @@ def _arbitrate_patterns(
     csg,
     remaining: set[int],
     drained: Mapping,
-    tree: dict[int, list[int]],
-    center: int,
+    depth: dict[int, int],
     next_active: tuple[int, ...],
     hw: CouplingGraph,
     options: SynthesisOptions,
@@ -482,7 +469,7 @@ def _arbitrate_patterns(
         controls = set()
         for v in cls.members:
             if csg.vertices[v].kind == "cgate":
-                control, _ = assign_direction(csg.vertices[v].gate_key, tree, center)
+                control, _ = assign_direction(csg.vertices[v].gate_key, depth)
                 controls.add(control)
         patterns.append((cls, swap_edges, controls))
     costs = [

@@ -39,7 +39,7 @@ from chromaroute.fixtures import (
     tree7,
     zz_string,
 )
-from chromaroute.scheduler import SelectionContext, rank_and_select, welsh_powell
+from chromaroute.scheduler import rank_and_select, welsh_powell
 from chromaroute.vqa import build_qubit_graph, calculate_depths, kruskal_mst
 
 
@@ -81,7 +81,7 @@ def test_criterion_02_candidate_set_graph_two_coloring():
         assert sum(1 for v in csg.vertices if v.kind == "swap") == 4
         classes = welsh_powell(csg)
         assert len(classes) == 2
-        chosen = rank_and_select(csg, classes, SelectionContext())
+        chosen = rank_and_select(csg, classes, frozenset(), {}, None)
         chosen_edges = {csg.vertices[i].edge for i in chosen.members}
         assert chosen_edges == {(0, 1), (3, 4)}
         sched = compile_circuit(pair_circuit(), hw, prof, allowance=0.0)

@@ -283,16 +283,34 @@ def _non_numeric_edge_error(tmp, hw, circ):
     return ["compile", "-c", circ, "-H", str(bad)]
 
 
-def _hardware_field(field, value):
+def _hardware_edit(edit):
+    """``compile`` on a copy of ring6_cross.json that ``edit`` changed."""
+
     def make_argv(tmp, hw, circ):
         data = json.loads(Path(hw).read_text())
-        data[field] = value
+        edit(data)
         bad = tmp / "bad_hw.json"
         bad.write_text(json.dumps(data))
         return ["compile", "-c", circ, "-H", str(bad)]
 
-    make_argv.__name__ = f"_hardware_{field}"
+    make_argv.__name__ = edit.__name__
     return make_argv
+
+
+def _hardware_field(field, value):
+    def edit(data):
+        data[field] = value
+
+    edit.__name__ = f"_hardware_{field}"
+    return _hardware_edit(edit)
+
+
+def _fractional_edge(data):
+    data["edges"][0] = [0.4, 1.9]
+
+
+def _string_conditional_rate(data):
+    data["crosstalk"][0]["e1_given_e2"] = "0.05"
 
 
 def _non_integer_qubits(tmp, hw, circ):
@@ -447,6 +465,15 @@ def _device_size(doc):
         (
             _hardware_field("single_qubit_error", False),
             "error: single_qubit_error: expected a JSON object, got False",
+        ),
+        # a JSON value that is not a number of the field's kind is not read as one
+        (_hardware_field("num_qubits", 6.7), "error: num_qubits: expected an integer, got 6.7"),
+        (_hardware_field("num_qubits", "6"), "error: num_qubits: expected an integer, got '6'"),
+        (_hardware_edit(_fractional_edge), "error: edges: expected an integer, got 0.4"),
+        (_hardware_field("gate_time_cx", True), "error: gate_time_cx: expected a number, got True"),
+        (
+            _hardware_edit(_string_conditional_rate),
+            "error: crosstalk e1_given_e2: expected a number, got '0.05'",
         ),
     ],
 )

@@ -19,7 +19,7 @@ from chromaroute.csg import (
 )
 from chromaroute.fixtures import ring6
 from chromaroute.ir import frontier
-from chromaroute.scheduler import SelectionContext, rank_and_select, welsh_powell
+from chromaroute.scheduler import rank_and_select, welsh_powell
 
 
 def line5():
@@ -229,7 +229,7 @@ def test_two_distant_gates_csg_shape():
     classes = welsh_powell(csg)
     assert len(classes) == 2
     assert [cls.members for cls in classes] == [[0, 2], [1, 3]]
-    chosen = rank_and_select(csg, classes, SelectionContext())
+    chosen = rank_and_select(csg, classes, frozenset(), {}, None)
     assert chosen.members == [0, 2]
     chosen_edges = {csg.vertices[i].edge for i in chosen.members}
     assert chosen_edges == {(0, 1), (3, 4)}
@@ -249,7 +249,7 @@ def test_a_strictly_largest_class_is_taken_unranked(monkeypatch):
         raise AssertionError("a strictly largest class needs no ranking")
 
     monkeypatch.setattr(scheduler, "_class_metrics", refuse)
-    chosen = rank_and_select(csg, classes, SelectionContext(tie_breaker=refuse))
+    chosen = rank_and_select(csg, classes, frozenset(), {}, refuse)
     assert chosen.members == [0, 2]
 
 
@@ -263,13 +263,12 @@ def test_a_size_tie_is_ranked_in_full(monkeypatch):
     ranked, asked = [], []
     class_metrics = scheduler._class_metrics
 
-    def counted(csg, cls, ctx):
+    def counted(csg, cls, last_helped, criticality):
         ranked.append(cls.color)
-        return class_metrics(csg, cls, ctx)
+        return class_metrics(csg, cls, last_helped, criticality)
 
     monkeypatch.setattr(scheduler, "_class_metrics", counted)
-    ctx = SelectionContext(tie_breaker=lambda csg, tied: asked.append(tied))
-    chosen = rank_and_select(csg, classes, ctx)
+    chosen = rank_and_select(csg, classes, frozenset(), {}, lambda csg, tied: asked.append(tied))
     # both classes tie on the first four keys; the lowest vertex id decides
     assert sorted(ranked) == [0, 1]
     assert asked == [classes]

@@ -4,9 +4,10 @@
 ``CouplingGraph.closer_swaps``, which scans only the edges at the gate's
 endpoints, ``build_csg`` finds its vertex pairs through indexes,
 ``Csg.neighbors`` reads the adjacency ``build_csg`` fills, a layer with
-SWAPs in flight commits ``color_zero`` without coloring the rest,
-``CircuitRun`` keeps its ready set incrementally, ``ScheduleState`` keeps
-its drained mapping and its crosstalk total as it goes.  The references
+SWAPs in flight commits the first of ``color_classes`` without coloring
+the rest, ``CircuitRun`` keeps its ready set incrementally,
+``ScheduleState`` keeps its drained mapping and its crosstalk total as it
+goes.  The references
 below are the straightforward versions: every coupling edge, every vertex
 pair, both edge sets scanned per lookup, the full coloring's color 0,
 ``frontier`` recomputed from the executed set, a mapping copy with the
@@ -218,10 +219,14 @@ def reference_welsh_powell(csg):
 
 def checking_build_csg(seen):
     """``build_csg`` wrapped to compare each CSG and its coloring with the
-    references, counting what it saw into ``seen``."""
+    references, counting what it saw into ``seen``.  Every candidate SWAP
+    helps only gates of ``pending``, which never holds an executed gate, so
+    class ranking needs no filter on the help keys of the last layer."""
 
     def checked_build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, allowance_left):
         csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, allowance_left)
+        pending_keys = {p.key for p in pending}
+        assert all(v.helps <= pending_keys for v in csg.vertices if v.kind == "swap")
         conflict, crosstalk, permitted, ties = reference_pairs(
             csg.vertices, pending, mapping, hw, prof, allowance_left
         )
@@ -374,8 +379,9 @@ def random_pauli_program(width: int, num_strings: int, rng: random.Random) -> Pa
 
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
 def test_flight_layers_commit_the_reference_color_zero(monkeypatch, rows, seed):
-    """While SWAPs are in flight ``schedule_layer`` commits ``color_zero``
-    without coloring the rest; it must be the full coloring's color 0."""
+    """While SWAPs are in flight ``schedule_layer`` commits the first of
+    ``color_classes`` without coloring the rest; it must be the full
+    coloring's color 0."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, 110, rng)

@@ -129,21 +129,25 @@ def test_derive_gate_sets_rules():
 
 def test_graph_center_ties_go_low():
     path4 = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-    assert graph_center(path4) == 1
+    assert graph_center(path4) == (1, {0: 1, 1: 0, 2: 1, 3: 2})
     pair = {0: [1], 1: [0]}
-    assert graph_center(pair) == 0
+    assert graph_center(pair) == (0, {0: 0, 1: 1})
     star = {0: [9], 9: [0, 5, 7], 5: [9], 7: [9]}
-    assert graph_center(star) == 9
+    assert graph_center(star) == (9, {9: 0, 0: 1, 5: 1, 7: 1})
 
 
 def test_assign_direction_target_is_nearer_center():
     tree = {0: [1], 1: [0, 3], 3: [1, 4], 4: [3]}
-    assert assign_direction((0, 1), tree, 1) == (0, 1)
-    assert assign_direction((1, 3), tree, 1) == (3, 1)
-    assert assign_direction((3, 4), tree, 1) == (4, 3)
+    center, depth = graph_center(tree)
+    assert center == 1
+    assert assign_direction((0, 1), depth) == (0, 1)
+    assert assign_direction((1, 3), depth) == (3, 1)
+    assert assign_direction((3, 4), depth) == (4, 3)
     chain = {1: [3], 3: [1, 4], 4: [3]}
-    assert assign_direction((1, 3), chain, 3) == (1, 3)
-    assert assign_direction((3, 4), chain, 3) == (4, 3)
+    center, depth = graph_center(chain)
+    assert center == 3
+    assert assign_direction((1, 3), depth) == (1, 3)
+    assert assign_direction((3, 4), depth) == (4, 3)
 
 
 DEPTH_CASES = [
