@@ -11,6 +11,7 @@ buys back as much parallelism as it can pay for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
 
@@ -64,15 +65,21 @@ class CsgVertex:
 
 @dataclass
 class Csg:
-    """One iteration's candidate set graph.  ``build_csg`` fills the
-    adjacency as it adds each conflict and crosstalk edge, so the edge
-    collections must not change afterwards."""
+    """One iteration's candidate set graph.  ``_adjacency`` is its one edge
+    store, filled by ``build_csg`` and not to change afterwards: the priced
+    ``crosstalk_edges`` are a part of it, ``conflict_edges`` the rest."""
 
     vertices: list[CsgVertex]
-    conflict_edges: set[tuple[int, int]]
     crosstalk_edges: dict[tuple[int, int], float]
     permitted_pairs: list[tuple[int, int, float]]
     _adjacency: list[set[int]] = field(repr=False, compare=False)
+
+    @property
+    def conflict_edges(self) -> set[tuple[int, int]]:
+        """Every adjacency pair ``i < j`` that is not a crosstalk edge: the two
+        are disjoint, as a pair is priced only when it is not already joined."""
+        xtalk = self.crosstalk_edges
+        return {(i, j) for j, ids in enumerate(self._adjacency) for i in ids if i < j and (i, j) not in xtalk}
 
     def neighbors(self, vid: int) -> set[int]:
         """Vertices joined to ``vid`` by either kind of edge (the graph's own
@@ -106,11 +113,11 @@ def useful_swaps(pending: list[PendingPair], mapping: Mapping, hw: CouplingGraph
     ``CouplingGraph.closer_swaps``, merged per edge.
     """
     closer_swaps, l2p = hw.closer_swaps, mapping.placement
-    helps: dict[Edge, set] = {}
+    helps: dict[Edge, list] = {}  # a pending gate's key is unique, so no set is needed
     for p in pending:
         for edge in closer_swaps(l2p[p.logicals[0]], l2p[p.logicals[1]]):
-            helps.setdefault(edge, set()).add(p.key)
-    return [SwapCandidate(edge=e, helps=frozenset(helps[e])) for e in sorted(helps)]
+            helps.setdefault(edge, []).append(p.key)
+    return [SwapCandidate(edge, frozenset(keys)) for edge, keys in sorted(helps.items())]
 
 
 def cheapest_swap(candidates: list[SwapCandidate], hw: CouplingGraph) -> SwapCandidate:
@@ -135,17 +142,18 @@ def build_csg(
     edge), then cgates (by gate key), then candidate SWAPs (by edge).
     Crosstalk pairs are sorted ascending by ``profile.excess_error`` and
     permitted while the running total stays within ``allowance_left``; only
-    the pairs that did not fit become crosstalk edges.
+    the pairs that did not fit become crosstalk edges.  Every edge goes into
+    the adjacency, the CSG's one edge store; its conflict edges are derived.
     """
     l2p = mapping.placement
     vertices: list[CsgVertex] = []
-    for ip in sorted(in_progress, key=lambda s: s.edge):
+    for ip in sorted(in_progress, key=attrgetter("edge")):
         vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
-    for p in sorted(cgates, key=lambda g: g.key):
+    for p in sorted(cgates, key=attrgetter("key")):
         edge = normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])
         vertices.append(CsgVertex(len(vertices), "cgate", edge, p.key))
     busy_edges = {ip.edge for ip in in_progress}
-    for sc in sorted(candidate_swaps, key=lambda s: s.edge):
+    for sc in sorted(candidate_swaps, key=attrgetter("edge")):
         # The same physical SWAP may already be running; restarting it would
         # be a different operation on busy qubits anyway.
         if sc.edge not in busy_edges:
@@ -157,54 +165,62 @@ def build_csg(
     # the crosstalk price.  An edge goes into the adjacency when it is found.
     dist = hw.all_pairs_distance()
     placed = None  # pending gate key -> its two physical qubits, built on first use
-    partners = profile.partners
+    partners, excess_error = profile.partners, profile.excess_error
     adjacency: list[set[int]] = [set() for _ in vertices]
-    conflict_edges: set[tuple[int, int]] = set()
     maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
     by_qubit: dict[int, list[int]] = {}
     by_help: dict[object, list[int]] = {}
     by_edge: dict[Edge, list[int]] = {}
     for v in vertices:
-        j = v.vertex_id
+        j, edge = v.vertex_id, v.edge
         joined = adjacency[j]
-        a, b = v.edge
-        for q in (a, b):
-            ids = by_qubit.setdefault(q, [])
+        a, b = edge
+        for q in edge:
+            ids = by_qubit.get(q)
+            if ids is None:
+                by_qubit[q] = [j]
+                continue
             for i in ids:
-                conflict_edges.add((i, j))
                 adjacency[i].add(j)
-                joined.add(i)
+            joined.update(ids)
             ids.append(j)
         # Two SWAPs attacking one gate from opposite ends can cancel out:
         # each alone reduces its distance, both together move the endpoints
         # past each other.  An in-flight SWAP can carry help keys from the
         # iteration it started in; a gate that has since left the pending
         # set cannot be re-evaluated, so it cannot justify a conflict.
-        for i in {i for key in v.helps for i in by_help.get(key, ())} - joined:
-            u = vertices[i]
-            c, d = u.edge  # shares no qubit with (a, b): each qubit moves once
-            moved = {a: b, b: a, c: d, d: c}
+        for key in v.helps:
+            ids = by_help.get(key)
+            if ids is None:
+                by_help[key] = [j]
+                continue
             if placed is None:
                 placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
-            for key in u.helps & v.helps:
-                if key in placed:
-                    pa, pb = placed[key]
-                    if dist[moved.get(pa, pa)][moved.get(pb, pb)] >= dist[pa][pb]:
-                        conflict_edges.add((i, j))
-                        adjacency[i].add(j)
-                        joined.add(i)
-                        break
-        for partner in partners(v.edge):
+            if key in placed:
+                pa, pb = placed[key]
+                near = dist[pa][pb]
+                # this SWAP's move, then each unjoined one's: they share no qubit
+                pa = b if pa == a else a if pa == b else pa
+                pb = b if pb == a else a if pb == b else pb
+                for i in ids:
+                    if i not in joined:
+                        c, d = vertices[i].edge
+                        x = d if pa == c else c if pa == d else pa
+                        y = d if pb == c else c if pb == d else pb
+                        if dist[x][y] >= near:
+                            adjacency[i].add(j)
+                            joined.add(i)
+            ids.append(j)
+        for partner in partners(edge):
             for i in by_edge.get(partner, ()):
-                u = vertices[i]
-                if i in joined or (u.kind == "inprogress" and v.kind == "inprogress"):
-                    # Two in-flight SWAPs: their interference, if any, was
-                    # charged when they started.
-                    continue
-                maybe_crosstalk.append((profile.excess_error(u.edge, v.edge), u.edge, v.edge, i, j))
-        for key in v.helps:
-            by_help.setdefault(key, []).append(j)
-        by_edge.setdefault(v.edge, []).append(j)
+                # two in-flight SWAPs were charged, if at all, when they started
+                if i not in joined and not (v.kind == "inprogress" == vertices[i].kind):
+                    maybe_crosstalk.append((excess_error(partner, edge), partner, edge, i, j))
+        ids = by_edge.get(edge)
+        if ids is None:
+            by_edge[edge] = [j]
+        else:
+            ids.append(j)
 
     # (cost, e_i, e_j) ties happen (a cgate and a SWAP on one edge); the
     # vertex ids break them in the order of a nested i < j loop.
@@ -220,4 +236,4 @@ def build_csg(
             crosstalk_edges[(i, j)] = cost
             adjacency[i].add(j)
             adjacency[j].add(i)
-    return Csg(vertices, conflict_edges, crosstalk_edges, permitted, _adjacency=adjacency)
+    return Csg(vertices, crosstalk_edges, permitted, _adjacency=adjacency)

@@ -334,13 +334,6 @@ def _number(convert, value, where: str):
     return convert(value)
 
 
-def _qubit_key(key: str, where: str) -> int:
-    try:
-        return int(key)
-    except ValueError as exc:
-        raise HardwareError(f"{where}: bad qubit key {key!r}") from exc
-
-
 def _json(kind: type, value, where: str, optional: bool = False):
     """``value`` if it is a JSON array (``list``) or object (``dict``), as
     ``kind`` says, an empty one for a missing or null ``optional`` table, or
@@ -371,11 +364,18 @@ def _parse_edge(item, where: str) -> Edge:
     return normalize_edge(_number(int, a, where), _number(int, b, where))
 
 
-def _qubit_table(data: dict, name: str) -> dict[int, float]:
-    return {
-        _qubit_key(q, f"{name} key"): _number(float, v, f"{name}[{q}]")
-        for q, v in _json(dict, data.get(name), name, optional=True).items()
-    }
+def _qubit_table(data: dict, name: str, num_qubits: int) -> dict[int, float]:
+    table: dict[int, float] = {}
+    for key, v in _json(dict, data.get(name), name, optional=True).items():
+        try:
+            q = int(key)
+        except ValueError as exc:
+            raise HardwareError(f"{name} key: bad qubit key {key!r}") from exc
+        if not 0 <= q < num_qubits or q in table:
+            what = "is given twice" if q in table else f"is not on the {num_qubits}-qubit device"
+            raise HardwareError(f"{name}[{key!r}]: qubit {q} {what}")
+        table[q] = _number(float, v, f"{name}[{key}]")
+    return table
 
 
 def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
@@ -385,7 +385,8 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
     into default behavior, and so is any field of the wrong JSON type: a
     numeric field that is not a JSON number (a string or a bool is not), a
     qubit count or edge endpoint that is not an integer, or a table that is
-    not an array or object.  Object keys (``"0"``, ``"0-1"``) are parsed.
+    not an array or object.  Object keys (``"0"``, ``"0-1"``) are parsed, and
+    must name a qubit of the device or an edge, each once.
     """
     if not isinstance(data, dict):
         raise HardwareError("hardware document must be a JSON object")
@@ -400,15 +401,18 @@ def load_hardware(data: dict) -> tuple[CouplingGraph, CrosstalkProfile]:
     edges = [_parse_edge(item, "edges") for item in _json(list, raw_edges, "edges")]
     edge_error = {}
     for key, val in _json(dict, data.get("edge_error"), "edge_error", optional=True).items():
-        edge_error[_parse_edge_key(key)] = _number(float, val, f"edge_error[{key!r}]")
+        edge = _parse_edge_key(key)
+        if edge in edge_error:
+            raise HardwareError(f"edge_error[{key!r}]: edge {edge} is given twice")
+        edge_error[edge] = _number(float, val, f"edge_error[{key!r}]")
     graph = CouplingGraph(
         num_qubits,
         edges,
         edge_error=edge_error,
-        t1=_qubit_table(data, "t1"),
-        t2=_qubit_table(data, "t2"),
+        t1=_qubit_table(data, "t1", num_qubits),
+        t2=_qubit_table(data, "t2", num_qubits),
         gate_time_cx=_number(float, data.get("gate_time_cx", 1.0), "gate_time_cx"),
-        single_qubit_error=_qubit_table(data, "single_qubit_error"),
+        single_qubit_error=_qubit_table(data, "single_qubit_error", num_qubits),
     )
     records = []
     for rec in _json(list, data.get("crosstalk"), "crosstalk", optional=True):

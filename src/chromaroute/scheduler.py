@@ -208,15 +208,15 @@ def color_classes(csg: Csg):
     peels greedy independent sets in that order, so each class is the one a
     first-fit coloring gives that color, and a caller can stop after the
     first."""
-    neighbors = csg.neighbors
+    neighbors = csg._adjacency
     members = {v.vertex_id for v in csg.vertices if v.kind == "inprogress"}
     rest = [v.vertex_id for v in csg.vertices if v.kind != "inprogress"]
-    rest.sort(key=lambda vid: -len(neighbors(vid)))  # stable: degree ties go to the lower id
+    rest.sort(key=lambda vid: -len(neighbors[vid]))  # stable: degree ties go to the lower id
     color = 0
     while members or rest:
         left = []
         for vid in rest:
-            if members.isdisjoint(neighbors(vid)):
+            if members.isdisjoint(neighbors[vid]):
                 members.add(vid)
             else:
                 left.append(vid)

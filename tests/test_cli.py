@@ -305,6 +305,16 @@ def _hardware_field(field, value):
     return _hardware_edit(edit)
 
 
+def _table_entry(name, field, key, value):
+    """An edit that sets ``data[field][key]`` on the hardware document."""
+
+    def edit(data):
+        data[field][key] = value
+
+    edit.__name__ = name
+    return _hardware_edit(edit)
+
+
 def _fractional_edge(data):
     data["edges"][0] = [0.4, 1.9]
 
@@ -470,6 +480,24 @@ def _device_size(doc):
         (_hardware_field("num_qubits", 6.7), "error: num_qubits: expected an integer, got 6.7"),
         (_hardware_field("num_qubits", "6"), "error: num_qubits: expected an integer, got '6'"),
         (_hardware_edit(_fractional_edge), "error: edges: expected an integer, got 0.4"),
+        # a qubit table names only the device's qubits, each once; an edge rate is given once
+        (_table_entry("_t1_qubit_99", "t1", "99", 50), "error: t1['99']: qubit 99 is not on the 6-qubit"),
+        (_table_entry("_t1_qubit_minus_1", "t1", "-1", 50), "error: t1['-1']: qubit -1 is not on the"),
+        (_table_entry("_t2_qubit_6", "t2", "6", 70), "error: t2['6']: qubit 6 is not on the 6-qubit"),
+        (
+            _table_entry("_single_qubit_error_qubit_6", "single_qubit_error", "6", 0.001),
+            "error: single_qubit_error['6']: qubit 6 is not on the 6-qubit device",
+        ),
+        (_table_entry("_t1_qubit_1_twice", "t1", " 1", 60), "error: t1[' 1']: qubit 1 is given twice"),
+        (_table_entry("_t2_qubit_0_twice", "t2", "00", 70), "error: t2['00']: qubit 0 is given twice"),
+        (
+            _table_entry("_single_qubit_error_qubit_5_twice", "single_qubit_error", "+5", 0.001),
+            "error: single_qubit_error['+5']: qubit 5 is given twice",
+        ),
+        (
+            _table_entry("_edge_error_1_0_twice", "edge_error", "1-0", 0.01),
+            "error: edge_error['1-0']: edge (0, 1) is given twice",
+        ),
         (_hardware_field("gate_time_cx", True), "error: gate_time_cx: expected a number, got True"),
         (
             _hardware_edit(_string_conditional_rate),

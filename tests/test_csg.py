@@ -144,6 +144,23 @@ def test_joint_overshoot_conflicts_on_a_ring():
     assert len(classes) == 4
 
 
+@pytest.mark.parametrize("stale", [0, 2])
+def test_a_stale_shared_key_does_not_hide_a_live_overshoot(stale):
+    # both SWAPs help gate 1 across the 4-ring diagonal and, together, move
+    # its ends past each other; they also share the key of a gate that has
+    # left the pending set, met before (0) or after (2) the live one in the
+    # fixed iteration order of small integers
+    hw = CouplingGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    m = Mapping(4, 4)
+    pending = [PendingPair(1, (0, 2))]
+    helps = frozenset({stale, 1})
+    cands = [SwapCandidate(edge=(0, 1), helps=helps), SwapCandidate(edge=(2, 3), helps=helps)]
+    csg = build_csg([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
+    assert [v.edge for v in csg.vertices] == [(0, 1), (2, 3)]
+    assert csg.conflict_edges == {(0, 1)}
+    assert csg.crosstalk_edges == {}
+
+
 def test_stale_help_keys_are_skipped():
     hw = line5()
     m = Mapping(5, 5)

@@ -232,6 +232,11 @@ def checking_build_csg(seen):
         )
         assert csg.conflict_edges == conflict
         assert csg.crosstalk_edges == crosstalk
+        # the adjacency is the one edge store: the derived conflict edges and
+        # the crosstalk edges split its pairs between them
+        adjacency_pairs = {(i, j) for i in range(len(csg.vertices)) for j in csg.neighbors(i) if i < j}
+        assert csg.conflict_edges.isdisjoint(csg.crosstalk_edges)
+        assert csg.conflict_edges | set(csg.crosstalk_edges) == adjacency_pairs
         assert csg.permitted_pairs == permitted
         for v in csg.vertices:
             assert csg.neighbors(v.vertex_id) == reference_neighbors(csg, v.vertex_id)
