@@ -334,6 +334,12 @@ class ScheduleState:
             raise MappingError(f"program needs {num_logical} qubits, device has {hw.num_qubits}")
         if initial_mapping is None:
             initial_mapping = Mapping(num_logical, hw.num_qubits)
+        elif (initial_mapping.num_logical, initial_mapping.num_physical) != (num_logical, hw.num_qubits):
+            raise MappingError(
+                f"initial mapping places {initial_mapping.num_logical} logical qubits on "
+                f"{initial_mapping.num_physical} physical ones; the program has {num_logical} "
+                f"and the device {hw.num_qubits}"
+            )
         self.hw = hw
         self.profile = profile
         self.allowance = allowance
@@ -358,7 +364,8 @@ class ScheduleState:
         """The mapping that will hold once the in-flight routing SWAPs land.
         It is the state's own, kept current as each routing SWAP starts, so
         callers read it and must not change it (``vqa.pattern_cost`` and
-        ``_lookahead_extra_swaps`` preview on copies).  They read it before
+        ``_lookahead_extra_swaps`` preview a pattern by walking positions
+        through its SWAPs, ``vqa._preview_positions``).  They read it before
         ``schedule_layer`` commits, as synthesis's tie-breaker does: the
         SWAPs a commit starts move it."""
         return self._drained
@@ -681,6 +688,11 @@ def verify_routing(
     first violation."""
     if sched.num_physical != hw.num_qubits:
         raise VerificationError(f"num_physical {sched.num_physical}, device has {hw.num_qubits}")
+    for q, p in enumerate(sched.initial_mapping.placement):
+        if not 0 <= p < sched.num_physical:
+            raise VerificationError(
+                f"initial mapping places logical {q} on physical {p}, outside the device"
+            )
     mapping = sched.initial_mapping.copy()
     executed: set[int] = set()
     gate_of = {g.gate_id: g for g in circuit.gates} if circuit is not None else {}

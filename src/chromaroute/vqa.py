@@ -61,11 +61,18 @@ class SynthesisOptions:
 def build_qubit_graph(active: tuple[int, ...], mapping: Mapping, hw: CouplingGraph) -> dict[tuple[int, int], int]:
     """Complete graph over the active logical qubits, weighted by the hop
     distance between their current physical homes."""
+    return _hop_weights(sorted(active), mapping.placement, hw)
+
+
+def _hop_weights(nodes: list[int], position, hw: CouplingGraph) -> dict[tuple[int, int], int]:
+    """``build_qubit_graph`` over sorted ``nodes`` whose physical homes are
+    ``position[q]``: a placement list or a preview's dict."""
+    dist = hw.all_pairs_distance()
     weights: dict[tuple[int, int], int] = {}
-    nodes = sorted(active)
     for i, a in enumerate(nodes):
+        row = dist[position[a]]
         for b in nodes[i + 1 :]:
-            weights[(a, b)] = hw.distance(mapping.phys(a), mapping.phys(b))
+            weights[(a, b)] = row[position[b]]
     return weights
 
 
@@ -92,7 +99,7 @@ def kruskal_mst(nodes: list[int], weights: dict[tuple[int, int], int]) -> list[t
     (weight, lower node, higher node) order."""
     uf = _UnionFind(nodes)
     mst = []
-    for (a, b), w in sorted(weights.items(), key=lambda kv: (kv[1], kv[0])):
+    for _, a, b in sorted([(w, a, b) for (a, b), w in weights.items()]):
         if uf.union(a, b):
             mst.append((a, b))
             if len(mst) == len(nodes) - 1:
@@ -223,6 +230,25 @@ def assign_direction(edge: tuple[int, int], depth: dict[int, int]) -> tuple[int,
     return (b, a) if depth[a] < depth[b] else (a, b)
 
 
+def _preview_positions(
+    qubits, placement: list[int], swap_edges: list[tuple[int, int]]
+) -> dict[int, int]:
+    """The physical home of each of ``qubits`` once the SWAPs on
+    ``swap_edges`` land, in order, on ``placement``.  Each qubit's position
+    is walked through the edges, which moves it as ``Mapping.apply_swap``
+    on a copy would, whether or not an edge's other end is occupied."""
+    position = {}
+    for q in qubits:
+        p = placement[q]
+        for a, b in swap_edges:
+            if p == a:
+                p = b
+            elif p == b:
+                p = a
+        position[q] = p
+    return position
+
+
 def pattern_cost(
     swap_edges: list[tuple[int, int]],
     remaining: set[int],
@@ -234,11 +260,10 @@ def pattern_cost(
     crosstalk (weighted by ``options.w1``) plus estimated ladder depth plus
     ``SWAP_DURATION`` layers per SWAP (weighted by ``options.w2``).  A
     pattern that leaves the working set disconnected costs infinity."""
-    preview = mapping.copy()
-    for e in swap_edges:
-        preview.apply_swap(*e)
     nodes = sorted(remaining)
-    linked = [(a, b) for a, b in combinations(nodes, 2) if hw.has_edge(preview.phys(a), preview.phys(b))]
+    position = _preview_positions(nodes, mapping.placement, swap_edges)
+    dist = hw.all_pairs_distance()
+    linked = [(a, b) for a, b in combinations(nodes, 2) if dist[position[a]][position[b]] == 1]
     adj = _tree_adjacency(nodes, linked)
     if len(_bfs_depths(adj, nodes[0])) != len(nodes):
         return INVALID_PATTERN_COST
@@ -252,13 +277,14 @@ def _lookahead_extra_swaps(
     drained: Mapping,
     hw: CouplingGraph,
 ) -> int:
-    preview = drained.copy()
-    for e in swap_edges:
-        preview.apply_swap(*e)
+    """SWAPs the next string's tree would still need after this pattern's
+    SWAPs land on ``drained``: the sum over its MST edges of hop distance
+    minus one, 0 for a string of fewer than two qubits."""
     if len(next_active) < 2:
         return 0
-    weights = build_qubit_graph(next_active, preview, hw)
-    mst = kruskal_mst(sorted(next_active), weights)
+    nodes = sorted(next_active)
+    weights = _hop_weights(nodes, _preview_positions(nodes, drained.placement, swap_edges), hw)
+    mst = kruskal_mst(nodes, weights)
     return sum(weights[e] - 1 for e in mst)
 
 
@@ -317,6 +343,10 @@ def _synthesize_string(
     remaining = set(active)  # the qubits still carrying parity
     ladder: list[tuple[int, int]] = []  # committed CXs in execution order
     guard = StallGuard(len(active), hw, f"string {string_index}: ")
+    # The tree of a working set depends only on where its qubits will sit,
+    # and that often repeats, say while SWAPs fly and no CX runs: (qubits,
+    # their drained homes) -> (depth, adjacent tree pairs, distant ones).
+    trees: dict[tuple, tuple] = {}
     while len(remaining) > 1 or state.flights:
         iterations = guard.next_iteration()
         state.open_layer()
@@ -324,12 +354,21 @@ def _synthesize_string(
         if len(remaining) > 1:
             drained = state.drained()
             nodes = sorted(remaining)
-            weights = build_qubit_graph(tuple(nodes), drained, hw)
-            mst = kruskal_mst(nodes, weights)
-            _, depth = graph_center(_tree_adjacency(nodes, mst))
-            executable_edges, non_executable = derive_gate_sets(mst, weights)
-            cgates = executable_pairs([PendingPair(e, e) for e in executable_edges], state.mapping, hw)
-            pending = [PendingPair(e, e) for e in non_executable]
+            placement = drained.placement
+            key = (tuple(nodes), tuple([placement[q] for q in nodes]))
+            tree = trees.get(key)
+            if tree is None:
+                weights = build_qubit_graph(key[0], drained, hw)
+                mst = kruskal_mst(nodes, weights)
+                _, depth = graph_center(_tree_adjacency(nodes, mst))
+                executable_edges, non_executable = derive_gate_sets(mst, weights)
+                tree = trees[key] = (
+                    depth,
+                    [PendingPair(e, e) for e in executable_edges],
+                    [PendingPair(e, e) for e in non_executable],
+                )
+            depth, executable, pending = tree
+            cgates = executable_pairs(executable, state.mapping, hw)
             candidates = guard.escape_swaps(pending, drained, state.flights, criticality={})
             if candidates is None:
                 reducing = useful_swaps(pending, drained, hw)
@@ -441,8 +480,9 @@ def _keeps_ladder(
     only if this SWAP brings it back together."""
     a, b = edge
     moved = {a: b, b: a}
+    placement = drained.placement
     for c, t in ladder:
-        pc, pt = drained.phys(c), drained.phys(t)
+        pc, pt = placement[c], placement[t]
         if not hw.has_edge(moved.get(pc, pc), moved.get(pt, pt)):
             return False
     return True

@@ -15,7 +15,14 @@ import random
 
 import pytest
 
-from chromaroute import Mapping, baseline_schedule, compile_circuit, synthesize, verify_routing
+from chromaroute import (
+    Mapping,
+    SynthesisOptions,
+    baseline_schedule,
+    compile_circuit,
+    synthesize,
+    verify_routing,
+)
 from chromaroute.scheduler import StallGuard
 from test_indexed import grid_device, random_circuit, random_pauli_program
 
@@ -86,3 +93,37 @@ def seeded_grid_digests() -> dict[str, str]:
 def test_every_loop_finishes_on_seeded_grids(escapes):
     assert seeded_grid_digests() == SEEDED_GRID_DIGESTS
     assert all(escapes.values()), escapes
+
+
+# sha256 over every schedule JSON ``synthesize`` emits under option sets the
+# benchmark never uses, in case order; re-pinned the same way as above.
+SYNTHESIS_OPTION_DIGESTS = {
+    "no-lookahead": "78fc730146796c01bc75f3f9a156d4e56583a2c0e2b4a67cc7f2550bc14921a6",
+    "w1=0.2,w2=1.0": "e1311876bd95908d03ffc1c18695a7118708d64294d124a1bd86225fceb4e95d",
+}
+SYNTHESIS_OPTIONS = {
+    "no-lookahead": SynthesisOptions(lookahead=False),
+    "w1=0.2,w2=1.0": SynthesisOptions(w1=0.2, w2=1.0),
+}
+
+
+def synthesis_option_digests() -> dict[str, str]:
+    """Synthesize seeded Pauli programs under each of ``SYNTHESIS_OPTIONS``:
+    every schedule verified, and hashed per option set."""
+    digests = {name: hashlib.sha256() for name in SYNTHESIS_OPTIONS}
+    rng = random.Random(16)
+    for case in range(60):
+        hw, prof = grid_device(rng.randint(2, 6), rng.randint(2, 6), rng)
+        n = hw.num_qubits
+        mapping = Mapping(n, n, rng.sample(range(n), n)) if case % 2 else None
+        allowance = ALLOWANCES[case % 3]
+        program = random_pauli_program(n, rng.randint(2, 8), rng)
+        for name, options in SYNTHESIS_OPTIONS.items():
+            sched = synthesize(program, hw, prof, mapping, allowance=allowance, options=options)
+            verify_routing(sched, hw, prof, allowance=allowance)
+            digests[name].update(json.dumps(sched.to_json_dict()).encode())
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+def test_synthesis_option_sets_keep_their_schedules():
+    assert synthesis_option_digests() == SYNTHESIS_OPTION_DIGESTS

@@ -21,14 +21,23 @@ from chromaroute import (
     ScheduledCircuit,
     StallError,
     VerificationError,
+    baseline_schedule,
     compile_circuit,
     expand_two_local,
     load_hardware,
     parse_circuit,
     parse_pauli_program,
+    synthesize,
     verify_routing,
 )
-from chromaroute.fixtures import fixture_text, pair_circuit, ring6, ring6_cross, ring6_cross_hot
+from chromaroute.fixtures import (
+    chain_pair,
+    fixture_text,
+    pair_circuit,
+    ring6,
+    ring6_cross,
+    ring6_cross_hot,
+)
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard
 
 
@@ -403,3 +412,36 @@ def test_program_larger_than_device_rejected():
     circ = parse_circuit("qubits 3\ncx 0 1\n")
     with pytest.raises(MappingError):
         compile_circuit(circ, hw, prof)
+
+
+# Initial mappings that do not fit a 6-qubit program on the 6-qubit ring:
+# one logical qubit short, and one sized for a 9-qubit device.
+MISFIT_MAPPINGS = {
+    "short": lambda: Mapping(5, 6, [0, 1, 2, 3, 4]),
+    "wide": lambda: Mapping(6, 9, [0, 1, 2, 3, 4, 8]),
+}
+COMPILERS = {
+    "compile": lambda hw, prof, m: compile_circuit(pair_circuit(), hw, prof, m),
+    "baseline": lambda hw, prof, m: baseline_schedule(pair_circuit(), hw, prof, m),
+    "synthesize": lambda hw, prof, m: synthesize(chain_pair(), hw, prof, m),
+}
+
+
+@pytest.mark.parametrize("compiler", sorted(COMPILERS))
+@pytest.mark.parametrize("misfit", sorted(MISFIT_MAPPINGS))
+def test_an_initial_mapping_that_does_not_fit_is_a_mapping_error(compiler, misfit):
+    hw, prof = ring6_cross()
+    assert pair_circuit().num_qubits == chain_pair().num_qubits == hw.num_qubits == 6
+    with pytest.raises(MappingError, match="initial mapping places"):
+        COMPILERS[compiler](hw, prof, MISFIT_MAPPINGS[misfit]())
+
+
+def test_verify_rejects_an_initial_mapping_outside_the_device():
+    hw, prof = ring6_cross()
+    sched = synthesize(chain_pair(), hw, prof)
+    assert verify_routing(sched, hw, prof)
+    # chain_pair never touches logical 5, so only the check on the mapping
+    # itself can see it parked on physical 8 of the 6-qubit device.
+    sched.initial_mapping = MISFIT_MAPPINGS["wide"]()
+    with pytest.raises(VerificationError, match="logical 5 on physical 8"):
+        verify_routing(sched, hw, prof)

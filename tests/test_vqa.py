@@ -1,6 +1,11 @@
 import heapq
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +28,11 @@ from chromaroute.fixtures import (
     zz_string,
 )
 from chromaroute.jw import jw_encode
+from chromaroute.scheduler import SWAP_DURATION
 from chromaroute.vqa import (
+    _lookahead_extra_swaps,
+    _preview_positions,
+    _tree_adjacency,
     assign_direction,
     build_qubit_graph,
     calculate_depths,
@@ -32,6 +41,7 @@ from chromaroute.vqa import (
     kruskal_mst,
     pattern_cost,
 )
+from test_indexed import grid_device, random_pauli_program
 
 
 def prufer_edges(seq, n):
@@ -354,3 +364,119 @@ def test_program_wider_than_device_rejected():
     hw, prof = ring6()
     with pytest.raises(MappingError):
         synthesize(parse_pauli_program("0.5 " + "Z" * 7 + "\n"), hw, prof)
+
+
+def copied_preview(mapping, swap_edges):
+    """The preview the copy-free one replaces: a full copy of the mapping
+    with each SWAP applied in turn."""
+    preview = mapping.copy()
+    for e in swap_edges:
+        preview.apply_swap(*e)
+    return preview
+
+
+def reference_pattern_cost(swap_edges, remaining, mapping, hw, options):
+    preview = copied_preview(mapping, swap_edges)
+    nodes = sorted(remaining)
+    linked = [
+        (a, b) for a, b in itertools.combinations(nodes, 2) if hw.has_edge(preview.phys(a), preview.phys(b))
+    ]
+    adj = _tree_adjacency(nodes, linked)
+    if len(reachable_from_lowest(adj)) != len(nodes):
+        return float("inf")
+    depth_est, xtalk_est = calculate_depths(adj)
+    return options.w1 * xtalk_est + depth_est + SWAP_DURATION * options.w2 * len(swap_edges)
+
+
+def reachable_from_lowest(adj):
+    """The nodes reachable from the lowest one."""
+    seen, todo = set(), [min(adj)]
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.add(n)
+            todo.extend(adj[n])
+    return seen
+
+
+def reference_lookahead_extra_swaps(swap_edges, next_active, drained, hw):
+    if len(next_active) < 2:
+        return 0
+    preview = copied_preview(drained, swap_edges)
+    weights = build_qubit_graph(next_active, preview, hw)
+    return sum(weights[e] - 1 for e in kruskal_mst(sorted(next_active), weights))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_copy_free_previews_match_copies(seed):
+    rng = random.Random(seed)
+    seen = {"empty": 0, "repeated": 0, "through_empty": 0, "finite": 0, "lookahead": 0}
+    for _ in range(40):
+        hw, _ = grid_device(rng.randint(2, 5), rng.randint(2, 5), rng)
+        n = hw.num_qubits
+        k = rng.randint(2, n)  # fewer logical qubits than physical leaves holes
+        mapping = Mapping(k, n, rng.sample(range(n), k))
+        edges = sorted(hw.edges)
+        for _ in range(10):
+            swap_edges = rng.choices(edges, k=rng.randint(0, 5))
+            if swap_edges and rng.random() < 0.3:
+                swap_edges.insert(rng.randrange(len(swap_edges) + 1), rng.choice(swap_edges))
+            seen["empty"] += not swap_edges
+            seen["repeated"] += len(set(swap_edges)) < len(swap_edges)
+            walk = mapping.copy()
+            for e in swap_edges:
+                seen["through_empty"] += any(walk.logical_at(p) is None for p in e)
+                walk.apply_swap(*e)
+            copied = copied_preview(mapping, swap_edges)
+            qubits = rng.sample(range(k), rng.randint(1, k))
+            assert _preview_positions(qubits, mapping.placement, swap_edges) == {
+                q: copied.phys(q) for q in qubits
+            }
+            options = SynthesisOptions(w1=rng.choice((0.2, 0.5, 1.0)), w2=rng.choice((0.2, 0.5, 1.0)))
+            want = reference_pattern_cost(swap_edges, set(qubits), mapping, hw, options)
+            assert pattern_cost(swap_edges, set(qubits), mapping, hw, options) == want
+            seen["finite"] += want != float("inf")
+            next_active = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
+            want = reference_lookahead_extra_swaps(swap_edges, next_active, mapping, hw)
+            assert _lookahead_extra_swaps(swap_edges, next_active, mapping, hw) == want
+            seen["lookahead"] += want > 0
+    assert all(seen.values()), seen
+
+
+def memo_devices():
+    """A program and two 9-qubit devices, a grid and a line: other edges and rates."""
+    rng = random.Random(5)
+    program = random_pauli_program(9, 6, rng)
+    return program, grid_device(3, 3, rng), grid_device(1, 9, rng)
+
+
+def synthesized_document(program, device) -> str:
+    sched = synthesize(program, *device, allowance=0.05)
+    assert verify_routing(sched, *device, allowance=0.05)
+    return json.dumps(sched.to_json_dict(), indent=2, sort_keys=True)
+
+
+def test_tree_memo_stays_inside_one_call():
+    """A tree memo parked on a shared object would carry device A's trees
+    into device B's run, or B's back into A's: B's document must be the one
+    a fresh interpreter writes, and A's must not move."""
+    program, device_a, device_b = memo_devices()
+    first = synthesized_document(program, device_a)
+    between = synthesized_document(program, device_b)
+    assert synthesized_document(program, device_a) == first
+    assert between != first
+    fresh = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from test_vqa import memo_devices, synthesized_document; "
+            "program, _, device_b = memo_devices(); "
+            "sys.stdout.write(synthesized_document(program, device_b))",
+        ],
+        cwd=Path(__file__).parent,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert fresh.stdout == between
