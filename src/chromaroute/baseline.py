@@ -52,7 +52,8 @@ def oblivious_schedule(
             if all(state.qubit_free(state.mapping.phys(q)) for q in p.logicals):
                 run.run_gate(p.key)
         helped_now = {k for f in state.flights for k in f.helps}
-        candidates = guard.escape_swaps(two_q, state.mapping, state.flights, criticality={})
+        # Escape SWAPs start only with no flight open, when drained() is mapping.
+        candidates = guard.escape_swaps(two_q, state)
         if candidates is None:
             candidates = useful_swaps(two_q, state.mapping, hw)
         for p in two_q:

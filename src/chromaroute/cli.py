@@ -240,6 +240,8 @@ def _cmd_vqe_synth(args) -> int:
 def _cmd_jw_encode(args) -> int:
     terms = parse_fermion_terms(_read_text(args.fermions))
     program = jw_encode(terms, num_modes=args.modes)
+    if not program.strings:
+        raise EncodingError("the operator is zero: every Pauli string cancels")
     _write_text(serialize_pauli_program(program), args.out)
     return EXIT_OK
 
@@ -396,10 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, HardwareError, MappingError, EncodingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, HardwareError, MappingError, EncodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StallError as exc:

@@ -16,7 +16,7 @@ and keeps the best probe it ever saw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .hardware import CouplingGraph, CrosstalkProfile
 from .scheduler import ScheduledCircuit
@@ -87,14 +87,7 @@ class FidelityReport:
     crosstalk_excess_total: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "esp": self.esp,
-            "depth_cx": self.depth_cx,
-            "swap_count": self.swap_count,
-            "duration": self.duration,
-            "crosstalk_entries": self.crosstalk_entries,
-            "crosstalk_excess_total": self.crosstalk_excess_total,
-        }
+        return asdict(self)
 
 
 def fidelity_report(sched: ScheduledCircuit, hw: CouplingGraph, profile: CrosstalkProfile) -> FidelityReport:
@@ -180,8 +173,10 @@ def search_allowance(
 
     ``compile_fn(allowance) -> ScheduledCircuit`` is the workload; the
     interval is [0, find_x_max] in excess error, with resolution
-    x_max/steps.  The result keeps the best probe's schedule, picked as
-    search_core picks."""
+    x_max/steps, ``steps`` >= 1.  The result keeps the best probe's
+    schedule, picked as search_core picks."""
+    if not steps >= 1:
+        raise ValueError(f"search needs at least one step, got {steps}")
     best = None  # ((value, -x), schedule) of the best probe so far
 
     def objective(x: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import HardwareError, MappingError
@@ -23,6 +22,21 @@ def normalize_edge(a: int, b: int) -> Edge:
     if a == b:
         raise HardwareError(f"self-loop edge ({a},{b})")
     return (a, b) if a < b else (b, a)
+
+
+def bfs_depths(adj, root: int, skip=None) -> dict[int, int]:
+    """Hop count from ``root`` to every node it reaches without passing
+    through ``skip``; ``adj[n]`` lists the neighbors of node ``n``, a
+    device's ``adjacency`` or a qubit graph's neighbor dict."""
+    depth = {root: 0}
+    order = [root]
+    for cur in order:  # a FIFO queue: the loop reaches what it appends
+        nxt_depth = depth[cur] + 1
+        for nxt in adj[cur]:
+            if nxt not in depth and nxt != skip:
+                depth[nxt] = nxt_depth
+                order.append(nxt)
+    return depth
 
 
 class CouplingGraph:
@@ -84,21 +98,9 @@ class CouplingGraph:
         self._dist: list[list[int]] | None = None
         self._closer: dict[int, tuple[Edge, ...]] = {}  # keyed min * num_qubits + max
 
-    def _bfs_row(self, src: int) -> list[int]:
-        """Hop count from ``src`` to every qubit, -1 where unreachable."""
-        row = [-1] * self.num_qubits
-        row[src] = 0
-        todo = deque([src])
-        while todo:
-            cur = todo.popleft()
-            for nxt in self.adjacency[cur]:
-                if row[nxt] < 0:
-                    row[nxt] = row[cur] + 1
-                    todo.append(nxt)
-        return row
-
     def _check_connected(self):
-        missing = [q for q, d in enumerate(self._bfs_row(0)) if d < 0]
+        reached = bfs_depths(self.adjacency, 0)
+        missing = [q for q in range(self.num_qubits) if q not in reached]
         if missing:
             raise HardwareError(f"coupling graph is disconnected; unreachable: {missing}")
 
@@ -108,7 +110,9 @@ class CouplingGraph:
     def all_pairs_distance(self) -> list[list[int]]:
         """Hop-count distance matrix computed by BFS from every qubit."""
         if self._dist is None:
-            self._dist = [self._bfs_row(src) for src in range(self.num_qubits)]
+            qubits = range(self.num_qubits)
+            depths = [bfs_depths(self.adjacency, src) for src in qubits]
+            self._dist = [[depth[q] for q in qubits] for depth in depths]
         return self._dist
 
     def distance(self, a: int, b: int) -> int:

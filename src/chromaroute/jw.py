@@ -9,6 +9,7 @@ whole, which shows up as all imaginary parts cancelling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import EncodingError, ParseError
@@ -104,9 +105,10 @@ def _multiply(s1: str, s2: str) -> tuple[complex, str]:
 def jw_encode(terms: list[FermionTerm], num_modes: int | None = None) -> PauliProgram:
     """Encode a Hermitian sum of fermionic terms as a Pauli program.
 
-    Strings with negligible coefficients are dropped; a surviving imaginary
-    part means the input was not Hermitian and raises EncodingError.  The
-    output is sorted by weight (non-identity count), then lexicographically.
+    Strings with negligible coefficients are dropped; a weight that is not
+    finite (an overflow) or a surviving imaginary part (the input was not
+    Hermitian) raises EncodingError.  The output is sorted by weight
+    (non-identity count), then lexicographically.
     """
     highest = max((t.max_mode() for t in terms), default=-1)
     if num_modes is None:
@@ -130,6 +132,9 @@ def jw_encode(terms: list[FermionTerm], num_modes: int | None = None) -> PauliPr
             acc = nxt
         for s, c in acc.items():
             total[s] = total.get(s, 0) + c
+    for s, c in total.items():  # before the cutoff, which a NaN would pass
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise EncodingError(f"string {s} has weight {c}, which is not finite")
     surviving = {s: c for s, c in total.items() if abs(c) >= COEFF_CUTOFF}
     for s, c in surviving.items():
         if abs(c.imag) > IMAG_TOLERANCE:

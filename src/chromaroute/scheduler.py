@@ -140,9 +140,9 @@ class ScheduledCircuit:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScheduledCircuit":
-        """Read a schedule document back.  This is where every field's type
-        is checked (ParseError); whether the schedule holds together is
-        verify_routing's question."""
+        """Read a schedule document back, type-checking every field but the
+        elements of an op's ``qubits`` (ParseError); those, and whether the
+        schedule holds together, are verify_routing's question."""
         num_physical = _typed(data["num_physical"], int, "num_physical")
 
         def mapping_from(name: str) -> Mapping:
@@ -273,7 +273,7 @@ def rank_and_select(
 
 
 class StallGuard:
-    """The iteration cap, the idle limit and the escape mode of one
+    """The iteration cap, idle limit, escape mode and SWAP candidates of one
     scheduling loop (messages start with ``prefix``).  SWAPs for different
     gates can cancel each other forever, so after more than ``num_qubits``
     iterations in a row with no gate run the loop escapes: it drains its
@@ -304,16 +304,29 @@ class StallGuard:
                 f"{self.prefix}no gate executed and no SWAP started for {self.idle} iterations"
             )
 
-    def escape_swaps(self, pending: list, drained: Mapping, flights: list, criticality: dict):
-        """None unless escaping; then [] while flights are open, else one least-error SWAP."""
+    def escape_swaps(self, pending: list, state: "ScheduleState", criticality=MappingProxyType({})):
+        """None unless escaping; then [] while flights are open, else one
+        least-error SWAP toward the most critical gate of ``pending``."""
         if self.target is None or self.target not in pending:
             self.target = None
             if self.gates_idle > self.hw.num_qubits and pending:
                 self.target = min(pending, key=lambda p: (-criticality.get(p.key, 0), p.key))
         if self.target is None:
             return None
-        swaps = [] if flights else useful_swaps([self.target], drained, self.hw)
+        swaps = [] if state.flights else useful_swaps([self.target], state.drained(), self.hw)
         return [cheapest_swap(swaps, self.hw)] if swaps else []
+
+    def swaps(self, pending: list, state: "ScheduleState", criticality=MappingProxyType({})):
+        """A layer's candidate SWAPs: ``escape_swaps`` while escaping, else
+        the SWAPs that bring a gate of ``pending`` closer on the drained
+        mapping, less any whose SWAP just landed.  On the mapping of this
+        instant a new SWAP could "help" by undoing an in-flight one, and
+        two such SWAPs can chase each other forever."""
+        swaps = self.escape_swaps(pending, state, criticality)
+        if swaps is None:
+            swaps = useful_swaps(pending, state.drained(), self.hw)
+            swaps = [s for s in swaps if s.edge not in state.last_completed_edges]
+        return swaps
 
 
 class ScheduleState:
@@ -332,6 +345,8 @@ class ScheduleState:
     ):
         if num_logical > hw.num_qubits:
             raise MappingError(f"program needs {num_logical} qubits, device has {hw.num_qubits}")
+        if not allowance >= 0:  # NaN fails too
+            raise ValueError(f"allowance must be >= 0, got {allowance}")
         if initial_mapping is None:
             initial_mapping = Mapping(num_logical, hw.num_qubits)
         elif (initial_mapping.num_logical, initial_mapping.num_physical) != (num_logical, hw.num_qubits):
@@ -616,17 +631,7 @@ def compile_circuit(
         state.open_layer()
         two_q, singles = run.pending()
         cgates = executable_pairs(two_q, state.mapping, hw)
-        # Candidate SWAPs are judged against the mapping that will hold once
-        # the in-flight routing SWAPs land, not the one of this instant.
-        # Judging against the current mapping lets a new SWAP "help" by
-        # undoing an in-flight one, and two such SWAPs can chase each other
-        # forever.
-        drained = state.drained()
-        swaps = guard.escape_swaps(two_q, drained, state.flights, criticality)
-        if swaps is None:
-            # A SWAP that just landed is not undone at once.
-            swaps = useful_swaps(two_q, drained, hw)
-            swaps = [s for s in swaps if s.edge not in state.last_completed_edges]
+        swaps = guard.swaps(two_q, state, criticality)
         csg, selected = schedule_layer(
             state, cgates, swaps, two_q, run.run_gate, criticality=criticality
         )

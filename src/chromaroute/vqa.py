@@ -5,15 +5,15 @@ spanning tree over the string's active qubits (edge weights are physical
 hop distances) is contracted edge by edge toward its center, every
 executed CX deleting its control from the working set.  The surviving
 root takes the Z rotation, and the reversed ladder uncomputes the parity.
-Routing SWAPs, layer packing, and crosstalk budgeting reuse the same
-candidate-set-graph machinery as the plain circuit compiler; ties between
+Each layer is one ``scheduler.schedule_layer`` step, as in the circuit
+compiler, over the SWAP candidates of ``StallGuard.swaps``; synthesis only
+drops those that would pull an executed ladder pair apart.  Ties between
 equally ranked color classes are settled by a cost model over the
 would-be tree shape, optionally peeking at the next string.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +23,7 @@ from itertools import combinations
 # missing name.
 from .csg import PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
 from .errors import InvariantError
-from .hardware import CouplingGraph, CrosstalkProfile, Mapping
+from .hardware import CouplingGraph, CrosstalkProfile, Mapping, bfs_depths
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
 from .scheduler import (
     SWAP_DURATION,
@@ -58,15 +58,10 @@ class SynthesisOptions:
                 raise InvariantError(f"{name} must be in (0, 1], got {w}")
 
 
-def build_qubit_graph(active: tuple[int, ...], mapping: Mapping, hw: CouplingGraph) -> dict[tuple[int, int], int]:
-    """Complete graph over the active logical qubits, weighted by the hop
-    distance between their current physical homes."""
-    return _hop_weights(sorted(active), mapping.placement, hw)
-
-
-def _hop_weights(nodes: list[int], position, hw: CouplingGraph) -> dict[tuple[int, int], int]:
-    """``build_qubit_graph`` over sorted ``nodes`` whose physical homes are
-    ``position[q]``: a placement list or a preview's dict."""
+def build_qubit_graph(nodes, position, hw: CouplingGraph) -> dict[tuple[int, int], int]:
+    """Complete graph over the ascending logical qubits ``nodes``, weighted
+    by the hop distance between their physical homes ``position[q]``: a
+    placement list or a preview's dict."""
     dist = hw.all_pairs_distance()
     weights: dict[tuple[int, int], int] = {}
     for i, a in enumerate(nodes):
@@ -76,31 +71,21 @@ def _hop_weights(nodes: list[int], position, hw: CouplingGraph) -> dict[tuple[in
     return weights
 
 
-class _UnionFind:
-    def __init__(self, nodes):
-        self.parent = {n: n for n in nodes}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def kruskal_mst(nodes: list[int], weights: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
     """Minimum spanning tree with deterministic ties: edges are taken in
     (weight, lower node, higher node) order."""
-    uf = _UnionFind(nodes)
+    parent = {n: n for n in nodes}  # union-find forest
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     mst = []
     for _, a, b in sorted([(w, a, b) for (a, b), w in weights.items()]):
-        if uf.union(a, b):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[rb] = ra
             mst.append((a, b))
             if len(mst) == len(nodes) - 1:
                 break
@@ -137,26 +122,12 @@ def _tree_adjacency(nodes: list[int], edges: list[tuple[int, int]]) -> dict[int,
     return adj
 
 
-def _bfs_depths(adj: dict[int, list[int]], root: int, skip=None) -> dict[int, int]:
-    """Hop count from ``root`` to every node it reaches without passing
-    through ``skip``."""
-    depth = {root: 0}
-    todo = deque([root])
-    while todo:
-        cur = todo.popleft()
-        for nxt in adj[cur]:
-            if nxt != skip and nxt not in depth:
-                depth[nxt] = depth[cur] + 1
-                todo.append(nxt)
-    return depth
-
-
 def graph_center(adj: dict[int, list[int]]) -> tuple[int, dict[int, int]]:
     """(the node with the smallest eccentricity, ties to the lowest index;
     its hop count to every node)."""
     best = best_ecc = best_depth = None
     for node in sorted(adj):
-        depth = _bfs_depths(adj, node)
+        depth = bfs_depths(adj, node)
         if len(depth) != len(adj):
             raise InvariantError("graph_center needs a connected graph")
         ecc = max(depth.values())
@@ -170,15 +141,14 @@ def bfs_tree(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
     ascending order."""
     tree: dict[int, list[int]] = {n: [] for n in adj}
     seen = {root}
-    todo = deque([root])
-    while todo:
-        cur = todo.popleft()
+    order = [root]
+    for cur in order:  # a FIFO queue, as in bfs_depths
         for nxt in adj[cur]:
             if nxt not in seen:
                 seen.add(nxt)
                 tree[cur].append(nxt)
                 tree[nxt].append(cur)
-                todo.append(nxt)
+                order.append(nxt)
     for n in tree:
         tree[n].sort()
     return tree
@@ -208,7 +178,7 @@ def calculate_depths(adj: dict[int, list[int]]) -> tuple[int, int]:
     tree = adj if edge_count == n - 1 else bfs_tree(adj, center)
     depths = []
     for child in tree[center]:
-        sub_nodes = _bfs_depths(tree, child, skip=center)
+        sub_nodes = bfs_depths(tree, child, skip=center)
         sub_adj = {m: [x for x in tree[m] if x in sub_nodes] for m in sorted(sub_nodes)}
         d, _ = calculate_depths(sub_adj)
         depths.append(d)
@@ -265,7 +235,7 @@ def pattern_cost(
     dist = hw.all_pairs_distance()
     linked = [(a, b) for a, b in combinations(nodes, 2) if dist[position[a]][position[b]] == 1]
     adj = _tree_adjacency(nodes, linked)
-    if len(_bfs_depths(adj, nodes[0])) != len(nodes):
+    if len(bfs_depths(adj, nodes[0])) != len(nodes):
         return INVALID_PATTERN_COST
     depth_est, xtalk_est = calculate_depths(adj)
     return options.w1 * xtalk_est + depth_est + SWAP_DURATION * options.w2 * len(swap_edges)
@@ -283,7 +253,7 @@ def _lookahead_extra_swaps(
     if len(next_active) < 2:
         return 0
     nodes = sorted(next_active)
-    weights = _hop_weights(nodes, _preview_positions(nodes, drained.placement, swap_edges), hw)
+    weights = build_qubit_graph(nodes, _preview_positions(nodes, drained.placement, swap_edges), hw)
     mst = kruskal_mst(nodes, weights)
     return sum(weights[e] - 1 for e in mst)
 
@@ -358,7 +328,7 @@ def _synthesize_string(
             key = (tuple(nodes), tuple([placement[q] for q in nodes]))
             tree = trees.get(key)
             if tree is None:
-                weights = build_qubit_graph(key[0], drained, hw)
+                weights = build_qubit_graph(nodes, placement, hw)
                 mst = kruskal_mst(nodes, weights)
                 _, depth = graph_center(_tree_adjacency(nodes, mst))
                 executable_edges, non_executable = derive_gate_sets(mst, weights)
@@ -369,10 +339,9 @@ def _synthesize_string(
                 )
             depth, executable, pending = tree
             cgates = executable_pairs(executable, state.mapping, hw)
-            candidates = guard.escape_swaps(pending, drained, state.flights, criticality={})
-            if candidates is None:
-                reducing = useful_swaps(pending, drained, hw)
-                fresh = [c for c in reducing if c.edge not in state.last_completed_edges]
+            candidates = guard.swaps(pending, state)
+            if guard.target is None:  # not escaping
+                fresh = candidates
                 candidates = [c for c in fresh if _keeps_ladder(c.edge, ladder, drained, hw)]
                 if not candidates and not cgates and not state.flights:
                     # Keeping every executed ladder pair adjacent can rule out
@@ -380,7 +349,7 @@ def _synthesize_string(
                     # again when the mirror replays a pair, so prefer keeping
                     # it, but break it rather than deadlock; the uncompute pass
                     # re-routes any pair it finds separated.
-                    candidates = fresh or reducing
+                    candidates = fresh or useful_swaps(pending, drained, hw)
             def run_cx(edge):
                 control, target = assign_direction(edge, depth)
                 state.place(
@@ -522,7 +491,7 @@ def _arbitrate_patterns(
     survivors = [i for i, c in enumerate(costs) if c == best]
     if len(survivors) == 1:
         return patterns[survivors[0]][0]
-    if options.lookahead and next_active:
+    if next_active:
         extras = {
             i: _lookahead_extra_swaps(patterns[i][1], next_active, drained, hw)
             for i in survivors

@@ -100,7 +100,7 @@ def test_criterion_03_string_synthesis_overlaps_routing():
         )
         layer0 = {(op.kind, op.qubits, op.slice_index) for op in sched.layers[0]}
         assert layer0 == {("cx", (0, 1), None), ("swap", (4, 6), 1)}
-        weights = build_qubit_graph((0, 1, 3, 4), Mapping(7, 7), hw)
+        weights = build_qubit_graph((0, 1, 3, 4), Mapping(7, 7).placement, hw)
         tree = kruskal_mst([0, 1, 3, 4], weights)
         assert sum(weights[e] for e in tree) == 4
         assert verify_routing(sched, hw, prof, allowance=0.0)

@@ -448,6 +448,9 @@ def _device_size(doc):
         (_program(["vqe-synth", "-p"], "0.5 ZZ\nnan XX\n"), "error: line 2: coefficient must be"),
         (_program(["jw-encode", "-f"], "nan 0+ 0-\n1.0 1+ 1-\n"), "error: line 1: coefficient"),
         (_program(["jw-encode", "-f"], "1.0 0+ 0-\n-1e999 1+ 1-\n"), "error: line 2: coefficient"),
+        # an encoding that vqe-synth could not read back: an overflowed weight, no string at all
+        (_program(["jw-encode", "-f"], "1.7e308 0+ 0-\n" * 3), "(inf+0j), which is not finite"),
+        (_program(["jw-encode", "-f"], "0.5 0+ 0+\n"), "error: the operator is zero"),
         (_edited_schedule(_mapping_key), "initial_mapping: a logical qubit key is not an integer"),
         (_edited_schedule(_swap_slice(None)), "layer 0: SWAP slice None is not 1, 2 or 3"),
         (_edited_schedule(_swap_slice("missing")), "layer 0: SWAP slice None is not 1, 2 or 3"),

@@ -5,7 +5,11 @@ checked by ``verify_routing``.
 The escape mode that makes a stuck loop finish lives in
 ``StallGuard.escape_swaps``.  A wrapper counts the calls that return SWAPs
 rather than None, so each test also shows that the loops it runs really
-escaped: a loop that never gets stuck would pass without the escape.
+escaped: a loop that never gets stuck would pass without the escape.  The
+wrapper also checks that an escape SWAP is only ever picked with no flight
+open, where the drained mapping is the mapping of this instant: the
+reference compiler routes on the latter and takes its escape SWAPs from
+the same ``escape_swaps``.
 """
 
 import hashlib
@@ -36,8 +40,10 @@ def escapes(monkeypatch):
     counts = {"compiler": 0, "baseline": 0, "synthesis": 0}
     escape_swaps = StallGuard.escape_swaps
 
-    def counted(guard, *args, **kwargs):
-        swaps = escape_swaps(guard, *args, **kwargs)
+    def counted(guard, pending, state, *args, **kwargs):
+        swaps = escape_swaps(guard, pending, state, *args, **kwargs)
+        if swaps:
+            assert state.drained().as_dict() == state.mapping.as_dict()
         if swaps is not None:
             if guard.prefix.startswith("baseline"):
                 counts["baseline"] += 1

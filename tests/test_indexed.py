@@ -20,6 +20,9 @@ ladder pair adjacent by moving the pair's two physical qubits, and finds
 the SWAP that brings a separated pair closer during the uncompute pass
 through the edges at those qubits.  Its references preview a mapping for
 every coupling edge instead.
+
+The device's distance rows and synthesis's tree depths come from one BFS,
+``bfs_depths``; its reference relaxes every edge until no hop count drops.
 """
 
 import math
@@ -44,6 +47,7 @@ from chromaroute import (
     synthesize,
 )
 from chromaroute.csg import PendingPair, SwapCandidate, build_csg, useful_swaps
+from chromaroute.hardware import bfs_depths
 from chromaroute.ir import frontier
 from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, welsh_powell
 
@@ -452,6 +456,43 @@ def test_closer_swaps_match_a_scan_of_every_edge():
                 else:
                     assert got
         assert adjacent == 2 * len(hw.edges)
+
+
+def reference_depths(edges, root, skip=None):
+    """Hop count from ``root`` to each node it reaches avoiding ``skip``:
+    every edge relaxed, in both directions, until no count drops."""
+    depth = {root: 0}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            for u, v in ((a, b), (b, a)):
+                if u in depth and v != skip and depth.get(v, math.inf) > depth[u] + 1:
+                    depth[v] = depth[u] + 1
+                    changed = True
+    return depth
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bfs_depths_match_relaxed_hop_counts(seed):
+    rng = random.Random(seed)
+    # roots a skipped qubit cut off from part of the device (on a line,
+    # which one row makes) or took farther from some qubit
+    seen = {"cut": 0, "farther": 0}
+    for _ in range(12):
+        hw, _ = grid_device(rng.randint(1, 5), rng.randint(2, 5), rng)
+        n = hw.num_qubits
+        dist = hw.all_pairs_distance()
+        for root in range(n):
+            want = reference_depths(hw.edges, root)
+            assert bfs_depths(hw.adjacency, root) == want
+            assert dist[root] == [want[q] for q in range(n)]
+            skip = rng.choice([q for q in range(n) if q != root])
+            want = reference_depths(hw.edges, root, skip)
+            assert bfs_depths(hw.adjacency, root, skip=skip) == want
+            seen["cut"] += len(want) < n - 1
+            seen["farther"] += any(d > dist[root][q] for q, d in want.items())
+    assert all(seen.values()), seen
 
 
 def reference_protection_breakers(protected, drained, hw):

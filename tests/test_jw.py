@@ -128,6 +128,15 @@ def test_mode_out_of_range():
             jw_encode([FermionTerm(1.0, ((0, True), (0, False)))], num_modes=num_modes)
 
 
+def test_a_weight_that_is_not_finite_is_rejected():
+    # Three number operators near the float maximum overflow when summed.
+    with pytest.raises(EncodingError, match="not finite"):
+        jw_encode([FermionTerm(1.7e308, ((0, True), (0, False)))] * 3)
+    # A NaN weight fails the cutoff test, so it is checked before the cutoff.
+    with pytest.raises(EncodingError, match="not finite"):
+        jw_encode([FermionTerm(float("nan"), ((0, True), (0, False)))])
+
+
 def test_annihilation_squared_vanishes():
     prog = jw_encode(
         [FermionTerm(1.0, ((0, False), (0, False))), FermionTerm(1.0, ((0, True), (0, True)))],

@@ -27,6 +27,7 @@ from chromaroute import (
     load_hardware,
     parse_circuit,
     parse_pauli_program,
+    search_allowance,
     synthesize,
     verify_routing,
 )
@@ -445,3 +446,25 @@ def test_verify_rejects_an_initial_mapping_outside_the_device():
     sched.initial_mapping = MISFIT_MAPPINGS["wide"]()
     with pytest.raises(VerificationError, match="logical 5 on physical 8"):
         verify_routing(sched, hw, prof)
+
+
+@pytest.mark.parametrize("allowance", [-0.001, math.nan])
+def test_a_negative_or_nan_allowance_is_the_callers_error(allowance):
+    """A ValueError, not an InvariantError (the class of internal bugs),
+    before any layer is built: neither compiles as if the allowance were 0
+    or trips a ledger or uncompute check."""
+    hw, prof = ring6_cross()
+    with pytest.raises(ValueError, match="allowance must be >= 0"):
+        compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
+    with pytest.raises(ValueError, match="allowance must be >= 0"):
+        synthesize(chain_pair(), hw, prof, allowance=allowance)
+
+
+def test_a_search_of_no_steps_is_the_callers_error():
+    hw, prof = ring6_cross()
+
+    def compile_fn(allowance):
+        return compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
+
+    with pytest.raises(ValueError, match="at least one step, got 0"):
+        search_allowance(compile_fn, hw, prof, steps=0)

@@ -77,7 +77,7 @@ def exhaustive_min_tree_weight(n, weights):
 def test_build_qubit_graph_hop_distances():
     hw, _ = tree7()
     m = Mapping(7, 7)
-    weights = build_qubit_graph((0, 1, 3, 4), m, hw)
+    weights = build_qubit_graph((0, 1, 3, 4), m.placement, hw)
     assert weights == {
         (0, 1): 1,
         (0, 3): 2,
@@ -117,7 +117,7 @@ def test_mst_weight_matches_exhaustive_enumeration():
 def test_tree7_mst_weight_is_4():
     hw, _ = tree7()
     m = Mapping(7, 7)
-    weights = build_qubit_graph((0, 1, 3, 4), m, hw)
+    weights = build_qubit_graph((0, 1, 3, 4), m.placement, hw)
     tree = kruskal_mst([0, 1, 3, 4], weights)
     assert tree == [(0, 1), (1, 3), (3, 4)]
     assert sum(weights[e] for e in tree) == 4
@@ -403,7 +403,7 @@ def reference_lookahead_extra_swaps(swap_edges, next_active, drained, hw):
     if len(next_active) < 2:
         return 0
     preview = copied_preview(drained, swap_edges)
-    weights = build_qubit_graph(next_active, preview, hw)
+    weights = build_qubit_graph(next_active, preview.placement, hw)
     return sum(weights[e] - 1 for e in kruskal_mst(sorted(next_active), weights))
 
 
