@@ -78,35 +78,30 @@ def serialize_crosstalk(sched: ScheduledCircuit, profile: CrosstalkProfile) -> S
     Operations are replayed in their original order on their own qubits, a
     SWAP as one op over its three slices.  ``put`` is the one placement
     rule: an op goes to the earliest layers, no sooner than its qubits' last
-    use, where its qubits are free and its link shares no layer with a
-    profile-linked link.  A routing SWAP holds its qubits until it lands, so
-    keeping each qubit's op order keeps every op's qubits right and the
-    final mapping ``sched.final_mapping``; only timing changes."""
+    use, where its link shares no layer with a profile-linked link.  The
+    qubit order alone keeps a layer's qubits distinct: ops on one qubit are
+    placed in replay order, so its latest op ends at ``qubit_ready`` and no
+    layer from there on holds it yet.  A routing SWAP holds its qubits until
+    it lands, so keeping each qubit's op order keeps every op's qubits right
+    and the final mapping ``sched.final_mapping``; only timing changes."""
     layers: list[list[Op]] = []
-    busy: list[set[int]] = []
     active: list[set[tuple[int, int]]] = []
     qubit_ready: dict[int, int] = {}
 
-    def blocked(qubits, edge, li: int) -> bool:
-        if li >= len(layers):
-            return False
-        if busy[li] & set(qubits):
-            return True
-        return edge is not None and not active[li].isdisjoint(profile.partners(edge))
+    def blocked(edge, li: int) -> bool:
+        return li < len(layers) and not active[li].isdisjoint(profile.partners(edge))
 
     def put(qubits: tuple[int, ...], duration: int, make_op) -> None:
         """Place ``make_op(k)`` for slices k = 1..``duration`` in consecutive layers."""
         edge = normalize_edge(*qubits) if len(qubits) == 2 else None
         start = max(qubit_ready.get(q, 0) for q in qubits)
-        while any(blocked(qubits, edge, start + k) for k in range(duration)):
+        while edge is not None and any(blocked(edge, start + k) for k in range(duration)):
             start += 1
         while len(layers) < start + duration:
             layers.append([])
-            busy.append(set())
             active.append(set())
         for k in range(duration):
             layers[start + k].append(make_op(k + 1))
-            busy[start + k].update(qubits)
             if edge is not None:
                 active[start + k].add(edge)
         for q in qubits:

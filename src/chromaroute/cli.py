@@ -219,9 +219,6 @@ def _cmd_vqe_synth(args) -> int:
     hw, profile = load_hardware_file(args.hardware)
     program = parse_pauli_program(_read_text(args.pauli))
     mapping = _parse_mapping_spec(args.mapping, program.num_qubits, hw.num_qubits)
-    for flag, weight in (("--w1", args.w1), ("--w2", args.w2)):
-        if not 0.0 < weight <= 1.0:
-            raise ParseError(f"{flag} must be in (0, 1], got {weight}")
     options = SynthesisOptions(w1=args.w1, w2=args.w2, lookahead=args.lookahead == "on")
     hook = _CsgCollector() if (args.emit_csg or log.isEnabledFor(logging.DEBUG)) else None
     sched = synthesize(
@@ -249,10 +246,7 @@ def _cmd_jw_encode(args) -> int:
 def _cmd_report(args) -> int:
     hw, profile = load_hardware_file(args.hardware)
     try:
-        data = json.loads(_read_text(args.schedule))
-        if data["num_physical"] != hw.num_qubits:
-            raise ParseError(f"num_physical {data['num_physical']!r}, device has {hw.num_qubits}")
-        sched = ScheduledCircuit.from_json_dict(data)
+        sched = ScheduledCircuit.from_json_dict(json.loads(_read_text(args.schedule)))
     except (json.JSONDecodeError, KeyError, TypeError, IndexError, ParseError) as exc:
         raise ParseError(f"{args.schedule}: not a valid schedule document ({exc})") from exc
     try:
@@ -287,16 +281,16 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _at_least(convert, low, what: str):
-    """An argparse type: ``convert(text)``, rejected unless it is at least
-    ``low``.  NaN is never at least anything."""
+def _checked(convert, ok, what: str):
+    """An argparse type: ``convert(text)``, rejected unless ``ok(value)``.
+    Text ``convert`` refuses is read as NaN, which no range here admits."""
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = math.nan
-        if not value >= low:
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
@@ -314,7 +308,7 @@ def _add_common_compile_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--allowance",
         "-a",
-        type=_at_least(float, 0.0, "a number >= 0 or 'inf'"),
+        type=_checked(float, lambda v: v >= 0.0, "a number >= 0 or 'inf'"),
         default=0.0,
         help="crosstalk allowance: the excess error mass the committed link pairs "
         "may add up to (default 0; 'inf' allowed)",
@@ -344,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vqe-synth", help="synthesize an ansatz for a Pauli program")
     p.add_argument("--pauli", "-p", required=True, help="Pauli program input file")
     _add_common_compile_args(p)
-    p.add_argument("--w1", type=float, default=0.5, help="crosstalk weight in (0,1]")
-    p.add_argument("--w2", type=float, default=0.5, help="SWAP-count weight in (0,1]")
+    weight = _checked(float, lambda w: 0.0 < w <= 1.0, "a number in (0, 1]")
+    p.add_argument("--w1", type=weight, default=0.5, help="crosstalk weight in (0,1]")
+    p.add_argument("--w2", type=weight, default=0.5, help="SWAP-count weight in (0,1]")
     p.add_argument(
         "--lookahead",
         choices=("on", "off"),
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--modes",
         "-n",
-        type=_at_least(int, 1, "a whole number >= 1"),
+        type=_checked(int, lambda v: v >= 1, "a whole number >= 1"),
         help="mode count (default: inferred)",
     )
     p.add_argument("--out", "-o", help="output file (default: stdout)")
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_args(p)
     p.add_argument(
         "--steps",
-        type=_at_least(int, 1, "a whole number >= 1"),
+        type=_checked(int, lambda v: v >= 1, "a whole number >= 1"),
         default=32,
         help="search resolution (default 32)",
     )

@@ -65,29 +65,22 @@ class CsgVertex:
 
 @dataclass
 class Csg:
-    """One iteration's candidate set graph.  ``_adjacency`` is its one edge
-    store, filled by ``build_csg`` and not to change afterwards: the priced
+    """One iteration's candidate set graph.  ``adjacency[v]`` holds the
+    vertices joined to ``v`` by either kind of edge: it is the one edge
+    store, filled by ``build_csg``; do not modify it.  The priced
     ``crosstalk_edges`` are a part of it, ``conflict_edges`` the rest."""
 
     vertices: list[CsgVertex]
     crosstalk_edges: dict[tuple[int, int], float]
     permitted_pairs: list[tuple[int, int, float]]
-    _adjacency: list[set[int]] = field(repr=False, compare=False)
+    adjacency: list[set[int]] = field(repr=False, compare=False)
 
     @property
     def conflict_edges(self) -> set[tuple[int, int]]:
         """Every adjacency pair ``i < j`` that is not a crosstalk edge: the two
         are disjoint, as a pair is priced only when it is not already joined."""
         xtalk = self.crosstalk_edges
-        return {(i, j) for j, ids in enumerate(self._adjacency) for i in ids if i < j and (i, j) not in xtalk}
-
-    def neighbors(self, vid: int) -> set[int]:
-        """Vertices joined to ``vid`` by either kind of edge (the graph's own
-        set: do not modify it)."""
-        return self._adjacency[vid]
-
-    def degree(self, vid: int) -> int:
-        return len(self._adjacency[vid])
+        return {(i, j) for j, ids in enumerate(self.adjacency) for i in ids if i < j and (i, j) not in xtalk}
 
     def to_dot(self, name: str = "csg") -> str:
         lines = [f"graph {name} {{"]
@@ -236,4 +229,4 @@ def build_csg(
             crosstalk_edges[(i, j)] = cost
             adjacency[i].add(j)
             adjacency[j].add(i)
-    return Csg(vertices, crosstalk_edges, permitted, _adjacency=adjacency)
+    return Csg(vertices, crosstalk_edges, permitted, adjacency)

@@ -110,8 +110,8 @@ def find_x_max(compile_fn) -> float:
 
 @dataclass
 class AllowanceSearchResult:
-    """The search's outcome.  ``schedule`` is the best probe's schedule when
-    search_allowance made it (not part of the JSON document)."""
+    """The search's outcome.  ``schedule`` is what the objective returned
+    with the best probe's value (not part of the JSON document)."""
 
     best_allowance: float
     best_value: float
@@ -129,18 +129,24 @@ class AllowanceSearchResult:
 
 
 def search_core(lo: float, hi: float, delta: float, objective) -> AllowanceSearchResult:
-    """Derivative-sign bisection over [lo, hi], maximizing ``objective``.
+    """Derivative-sign bisection over [lo, hi], maximizing the value of
+    ``objective(x) -> (value, schedule)``.
 
     Each step evaluates the objective at mid and mid+delta; a rising pair
-    moves the bracket up, otherwise down.  Every evaluation is remembered
-    and the best one wins, so a non-unimodal objective still returns the
-    best value actually seen (endpoints included).
+    moves the bracket up, otherwise down.  Every value is remembered and the
+    best one wins, ties to the lower x, so a non-unimodal objective still
+    returns the best value actually seen (endpoints included).  Only the
+    best probe's schedule is kept.
     """
     seen: dict[float, float] = {}
+    best = None  # ((value, -x), schedule) of the best probe so far
 
     def probe(x: float) -> float:
+        nonlocal best
         if x not in seen:
-            seen[x] = objective(x)
+            seen[x], schedule = objective(x)
+            if best is None or (seen[x], -x) > best[0]:
+                best = (seen[x], -x), schedule
         return seen[x]
 
     probe(lo)
@@ -156,11 +162,8 @@ def search_core(lo: float, hi: float, delta: float, objective) -> AllowanceSearc
             a = mid
         else:
             b = mid
-    probes = sorted(seen.items())
-    best_x, best_v = max(probes, key=lambda kv: (kv[1], -kv[0]))
-    return AllowanceSearchResult(
-        best_allowance=best_x, best_value=best_v, x_max=hi, probes=probes
-    )
+    (best_v, neg_x), schedule = best
+    return AllowanceSearchResult(-neg_x, best_v, hi, sorted(seen.items()), schedule)
 
 
 def search_allowance(
@@ -174,21 +177,14 @@ def search_allowance(
     ``compile_fn(allowance) -> ScheduledCircuit`` is the workload; the
     interval is [0, find_x_max] in excess error, with resolution
     x_max/steps, ``steps`` >= 1.  The result keeps the best probe's
-    schedule, picked as search_core picks."""
+    schedule."""
     if not steps >= 1:
         raise ValueError(f"search needs at least one step, got {steps}")
-    best = None  # ((value, -x), schedule) of the best probe so far
 
-    def objective(x: float) -> float:
-        nonlocal best
+    def objective(x: float):
         sched = compile_fn(x)
-        value = esp(sched, hw, profile)
-        if best is None or (value, -x) > best[0]:
-            best = ((value, -x), sched)
-        return value
+        return esp(sched, hw, profile), sched
 
     # With x_max 0 the search is one probe at 0.
     x_max = max(0.0, find_x_max(compile_fn))
-    result = search_core(0.0, x_max, x_max / steps, objective)
-    result.schedule = best[1]
-    return result
+    return search_core(0.0, x_max, x_max / steps, objective)

@@ -55,6 +55,15 @@ def parse_finite(text: str, what: str, lineno: int) -> float:
     return value
 
 
+def program_lines(text: str):
+    """``(lineno, tokens)`` for each line of a text format that still has a
+    token once its ``#`` comment is cut; blank and comment lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 class LogicalCircuit:
     """Gate list over ``num_qubits`` logical qubits plus its dependence DAG.
 
@@ -65,7 +74,9 @@ class LogicalCircuit:
     def __init__(self, num_qubits: int, gates: list[Gate]):
         if num_qubits <= 0:
             raise ParseError("circuit needs a positive qubit count")
-        for g in gates:
+        for i, g in enumerate(gates):
+            if g.gate_id != i:
+                raise ParseError(f"gate {g.gate_id} at position {i}: a gate's id must be its position")
             for q in g.qubits:
                 if not 0 <= q < num_qubits:
                     raise ParseError(f"gate {g.gate_id}: qubit {q} out of range 0..{num_qubits - 1}")
@@ -126,11 +137,7 @@ def parse_circuit(text: str) -> LogicalCircuit:
     """
     num_qubits = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in program_lines(text):
         op = parts[0].lower()
         try:
             if num_qubits is None:
@@ -235,11 +242,7 @@ def parse_pauli_program(text: str) -> PauliProgram:
     """Parse ``coefficient OPSTRING`` lines into a PauliProgram."""
     strings: list[PauliString] = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in program_lines(text):
         if len(parts) != 2:
             raise ParseError("expected 'coefficient OPSTRING'", lineno)
         coeff = parse_finite(parts[0], "coefficient", lineno)

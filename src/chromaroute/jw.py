@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EncodingError, ParseError
-from .ir import PauliProgram, PauliString, parse_finite
+from .ir import PauliProgram, PauliString, parse_finite, program_lines
 
 COEFF_CUTOFF = 1e-12
 IMAG_TOLERANCE = 1e-9
@@ -62,11 +62,7 @@ def parse_fermion_terms(text: str) -> list[FermionTerm]:
     constant term.  ``#`` starts a comment.
     """
     terms: list[FermionTerm] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in program_lines(text):
         coeff = parse_finite(parts[0], "coefficient", lineno)
         ops = []
         for tok in parts[1:]:

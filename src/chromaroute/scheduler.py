@@ -208,7 +208,7 @@ def color_classes(csg: Csg):
     peels greedy independent sets in that order, so each class is the one a
     first-fit coloring gives that color, and a caller can stop after the
     first."""
-    neighbors = csg._adjacency
+    neighbors = csg.adjacency
     members = {v.vertex_id for v in csg.vertices if v.kind == "inprogress"}
     rest = [v.vertex_id for v in csg.vertices if v.kind != "inprogress"]
     rest.sort(key=lambda vid: -len(neighbors[vid]))  # stable: degree ties go to the lower id

@@ -55,7 +55,7 @@ class SynthesisOptions:
     def __post_init__(self):
         for name, w in (("w1", self.w1), ("w2", self.w2)):
             if not 0.0 < w <= 1.0:
-                raise InvariantError(f"{name} must be in (0, 1], got {w}")
+                raise ValueError(f"{name} must be in (0, 1], got {w}")
 
 
 def build_qubit_graph(nodes, position, hw: CouplingGraph) -> dict[tuple[int, int], int]:
@@ -139,19 +139,16 @@ def graph_center(adj: dict[int, list[int]]) -> tuple[int, dict[int, int]]:
 def bfs_tree(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
     """Spanning tree by breadth-first search, visiting neighbors in
     ascending order."""
-    tree: dict[int, list[int]] = {n: [] for n in adj}
+    edges: list[tuple[int, int]] = []
     seen = {root}
     order = [root]
     for cur in order:  # a FIFO queue, as in bfs_depths
         for nxt in adj[cur]:
             if nxt not in seen:
                 seen.add(nxt)
-                tree[cur].append(nxt)
-                tree[nxt].append(cur)
+                edges.append((cur, nxt))
                 order.append(nxt)
-    for n in tree:
-        tree[n].sort()
-    return tree
+    return _tree_adjacency(list(adj), edges)
 
 
 def calculate_depths(adj: dict[int, list[int]]) -> tuple[int, int]:
@@ -273,16 +270,11 @@ def synthesize(
     if options is None:
         options = SynthesisOptions()
     state = ScheduleState(hw, profile, allowance, program.num_qubits, initial_mapping)
-    for idx, s in enumerate(program.strings):
-        active = s.non_identity()
+    actives = [s.non_identity() for s in program.strings]
+    for idx, (s, active) in enumerate(zip(program.strings, actives)):
         if not active:
             continue
-        next_active: tuple[int, ...] = ()
-        if options.lookahead:
-            for later in program.strings[idx + 1 :]:
-                if later.non_identity():
-                    next_active = later.non_identity()
-                    break
+        next_active = next((a for a in actives[idx + 1 :] if a), ()) if options.lookahead else ()
         _synthesize_string(state, idx, s, active, next_active, hw, options, on_iteration)
     return state.result()
 

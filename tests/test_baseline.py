@@ -1,14 +1,26 @@
+import hashlib
+import json
+import os
+import sys
+from random import Random
+
 import pytest
 
 from chromaroute import (
+    Mapping,
     VerificationError,
     baseline_schedule,
     compile_circuit,
+    load_hardware,
     parse_circuit,
     verify_routing,
 )
 from chromaroute.baseline import oblivious_schedule, serialize_crosstalk
 from chromaroute.fixtures import pair_circuit, ring6_cross
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+from corpus import grid_device, random_circuit  # noqa: E402
 
 
 def test_oblivious_routes_by_isolated_error_only():
@@ -99,3 +111,29 @@ def test_baseline_empty_circuit():
     base = baseline_schedule(circ, hw, prof)
     assert base.layers == []
     assert base.crosstalk_ledger == []
+
+
+# sha256 over the ``baseline_schedule`` JSON of 40 seeded grids drawn by the
+# benchmark's generators, in case order.  The benchmark never runs the
+# baseline, so this pins its bytes; a change that alters them on purpose
+# re-pins it.
+BASELINE_DIGEST = "4c34eed46077a9a27528af213ac2f291131aa31513fd8e44782e3457a12163dd"
+
+
+def baseline_digest() -> str:
+    digest = hashlib.sha256()
+    for case in range(40):
+        rng = Random(f"baseline:{case}")
+        side = 3 + case % 3
+        n = side * side
+        hw, prof = load_hardware(grid_device(rng, side))
+        circuit = parse_circuit(random_circuit(rng, n, rng.randint(20, 400)))
+        mapping = Mapping(n, n, rng.sample(range(n), n)) if case % 2 else None
+        sched = baseline_schedule(circuit, hw, prof, mapping)
+        verify_routing(sched, hw, prof, circuit, allowance=0.0)
+        digest.update(json.dumps(sched.to_json_dict()).encode())
+    return digest.hexdigest()
+
+
+def test_baseline_keeps_its_schedules_on_seeded_grids():
+    assert baseline_digest() == BASELINE_DIGEST

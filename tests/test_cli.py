@@ -142,17 +142,6 @@ def test_vqe_synth_lookahead_flag(tmp_path, capsys):
     assert len(off.layers) == 14
 
 
-def test_vqe_synth_rejects_bad_weights(tmp_path, capsys):
-    hw = tmp_path / "grid6.json"
-    hw.write_text(fixture_text("grid6.json"))
-    pauli = tmp_path / "chain.txt"
-    pauli.write_text(fixture_text("chain_pair.txt"))
-    for flag, value in (("--w1", "0"), ("--w2", "1.5")):
-        assert main(["vqe-synth", "-p", str(pauli), "-H", str(hw), flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {flag} must be in (0, 1], got {float(value)}"]
-
-
 def test_jw_encode(tmp_path, capsys):
     ferm = tmp_path / "h2.txt"
     ferm.write_text(fixture_text("h2_fermion.txt"))
@@ -551,6 +540,9 @@ def test_bad_circuit_is_a_usage_error(paths, tmp_path, capsys):
         ["search", "--steps", "-1"],
         ["jw-encode", "--modes", "0"],
         ["jw-encode", "-n", "-2"],
+        ["vqe-synth", "--w1", "0"],
+        ["vqe-synth", "--w2", "1.5"],
+        ["vqe-synth", "--w1", "nan"],
     ],
 )
 def test_bad_numeric_options_are_usage_errors(paths, capsys, argv):

@@ -144,7 +144,7 @@ def test_find_x_max_is_unconstrained_ledger_mass():
 
 
 def test_search_core_parabola():
-    res = search_core(0.0, 1.0, 0.01, lambda x: -((x - 0.3) ** 2))
+    res = search_core(0.0, 1.0, 0.01, lambda x: (-((x - 0.3) ** 2), None))
     assert abs(res.best_allowance - 0.3) <= 0.02
     assert res.best_value == max(v for _, v in res.probes)
     xs = [x for x, _ in res.probes]
@@ -152,9 +152,9 @@ def test_search_core_parabola():
 
 
 def test_search_core_monotone_objectives():
-    rising = search_core(0.0, 1.0, 0.05, lambda x: x)
+    rising = search_core(0.0, 1.0, 0.05, lambda x: (x, None))
     assert rising.best_allowance == 1.0
-    falling = search_core(0.0, 1.0, 0.05, lambda x: -x)
+    falling = search_core(0.0, 1.0, 0.05, lambda x: (-x, None))
     assert falling.best_allowance == 0.0
 
 
@@ -163,7 +163,7 @@ def test_search_core_keeps_best_probe_ever_seen():
     def spiky(x):
         return 2.0 if x == 0.0 else x
 
-    res = search_core(0.0, 1.0, 0.05, spiky)
+    res = search_core(0.0, 1.0, 0.05, lambda x: (spiky(x), None))
     assert res.best_allowance == 0.0
     assert res.best_value == 2.0
 
@@ -225,7 +225,7 @@ def test_search_allowance_prefers_crosstalk_under_heavy_decay():
 
 
 def test_search_result_json():
-    res = search_core(0.0, 1.0, 0.25, lambda x: x)
+    res = search_core(0.0, 1.0, 0.25, lambda x: (x, None))
     data = res.to_json_dict()
     assert data["best_allowance"] == 1.0
     assert data["x_max"] == 1.0

@@ -3,7 +3,7 @@
 ``useful_swaps`` merges each unsatisfied gate's memoised
 ``CouplingGraph.closer_swaps``, which scans only the edges at the gate's
 endpoints, ``build_csg`` finds its vertex pairs through indexes,
-``Csg.neighbors`` reads the adjacency ``build_csg`` fills, a layer with
+``Csg.adjacency`` is the one edge store ``build_csg`` fills, a layer with
 SWAPs in flight commits the first of ``color_classes`` without coloring
 the rest, ``CircuitRun`` keeps its ready set incrementally,
 ``ScheduleState`` keeps its drained mapping and its crosstalk total as it
@@ -238,13 +238,12 @@ def checking_build_csg(seen):
         assert csg.crosstalk_edges == crosstalk
         # the adjacency is the one edge store: the derived conflict edges and
         # the crosstalk edges split its pairs between them
-        adjacency_pairs = {(i, j) for i in range(len(csg.vertices)) for j in csg.neighbors(i) if i < j}
+        adjacency_pairs = {(i, j) for i in range(len(csg.vertices)) for j in csg.adjacency[i] if i < j}
         assert csg.conflict_edges.isdisjoint(csg.crosstalk_edges)
         assert csg.conflict_edges | set(csg.crosstalk_edges) == adjacency_pairs
         assert csg.permitted_pairs == permitted
         for v in csg.vertices:
-            assert csg.neighbors(v.vertex_id) == reference_neighbors(csg, v.vertex_id)
-            assert csg.degree(v.vertex_id) == len(reference_neighbors(csg, v.vertex_id))
+            assert csg.adjacency[v.vertex_id] == reference_neighbors(csg, v.vertex_id)
         assert welsh_powell(csg) == reference_welsh_powell(csg)
         seen["csgs"] += 1
         seen["permitted"] += len(permitted)

@@ -113,6 +113,20 @@ def test_gate_validation():
         LogicalCircuit(0, [])
 
 
+@pytest.mark.parametrize(
+    "gates",
+    [
+        [Gate(5, "cx", (0, 1))],
+        [Gate(1, "cx", (0, 1)), Gate(0, "cx", (1, 2))],
+        [Gate(0, "cx", (0, 1)), Gate(0, "cx", (1, 2))],
+    ],
+)
+def test_gate_ids_must_be_positions(gates):
+    # the compiler looks gates up by id as a position: any other id is bad input
+    with pytest.raises(ParseError, match="must be its position"):
+        LogicalCircuit(3, gates)
+
+
 def test_parse_pauli_program():
     prog = parse_pauli_program("0.25 ZZIZ\n-0.5 XIXI\n")
     assert prog.num_qubits == 4

@@ -239,9 +239,9 @@ def test_pattern_cost_values():
 
 
 def test_synthesis_options_validation():
-    with pytest.raises(InvariantError):
+    with pytest.raises(ValueError):
         SynthesisOptions(w1=0.0)
-    with pytest.raises(InvariantError):
+    with pytest.raises(ValueError):
         SynthesisOptions(w2=1.5)
     SynthesisOptions(w1=1.0, w2=0.001)
 
