@@ -119,26 +119,15 @@ def cheapest_swap(candidates: list[SwapCandidate], hw: CouplingGraph) -> SwapCan
     return min(candidates, key=lambda s: (hw.edge_error.get(s.edge, 0.0), s.edge))
 
 
-def build_csg(
+def _vertices(
     cgates: list[PendingPair],
     candidate_swaps: list[SwapCandidate],
     in_progress: list[InProgressSwap],
-    pending: list[PendingPair],
-    mapping: Mapping,
-    hw: CouplingGraph,
-    profile: CrosstalkProfile,
-    allowance_left: float,
-) -> Csg:
-    """Assemble the candidate set graph for one scheduling iteration.
-
-    Vertex ids are assigned deterministically: in-progress SWAPs first (by
-    edge), then cgates (by gate key), then candidate SWAPs (by edge).
-    Crosstalk pairs are sorted ascending by ``profile.excess_error`` and
-    permitted while the running total stays within ``allowance_left``; only
-    the pairs that did not fit become crosstalk edges.  Every edge goes into
-    the adjacency, the CSG's one edge store; its conflict edges are derived.
-    """
-    l2p = mapping.placement
+    l2p: list[int],
+) -> list[CsgVertex]:
+    """A CSG's vertices, ids assigned deterministically: in-progress SWAPs
+    first (by edge), then cgates (by gate key), then candidate SWAPs (by
+    edge)."""
     vertices: list[CsgVertex] = []
     for ip in sorted(in_progress, key=attrgetter("edge")):
         vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
@@ -151,6 +140,53 @@ def build_csg(
         # be a different operation on busy qubits anyway.
         if sc.edge not in busy_edges:
             vertices.append(CsgVertex(len(vertices), "swap", sc.edge, None, None, sc.helps))
+    return vertices
+
+
+def _overshoots(dist, gate: tuple[int, int], edge: Edge, ids: list[int], vertices, joined) -> list[int]:
+    """The vertices of ``ids`` outside ``joined`` whose SWAP, run together
+    with the SWAP on ``edge``, leaves the gate on physical qubits ``gate``
+    no closer.  Two SWAPs attacking one gate from opposite ends can cancel
+    out: each alone reduces its distance, both together move the endpoints
+    past each other.  ``joined`` holds every vertex that shares a qubit
+    with ``edge``, so the two SWAPs commute."""
+    pa, pb = gate
+    near = dist[pa][pb]
+    a, b = edge
+    # this SWAP's move, then each other one's
+    pa = b if pa == a else a if pa == b else pa
+    pb = b if pb == a else a if pb == b else pb
+    out = []
+    for i in ids:
+        if i not in joined:
+            c, d = vertices[i].edge
+            x = d if pa == c else c if pa == d else pa
+            y = d if pb == c else c if pb == d else pb
+            if dist[x][y] >= near:
+                out.append(i)
+    return out
+
+
+def build_csg(
+    cgates: list[PendingPair],
+    candidate_swaps: list[SwapCandidate],
+    in_progress: list[InProgressSwap],
+    pending: list[PendingPair],
+    mapping: Mapping,
+    hw: CouplingGraph,
+    profile: CrosstalkProfile,
+    allowance_left: float,
+) -> Csg:
+    """Assemble the candidate set graph for one scheduling iteration, on
+    the vertices of ``_vertices``.
+
+    Crosstalk pairs are sorted ascending by ``profile.excess_error`` and
+    permitted while the running total stays within ``allowance_left``; only
+    the pairs that did not fit become crosstalk edges.  Every edge goes into
+    the adjacency, the CSG's one edge store; its conflict edges are derived.
+    """
+    l2p = mapping.placement
+    vertices = _vertices(cgates, candidate_swaps, in_progress, l2p)
 
     # Each vertex meets the earlier ones through three indexes instead of
     # all V^2 pairs, and each test keeps its precedence: a shared qubit,
@@ -167,7 +203,6 @@ def build_csg(
     for v in vertices:
         j, edge = v.vertex_id, v.edge
         joined = adjacency[j]
-        a, b = edge
         for q in edge:
             ids = by_qubit.get(q)
             if ids is None:
@@ -177,11 +212,9 @@ def build_csg(
                 adjacency[i].add(j)
             joined.update(ids)
             ids.append(j)
-        # Two SWAPs attacking one gate from opposite ends can cancel out:
-        # each alone reduces its distance, both together move the endpoints
-        # past each other.  An in-flight SWAP can carry help keys from the
-        # iteration it started in; a gate that has since left the pending
-        # set cannot be re-evaluated, so it cannot justify a conflict.
+        # An in-flight SWAP can carry help keys from the iteration it
+        # started in; a gate that has since left the pending set cannot be
+        # re-evaluated, so it cannot justify a conflict.
         for key in v.helps:
             ids = by_help.get(key)
             if ids is None:
@@ -190,19 +223,9 @@ def build_csg(
             if placed is None:
                 placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
             if key in placed:
-                pa, pb = placed[key]
-                near = dist[pa][pb]
-                # this SWAP's move, then each unjoined one's: they share no qubit
-                pa = b if pa == a else a if pa == b else pa
-                pb = b if pb == a else a if pb == b else pb
-                for i in ids:
-                    if i not in joined:
-                        c, d = vertices[i].edge
-                        x = d if pa == c else c if pa == d else pa
-                        y = d if pb == c else c if pb == d else pb
-                        if dist[x][y] >= near:
-                            adjacency[i].add(j)
-                            joined.add(i)
+                for i in _overshoots(dist, placed[key], edge, ids, vertices, joined):
+                    adjacency[i].add(j)
+                    joined.add(i)
             ids.append(j)
         for partner in partners(edge):
             for i in by_edge.get(partner, ()):
@@ -230,3 +253,77 @@ def build_csg(
             adjacency[i].add(j)
             adjacency[j].add(i)
     return Csg(vertices, crosstalk_edges, permitted, adjacency)
+
+
+def flight_color_zero(
+    cgates: list[PendingPair],
+    candidate_swaps: list[SwapCandidate],
+    in_progress: list[InProgressSwap],
+    pending: list[PendingPair],
+    mapping: Mapping,
+    hw: CouplingGraph,
+    profile: CrosstalkProfile,
+) -> tuple[list[CsgVertex], list[int]]:
+    """Color 0 of ``build_csg`` on these inputs, for a layer with SWAPs in
+    flight whose allowance left is below ``profile.cheapest_excess``: no
+    pair can be permitted, so every crosstalk pair is an edge.  Returns
+    ``build_csg``'s vertices and the sorted ids of color 0.
+
+    Color 0 holds the flights, then the flight-free vertices in
+    Welsh–Powell order (degree descending, ties to the lower id) by first
+    fit.  A vertex tied to a flight by a shared qubit, a joint overshoot or
+    a crosstalk record never joins, so only the flight-free vertices get
+    neighbor sets: their CSG degree orders them, and first fit reads them.
+    """
+    l2p = mapping.placement
+    vertices = _vertices(cgates, candidate_swaps, in_progress, l2p)
+    flights, others = vertices[: len(in_progress)], vertices[len(in_progress) :]
+    partners = profile.partners
+    flight_qubits: set[int] = set()
+    flight_partners: set[Edge] = set()
+    for f in flights:
+        flight_qubits.update(f.edge)
+        flight_partners.update(partners(f.edge))
+    # the indexes of build_csg, over every vertex that is not a flight
+    tied: set[int] = set()
+    by_qubit: dict[int, list[int]] = {}
+    by_help: dict[object, list[int]] = {}
+    by_edge: dict[Edge, list[int]] = {}
+    for v in others:
+        j, edge = v.vertex_id, v.edge
+        a, b = edge
+        if a in flight_qubits or b in flight_qubits or edge in flight_partners:
+            tied.add(j)
+        by_qubit.setdefault(a, []).append(j)
+        by_qubit.setdefault(b, []).append(j)
+        for key in v.helps:
+            by_help.setdefault(key, []).append(j)
+        by_edge.setdefault(edge, []).append(j)
+    dist = hw.all_pairs_distance()
+    placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending} if by_help else {}
+    for f in flights:
+        for key in f.helps:
+            ids = by_help.get(key)
+            if ids is not None and key in placed:
+                tied.update(_overshoots(dist, placed[key], f.edge, ids, vertices, tied))
+
+    neighbors: dict[int, set[int]] = {}
+    for v in others:
+        j, edge = v.vertex_id, v.edge
+        if j in tied:
+            continue
+        joined = set(by_qubit[edge[0]])
+        joined.update(by_qubit[edge[1]])
+        for partner in partners(edge):
+            joined.update(by_edge.get(partner, ()))
+        for key in v.helps:
+            ids = by_help[key]
+            if len(ids) > 1 and key in placed:
+                joined.update(_overshoots(dist, placed[key], edge, ids, vertices, joined))
+        joined.discard(j)
+        neighbors[j] = joined
+    taken: set[int] = set()
+    for vid in sorted(neighbors, key=lambda vid: -len(neighbors[vid])):  # stable: ties to the lower id
+        if taken.isdisjoint(neighbors[vid]):
+            taken.add(vid)
+    return vertices, [f.vertex_id for f in flights] + sorted(taken)

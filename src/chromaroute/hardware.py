@@ -164,7 +164,12 @@ class CrosstalkRecord:
 
 
 class CrosstalkProfile:
-    """Pairwise conditional-error table over coupling edges."""
+    """Pairwise conditional-error table over coupling edges.
+
+    ``cheapest_excess`` is the least ``excess_error`` over the records,
+    ``inf`` with none: an allowance below it can permit no pair.  It is 0.0
+    when some record's edge has no isolated rate, since that pair's price
+    is asked, and raises, only when the pair is priced."""
 
     def __init__(self, graph: CouplingGraph, records: list[CrosstalkRecord]):
         self._by_pair: dict[frozenset[Edge], CrosstalkRecord] = {}
@@ -198,6 +203,13 @@ class CrosstalkProfile:
             self._partners.setdefault(e2, []).append(e1)
         self.graph = graph
         self._excess: dict[tuple[Edge, Edge], float] = {}
+        self.cheapest_excess = math.inf
+        for rec in self._by_pair.values():
+            try:
+                excess = self._record_excess(rec)
+            except HardwareError:
+                excess = 0.0
+            self.cheapest_excess = min(self.cheapest_excess, excess)
 
     def __len__(self) -> int:
         return len(self._by_pair)
@@ -236,15 +248,13 @@ class CrosstalkProfile:
         excess = self._excess.get(key)
         if excess is None:
             rec = self.record_for(e1, e2)
-            excess = 0.0
-            if rec is not None:
-                excess = max(
-                    (rec.e1_given_e2 - self.graph.error_of(rec.e1))
-                    + (rec.e2_given_e1 - self.graph.error_of(rec.e2)),
-                    0.0,
-                )
+            excess = 0.0 if rec is None else self._record_excess(rec)
             self._excess[key] = excess
         return excess
+
+    def _record_excess(self, rec: CrosstalkRecord) -> float:
+        error_of = self.graph.error_of
+        return max((rec.e1_given_e2 - error_of(rec.e1)) + (rec.e2_given_e1 - error_of(rec.e2)), 0.0)
 
 
 class Mapping:

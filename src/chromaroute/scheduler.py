@@ -3,11 +3,15 @@
 Each iteration assembles the candidate set graph for the current frontier
 and commits one color class as the next layer: while SWAPs are in flight
 the first color, which holds them, and otherwise the class a ranked
-tie-break chain picks from a full coloring.  SWAPs occupy their qubits for
-three consecutive layers; the logical-to-physical mapping changes when a
-routing SWAP finishes.  Every crosstalk pair actually committed is written
-to a ledger at the layer where the later of the two operations starts, and
-the ledger total can never exceed the configured allowance.
+tie-break chain picks from a full coloring.  A flight layer whose allowance
+left can pay for no crosstalk pair gets its first color from the vertices
+no flight is tied to (``csg.flight_color_zero``), without the full graph,
+unless an ``on_iteration`` hook is to receive it.  SWAPs occupy their
+qubits for three consecutive layers; the logical-to-physical mapping
+changes when a routing SWAP finishes.  Every crosstalk pair actually
+committed is written to a ledger at the layer where the later of the two
+operations starts, and the ledger total can never exceed the configured
+allowance.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .csg import (
     build_csg,
     cheapest_swap,
     executable_pairs,
+    flight_color_zero,
     useful_swaps,
 )
 from .errors import InvariantError, MappingError, ParseError, StallError, VerificationError
@@ -207,7 +212,9 @@ def color_classes(csg: Csg):
     current class when it has no neighbor there.  First fit in one order
     peels greedy independent sets in that order, so each class is the one a
     first-fit coloring gives that color, and a caller can stop after the
-    first."""
+    first.  ``csg.flight_color_zero`` gives the first class of a flight
+    layer that permits no crosstalk pair without the full graph; this is
+    its reference."""
     neighbors = csg.adjacency
     members = {v.vertex_id for v in csg.vertices if v.kind == "inprogress"}
     rest = [v.vertex_id for v in csg.vertices if v.kind != "inprogress"]
@@ -494,7 +501,8 @@ def schedule_layer(
     *,
     criticality=MappingProxyType({}),
     tie_breaker=None,
-) -> tuple[Csg, ColorClass | None]:
+    keep_csg: bool = True,
+) -> tuple[Csg | None, ColorClass | None]:
     """One CSG layer step into the open layer: build the candidate set graph
     of ``cgates``, ``swaps`` and the state's flights, pick a class and
     commit its members in vertex order, ``run_cgate(key)`` for a cgate and
@@ -503,25 +511,38 @@ def schedule_layer(
     is not a thing.  Otherwise the CSG is colored in full and
     ``rank_and_select`` picks by the state's ``last_helped``,
     ``criticality`` (gate key -> weight) and ``tie_breaker``.  Returns
-    (csg, selected class), the class None when the CSG is empty."""
-    csg = build_csg(
-        cgates,
-        swaps,
-        state.flights,
-        pending,
-        state.mapping,
-        state.hw,
-        state.profile,
-        state.allowance_left(),
-    )
-    if not csg.vertices:
-        return csg, None
-    if state.flights:
-        selected = next(color_classes(csg))
+    (csg, selected class), the class None when the CSG is empty.
+
+    A flight layer whose allowance left is below the profile's
+    ``cheapest_excess`` permits no pair; unless ``keep_csg`` asks for the
+    CSG, ``flight_color_zero`` gives its color 0 without building it, and
+    the csg returned is None."""
+    if state.flights and not keep_csg and state.allowance_left() < state.profile.cheapest_excess:
+        csg = None
+        vertices, members = flight_color_zero(
+            cgates, swaps, state.flights, pending, state.mapping, state.hw, state.profile
+        )
+        selected = ColorClass(color=0, members=members)
     else:
-        selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
+        csg = build_csg(
+            cgates,
+            swaps,
+            state.flights,
+            pending,
+            state.mapping,
+            state.hw,
+            state.profile,
+            state.allowance_left(),
+        )
+        vertices = csg.vertices
+        if not vertices:
+            return csg, None
+        if state.flights:
+            selected = next(color_classes(csg))
+        else:
+            selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
     for vid in selected.members:
-        v = csg.vertices[vid]
+        v = vertices[vid]
         if v.kind == "cgate":
             run_cgate(v.gate_key)
         elif v.kind == "swap":
@@ -633,7 +654,13 @@ def compile_circuit(
         cgates = executable_pairs(two_q, state.mapping, hw)
         swaps = guard.swaps(two_q, state, criticality)
         csg, selected = schedule_layer(
-            state, cgates, swaps, two_q, run.run_gate, criticality=criticality
+            state,
+            cgates,
+            swaps,
+            two_q,
+            run.run_gate,
+            criticality=criticality,
+            keep_csg=on_iteration is not None,
         )
         guard.record(run.finish_layer(singles), len(run.executed))
         if on_iteration is not None:

@@ -360,7 +360,13 @@ def _synthesize_string(
                 )
 
             csg, selected = schedule_layer(
-                state, cgates, candidates, pending, run_cx, tie_breaker=tie_breaker
+                state,
+                cgates,
+                candidates,
+                pending,
+                run_cx,
+                tie_breaker=tie_breaker,
+                keep_csg=on_iteration is not None,
             )
         guard.record(state.close_layer()[0], len(ladder))
         if on_iteration is not None:

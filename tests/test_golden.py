@@ -3,7 +3,9 @@
 Each case runs one subcommand with ``-o``, ``--emit-timeline`` and
 ``--emit-csg`` and hashes the three files: the schedule JSON, the timeline
 text (which also renders the crosstalk ledger) and the DOT text of every
-candidate set graph the scheduler built.  A change that alters any of them
+candidate set graph the scheduler built.  Each compiler case also runs
+with ``-o`` alone, where no hook asks for the graphs, and must write the
+same schedule.  A change that alters any of them
 on purpose updates the digests here and says why; print the current ones,
 and the per-loop digests of ``test_escape.py``'s seeded-grid fuzz, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -191,6 +193,20 @@ def run_case(tmp_path: Path, argv: list[str]) -> tuple[str, str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_digests(name, tmp_path):
     assert run_case(tmp_path, CASES[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if not n.startswith("baseline-")))
+def test_schedules_without_hooks_match_the_digest(name, tmp_path):
+    """Without ``--emit-csg`` and ``--emit-timeline`` no ``on_iteration``
+    hook asks for the CSG, so a flight layer that can permit no crosstalk
+    pair takes its color 0 from ``flight_color_zero``; the schedule must be
+    the one the hooked run pins."""
+    for file, text in FILES.items():
+        (tmp_path / file).write_text(text(), encoding="utf-8")
+    out = tmp_path / "out.json"
+    args = [str(tmp_path / a) if a in FILES else a for a in CASES[name]]
+    assert main(args + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED[name][0]
 
 
 def test_every_case_is_pinned():

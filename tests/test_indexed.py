@@ -5,11 +5,12 @@
 endpoints, ``build_csg`` finds its vertex pairs through indexes,
 ``Csg.adjacency`` is the one edge store ``build_csg`` fills, a layer with
 SWAPs in flight commits the first of ``color_classes`` without coloring
-the rest, ``CircuitRun`` keeps its ready set incrementally,
-``ScheduleState`` keeps its drained mapping and its crosstalk total as it
-goes.  The references
-below are the straightforward versions: every coupling edge, every vertex
-pair, both edge sets scanned per lookup, the full coloring's color 0,
+the rest, and without the full CSG when it can permit no crosstalk pair
+(``flight_color_zero``), ``CircuitRun`` keeps its ready set
+incrementally, ``ScheduleState`` keeps its drained mapping and its
+crosstalk total as it goes.  The references below are the
+straightforward versions: every coupling edge, every vertex pair, both
+edge sets scanned per lookup, the full CSG and coloring's color 0,
 ``frontier`` recomputed from the executed set, a mapping copy with the
 in-flight routing SWAPs applied, and the ledger summed again.  Seeded grid
 compiles run with checking wrappers around the scheduler's calls, so every
@@ -46,10 +47,17 @@ from chromaroute import (
     compile_circuit,
     synthesize,
 )
-from chromaroute.csg import PendingPair, SwapCandidate, build_csg, useful_swaps
+from chromaroute.csg import (
+    InProgressSwap,
+    PendingPair,
+    SwapCandidate,
+    build_csg,
+    flight_color_zero,
+    useful_swaps,
+)
 from chromaroute.hardware import bfs_depths
 from chromaroute.ir import frontier
-from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, welsh_powell
+from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, color_classes, welsh_powell
 
 # The seeded compiles count their allowance in excess error, the only unit.
 UNITS = ["error"]
@@ -389,7 +397,9 @@ def random_pauli_program(width: int, num_strings: int, rng: random.Random) -> Pa
 def test_flight_layers_commit_the_reference_color_zero(monkeypatch, rows, seed):
     """While SWAPs are in flight ``schedule_layer`` commits the first of
     ``color_classes`` without coloring the rest; it must be the full
-    coloring's color 0."""
+    coloring's color 0.  The hook asks for every CSG, so these layers all
+    take the full path; ``test_unpriced_flight_layers_match_the_full_csg``
+    checks the other one."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, 110, rng)
@@ -420,6 +430,87 @@ def test_flight_layers_commit_the_reference_color_zero(monkeypatch, rows, seed):
         synthesize(program, hw, prof, allowance=allowance, on_iteration=check_color_zero)
     # flight layers where a cgate or a new SWAP joined the flights
     assert seen["flight_layers"] and seen["joined"]
+
+
+def checking_flight_color_zero(seen):
+    """``flight_color_zero`` wrapped to compare its vertices and color 0,
+    in the order ``schedule_layer`` commits them, with ``build_csg``'s
+    and ``color_classes``' on the same inputs.  It counts into ``seen`` the
+    layers where a vertex joined the flights and where no vertex was free
+    of them, the vertices a flight kept out by crosstalk alone, and the
+    joint overshoots between two flight-free vertices."""
+
+    def checked(cgates, swaps, in_prog, pending, mapping, hw, prof):
+        vertices, members = flight_color_zero(cgates, swaps, in_prog, pending, mapping, hw, prof)
+        # every allowance below prof.cheapest_excess gives this CSG
+        assert prof.cheapest_excess > 0.0
+        csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, 0.0)
+        assert not csg.permitted_pairs
+        assert vertices == csg.vertices
+        assert members == next(color_classes(csg)).members
+        flights = {v.vertex_id for v in vertices if v.kind == "inprogress"}
+        busy = {q for i in flights for q in vertices[i].edge}
+        free = set()
+        for v in vertices:
+            if v.vertex_id in flights:
+                continue
+            ties = csg.adjacency[v.vertex_id] & flights
+            if not ties:
+                free.add(v.vertex_id)
+            elif not busy.intersection(v.edge):
+                seen["crosstalk_only"] += all((f, v.vertex_id) in csg.crosstalk_edges for f in ties)
+        for i, j in csg.conflict_edges:
+            if i in free and j in free and not set(vertices[i].edge) & set(vertices[j].edge):
+                seen["free_overshoot"] += 1
+        seen["joined"] += len(members) > len(flights)
+        seen["none_free"] += not free
+        return vertices, members
+
+    return checked
+
+
+@pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
+def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
+    """With no ``on_iteration`` hook a flight layer whose allowance left is
+    below the profile's cheapest pair takes its color 0 from
+    ``flight_color_zero``; each one must be the full CSG's, and each
+    schedule the one a hooked run, which builds every CSG, gives."""
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, 110, rng)
+    program = random_pauli_program(rows * rows, 12, rng)
+    seen = dict.fromkeys(("joined", "none_free", "crosstalk_only", "free_overshoot"), 0)
+    monkeypatch.setattr(scheduler, "flight_color_zero", checking_flight_color_zero(seen))
+    for allowance in (0.0, 0.05):
+        for compile_fn, source in ((compile_circuit, circuit), (synthesize, program)):
+            sched = compile_fn(source, hw, prof, allowance=allowance)
+            hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
+            assert sched.to_json_dict() == hooked.to_json_dict()
+    assert all(seen.values()), seen
+
+
+def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
+    """The scheduler's candidates help on the drained mapping, so a
+    candidate tied to a flight by a joint overshoot also shares a qubit
+    with some flight in every seeded compile.  Here it does not: on the
+    square 0-1-3-2, the flight on 0-1 and the candidate on 2-3 each bring
+    the gate on 0 and 3 one hop closer, and together they leave it two
+    hops apart.  The overshoot comes before the crosstalk record on the
+    same two links, and holds without it."""
+    hw = CouplingGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], edge_error=dict.fromkeys([(0, 1), (2, 3)], 0.01))
+    prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02)])
+    gate = PendingPair("g", (0, 3))
+    flight = InProgressSwap((0, 1), 2, frozenset({"g"}))
+    swap = SwapCandidate((2, 3), frozenset({"g"}))
+    for profile in (prof, CrosstalkProfile(hw, [])):
+        args = ([], [swap], [flight], [gate], Mapping(4, 4), hw, profile)
+        csg = build_csg(*args, 0.0)
+        assert csg.conflict_edges == {(0, 1)} and not csg.crosstalk_edges
+        assert flight_color_zero(*args) == (csg.vertices, [0])
+        # with the gate gone from the pending set the tie goes too
+        args = ([], [swap], [flight], [], Mapping(4, 4), hw, profile)
+        want = next(color_classes(build_csg(*args, 0.0))).members
+        assert flight_color_zero(*args)[1] == want == ([0] if profile is prof else [0, 1])
 
 
 def test_closer_swaps_match_a_scan_of_every_edge():

@@ -39,7 +39,9 @@ from chromaroute.fixtures import (
     ring6_cross,
     ring6_cross_hot,
 )
-from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard
+import chromaroute.scheduler as scheduler
+from chromaroute.csg import PendingPair
+from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard, schedule_layer
 
 
 def swap_starts(sched):
@@ -468,3 +470,104 @@ def test_a_search_of_no_steps_is_the_callers_error():
 
     with pytest.raises(ValueError, match="at least one step, got 0"):
         search_allowance(compile_fn, hw, prof, steps=0)
+
+
+def flight_beside_its_partner(allowance):
+    """``interfering_pair``'s line in an open layer with a routing SWAP on
+    0-1 in flight, the gate on 2-3, which the profile pairs with it, and a
+    ``run_cgate`` that places the gate."""
+    _, hw, prof = interfering_pair()
+    state = ScheduleState(hw, prof, allowance, 4)
+    state.open_layer()
+    state.start_swap((0, 1))
+    state.close_layer()
+    state.open_layer()
+
+    def run_cgate(key):
+        state.place(Op(kind="cx", qubits=(2, 3), gate_id=key))
+
+    return state, [PendingPair(0, (2, 3))], run_cgate
+
+
+def test_an_allowance_left_of_exactly_the_cheapest_pair_builds_the_csg():
+    cheapest = interfering_pair()[2].cheapest_excess
+    state, gates, run_cgate = flight_beside_its_partner(cheapest)
+    csg, selected = schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
+    assert csg.permitted_pairs == [(0, 1, cheapest)]
+    assert selected.members == [0, 1]
+    assert [e.excess for e in state.ledger] == [cheapest]
+    # a hair below it no pair can be permitted: color 0 without the CSG
+    state, gates, run_cgate = flight_beside_its_partner(math.nextafter(cheapest, 0.0))
+    csg, selected = schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
+    assert csg is None and selected.members == [0] and not state.ledger
+    # a caller that keeps the CSG, for a hook, gets it at any allowance
+    state, gates, run_cgate = flight_beside_its_partner(0.0)
+    csg, selected = schedule_layer(state, gates, [], gates, run_cgate)
+    assert csg.crosstalk_edges == {(0, 1): cheapest} and selected.members == [0]
+
+
+def counting_paths(monkeypatch):
+    """Count the scheduler's flight layers by the path they take."""
+    seen = {"full": 0, "color_zero": 0}
+    build, color_zero = scheduler.build_csg, scheduler.flight_color_zero
+
+    def counted_build(cgates, swaps, in_prog, *args):
+        seen["full"] += bool(in_prog)
+        return build(cgates, swaps, in_prog, *args)
+
+    def counted_color_zero(*args):
+        seen["color_zero"] += 1
+        return color_zero(*args)
+
+    monkeypatch.setattr(scheduler, "build_csg", counted_build)
+    monkeypatch.setattr(scheduler, "flight_color_zero", counted_color_zero)
+    return seen
+
+
+def test_a_free_crosstalk_pair_keeps_every_flight_layer_on_the_full_csg(monkeypatch):
+    hw, _ = ring6()
+    free_pair = CrosstalkRecord((0, 1), (2, 3), hw.error_of((0, 1)), hw.error_of((2, 3)))
+    prof = CrosstalkProfile(hw, [free_pair])
+    assert prof.cheapest_excess == 0.0
+    seen = counting_paths(monkeypatch)
+    compile_circuit(pair_circuit(), hw, prof, allowance=0.0)
+    synthesize(chain_pair(), hw, prof, allowance=0.0)
+    assert seen["full"] and not seen["color_zero"]
+
+
+def test_a_profile_without_records_never_builds_a_flight_layers_csg(monkeypatch):
+    """Every finite allowance is below ``cheapest_excess``, inf; an infinite
+    one is not, and builds the CSG, as a hook does at any allowance."""
+    hw, _ = ring6()
+    prof = CrosstalkProfile(hw, [])
+    assert prof.cheapest_excess == math.inf
+    seen = counting_paths(monkeypatch)
+    for allowance in (0.0, 0.05, 1e300):
+        compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
+        synthesize(chain_pair(), hw, prof, allowance=allowance)
+    assert seen["color_zero"] and not seen["full"]
+    compile_circuit(pair_circuit(), hw, prof, allowance=math.inf)
+    assert seen["full"]
+    seen["full"] = 0
+    compile_circuit(pair_circuit(), hw, prof, allowance=0.0, on_iteration=lambda info: None)
+    assert seen["full"]
+
+
+@pytest.mark.parametrize("device", ["ring6", "ring6_cross", "ring6_cross_hot", "tree7", "grid6"])
+def test_cheapest_excess_is_the_least_price_of_a_record(device):
+    doc = json.loads(fixture_text(f"{device}.json"))
+    _, prof = load_hardware(doc)
+    prices = [prof.excess_error(tuple(r["e1"]), tuple(r["e2"])) for r in doc["crosstalk"]]
+    assert prices and prof.cheapest_excess == min(prices)
+
+
+def test_a_record_that_cannot_be_priced_keeps_the_full_csg():
+    """An edge without an isolated rate raises when its pair is priced, so
+    its record makes ``cheapest_excess`` 0.0 and every CSG is built: here
+    the cx on 2-3 meets the SWAP gate on 0-1 in flight."""
+    hw = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)], edge_error={(0, 1): 0.01})
+    prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02)])
+    assert prof.cheapest_excess == 0.0
+    circuit = parse_circuit("qubits 4\nswap 0 1\nu h 2\ncx 2 3\n")
+    with pytest.raises(HardwareError, match=r"missing error rate for edge \(2, 3\)"):
+        compile_circuit(circuit, hw, prof, allowance=0.0)
