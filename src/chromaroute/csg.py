@@ -119,6 +119,12 @@ def cheapest_swap(candidates: list[SwapCandidate], hw: CouplingGraph) -> SwapCan
     return min(candidates, key=lambda s: (hw.edge_error.get(s.edge, 0.0), s.edge))
 
 
+def closing_swap(pair: PendingPair, mapping: Mapping, hw: CouplingGraph) -> SwapCandidate | None:
+    """The ``cheapest_swap`` bringing ``pair`` one hop closer; None if adjacent."""
+    swaps = useful_swaps([pair], mapping, hw)
+    return cheapest_swap(swaps, hw) if swaps else None
+
+
 def _vertices(
     cgates: list[PendingPair],
     candidate_swaps: list[SwapCandidate],

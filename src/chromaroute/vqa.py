@@ -21,7 +21,7 @@ from itertools import combinations
 # scheduler.schedule_layer.  They stay imported because perfbench/tracing.py
 # patches them by name in this module's namespace, and an install fails on a
 # missing name.
-from .csg import PendingPair, build_csg, cheapest_swap, executable_pairs, useful_swaps
+from .csg import PendingPair, build_csg, closing_swap, executable_pairs, useful_swaps
 from .errors import InvariantError
 from .hardware import CouplingGraph, CrosstalkProfile, Mapping, bfs_depths
 from .ir import PAULI_POST_LABEL, PAULI_PRE_LABEL, PauliProgram
@@ -391,7 +391,7 @@ def _route_pair(state: ScheduleState, u: int, v: int, hw: CouplingGraph) -> None
         if guard > hw.num_qubits * hw.num_qubits:
             raise InvariantError(f"uncompute routing for ({u},{v}) does not converge")
         state.open_layer()
-        state.start_swap(_closing_swap(state.mapping, u, v, hw))
+        state.start_swap(closing_swap(PendingPair((u, v), (u, v)), state.mapping, hw).edge)
         state.close_layer()
         while state.flights:
             state.open_layer()
@@ -420,7 +420,7 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
             placeable = (
                 hw.has_edge(pc, pt)
                 and not ({pc, pt} & blocked)
-                and state.charge_preview(edge) <= state.allowance_left() + 1e-12
+                and state.charge_preview(edge) <= state.allowance_left()
             )
             if placeable:
                 state.place(Op(kind="cx", qubits=(pc, pt)))
@@ -431,12 +431,6 @@ def _mirror_ladder(state: ScheduleState, ladder: list[tuple[int, int]], hw: Coup
         if not placed:
             raise InvariantError("uncompute pass failed to place any gate")
         entries = leftover
-
-
-def _closing_swap(mapping: Mapping, u: int, v: int, hw: CouplingGraph) -> tuple[int, int]:
-    """The device edge whose SWAP brings non-adjacent ``u`` and ``v`` one hop
-    closer, least ``edge_error`` first and then the lowest edge."""
-    return cheapest_swap(useful_swaps([PendingPair((u, v), (u, v))], mapping, hw), hw).edge
 
 
 def _keeps_ladder(

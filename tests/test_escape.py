@@ -9,7 +9,8 @@ escaped: a loop that never gets stuck would pass without the escape.  The
 wrapper also checks that an escape SWAP is only ever picked with no flight
 open, where the drained mapping is the mapping of this instant: the
 reference compiler routes on the latter and takes its escape SWAPs from
-the same ``escape_swaps``.
+the same ``escape_swaps``.  Each escape SWAP must be the first of
+``test_indexed.reference_closing_swaps`` for the escape's target gate.
 """
 
 import hashlib
@@ -27,8 +28,9 @@ from chromaroute import (
     synthesize,
     verify_routing,
 )
+from chromaroute.csg import SwapCandidate
 from chromaroute.scheduler import StallGuard
-from test_indexed import grid_device, random_circuit, random_pauli_program
+from test_indexed import grid_device, random_circuit, random_pauli_program, reference_closing_swaps
 
 ALLOWANCES = (0.0, 0.05, math.inf)
 
@@ -44,6 +46,8 @@ def escapes(monkeypatch):
         swaps = escape_swaps(guard, pending, state, *args, **kwargs)
         if swaps:
             assert state.drained().as_dict() == state.mapping.as_dict()
+            want = reference_closing_swaps(state.mapping, *guard.target.logicals, guard.hw)
+            assert swaps == [SwapCandidate(want[0][1], frozenset({guard.target.key}))]
         if swaps is not None:
             if guard.prefix.startswith("baseline"):
                 counts["baseline"] += 1

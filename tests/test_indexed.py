@@ -624,7 +624,7 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
         ("breakers", "apart", "routed", "route_ties", "drained", "csgs", "permitted", "crosstalk", "ties"),
         0,
     )
-    keeps_ladder, closing_swap = vqa._keeps_ladder, vqa._closing_swap
+    keeps_ladder, closing_swap = vqa._keeps_ladder, vqa.closing_swap
     breakers = {}  # the reference's answer per (ladder, drained placement)
 
     def checked_keeps_ladder(edge, ladder, drained, hw):
@@ -637,10 +637,10 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
         seen["breakers"] += not got
         return got
 
-    def checked_closing_swap(mapping, u, v, hw):
-        got = closing_swap(mapping, u, v, hw)
-        want = reference_closing_swaps(mapping, u, v, hw)
-        assert got == want[0][1]
+    def checked_closing_swap(pair, mapping, hw):
+        got = closing_swap(pair, mapping, hw)
+        want = reference_closing_swaps(mapping, *pair.logicals, hw)
+        assert got.edge == want[0][1]
         seen["routed"] += 1
         seen["route_ties"] += len(want) > 1 and want[0][0] == want[1][0]
         return got
@@ -653,7 +653,7 @@ def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
             return got
 
     monkeypatch.setattr(vqa, "_keeps_ladder", checked_keeps_ladder)
-    monkeypatch.setattr(vqa, "_closing_swap", checked_closing_swap)
+    monkeypatch.setattr(vqa, "closing_swap", checked_closing_swap)
     # synthesis reaches build_csg through scheduler.schedule_layer
     monkeypatch.setattr(scheduler, "build_csg", checking_build_csg(seen))
     monkeypatch.setattr(vqa, "ScheduleState", CheckedState)

@@ -42,6 +42,7 @@ from chromaroute.fixtures import (
 import chromaroute.scheduler as scheduler
 from chromaroute.csg import PendingPair
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard, schedule_layer
+from test_metamorphic import scaled_rates, seeded_case
 
 
 def swap_starts(sched):
@@ -53,14 +54,15 @@ def swap_starts(sched):
     ]
 
 
-def interfering_pair():
-    """Two independent CXs whose physical edges appear in the profile."""
+def interfering_pair(scale=1.0):
+    """Two independent CXs whose physical edges appear in the profile, with
+    every link rate times ``scale``."""
     hw = CouplingGraph(
         4,
         [(0, 1), (1, 2), (2, 3)],
-        edge_error={(0, 1): 0.01, (1, 2): 0.01, (2, 3): 0.01},
+        edge_error={(0, 1): 0.01 * scale, (1, 2): 0.01 * scale, (2, 3): 0.01 * scale},
     )
-    prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.05, 0.05)])
+    prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.05 * scale, 0.05 * scale)])
     circ = parse_circuit("qubits 4\ncx 0 1\ncx 2 3\n")
     return circ, hw, prof
 
@@ -82,13 +84,20 @@ def test_ring_pair_compile_depth_4_no_crosstalk():
 
 
 def test_interfering_cxs_serialized_at_zero_allowance():
-    circ, hw, prof = interfering_pair()
-    sched = compile_circuit(circ, hw, prof, allowance=0.0)
-    assert sched.depth_cx == 2
-    assert sched.crosstalk_ledger == []
-    assert [(op.kind, op.qubits) for op in sched.layers[0]] == [("cx", (0, 1))]
-    assert [(op.kind, op.qubits) for op in sched.layers[1]] == [("cx", (2, 3))]
-    assert verify_routing(sched, hw, prof, circ, allowance=0.0)
+    # at rates 2**-40 as large the pair costs about 7e-14, still too much
+    for scale in (1.0, 2.0**-40):
+        circ, hw, prof = interfering_pair(scale)
+        sched = compile_circuit(circ, hw, prof, allowance=0.0)
+        assert sched.depth_cx == 2
+        assert sched.crosstalk_ledger == []
+        assert [(op.kind, op.qubits) for op in sched.layers[0]] == [("cx", (0, 1))]
+        assert [(op.kind, op.qubits) for op in sched.layers[1]] == [("cx", (2, 3))]
+        assert verify_routing(sched, hw, prof, circ, allowance=0.0)
+        state = ScheduleState(hw, prof, 0.0, 4)
+        state.open_layer()
+        state.place(Op(kind="cx", qubits=(0, 1)))
+        with pytest.raises(InvariantError, match="exceeds allowance 0"):
+            state.place(Op(kind="cx", qubits=(2, 3)))
 
 
 def test_interfering_cxs_parallel_when_allowed():
@@ -103,15 +112,32 @@ def test_interfering_cxs_parallel_when_allowed():
     assert verify_routing(sched, hw, prof, circ, allowance=0.08)
     with pytest.raises(VerificationError):
         verify_routing(sched, hw, prof, circ, allowance=0.05)
+    # the same pair at rates 2**-40 as large, priced exactly 2**-40 as much,
+    # still exceeds an allowance of 0
+    circ, hw, prof = interfering_pair(2.0**-40)
+    faint = compile_circuit(circ, hw, prof, allowance=math.inf)
+    assert [e.excess for e in faint.crosstalk_ledger] == [entry.excess * 2.0**-40]
+    with pytest.raises(VerificationError, match="exceeds allowance 0"):
+        verify_routing(faint, hw, prof, circ, allowance=0.0)
 
 
 def test_ledger_never_exceeds_allowance():
-    hw, prof = ring6_cross()
-    circ = pair_circuit()
-    for allowance in (0.0, 0.0005, 0.0015, 0.004):
-        sched = compile_circuit(circ, hw, prof, allowance=allowance)
-        assert sched.ledger_total() <= allowance + 1e-12
-        assert verify_routing(sched, hw, prof, circ, allowance=allowance)
+    # The seeded grid's link rates 2**-40 as large price every pair below
+    # 1e-12, where an absolute slack would buy crosstalk at allowance 0.
+    hw_doc, circuit_text, pauli_text = seeded_case(0)
+    faint = load_hardware(scaled_rates(hw_doc, 2.0**-40))
+    cases = [
+        (ring6_cross(), pair_circuit(), chain_pair()),
+        (faint, parse_circuit(circuit_text), parse_pauli_program(pauli_text)),
+    ]
+    for (hw, prof), circ, program in cases:
+        for allowance in (0.0, 0.0005, 0.0015, 0.004):
+            sched = compile_circuit(circ, hw, prof, allowance=allowance)
+            assert sched.ledger_total() <= allowance
+            assert verify_routing(sched, hw, prof, circ, allowance=allowance)
+            sched = synthesize(program, hw, prof, allowance=allowance)
+            assert sched.ledger_total() <= allowance
+            assert verify_routing(sched, hw, prof, allowance=allowance)
 
 
 def test_a_hot_pair_costs_more_error_mass_than_the_allowance():
