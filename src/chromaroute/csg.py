@@ -186,10 +186,11 @@ def build_csg(
     """Assemble the candidate set graph for one scheduling iteration, on
     the vertices of ``_vertices``.
 
-    Crosstalk pairs are sorted ascending by ``profile.excess_error`` and
-    permitted while the running total stays within ``allowance_left``; only
-    the pairs that did not fit become crosstalk edges.  Every edge goes into
-    the adjacency, the CSG's one edge store; its conflict edges are derived.
+    Crosstalk pairs, each priced in ``profile.partners``, are sorted
+    ascending by price and permitted while the running total stays within
+    ``allowance_left``; only the pairs that did not fit become crosstalk
+    edges.  Every edge goes into the adjacency, the CSG's one edge store;
+    its conflict edges are derived.
     """
     l2p = mapping.placement
     vertices = _vertices(cgates, candidate_swaps, in_progress, l2p)
@@ -200,7 +201,7 @@ def build_csg(
     # the crosstalk price.  An edge goes into the adjacency when it is found.
     dist = hw.all_pairs_distance()
     placed = None  # pending gate key -> its two physical qubits, built on first use
-    partners, excess_error = profile.partners, profile.excess_error
+    partners = profile.partners
     adjacency: list[set[int]] = [set() for _ in vertices]
     maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
     by_qubit: dict[int, list[int]] = {}
@@ -233,11 +234,11 @@ def build_csg(
                     adjacency[i].add(j)
                     joined.add(i)
             ids.append(j)
-        for partner in partners(edge):
+        for partner, cost in partners(edge).items():
             for i in by_edge.get(partner, ()):
                 # two in-flight SWAPs were charged, if at all, when they started
                 if i not in joined and not (v.kind == "inprogress" == vertices[i].kind):
-                    maybe_crosstalk.append((excess_error(partner, edge), partner, edge, i, j))
+                    maybe_crosstalk.append((cost, partner, edge, i, j))
         ids = by_edge.get(edge)
         if ids is None:
             by_edge[edge] = [j]
@@ -277,9 +278,16 @@ def flight_color_zero(
 
     Color 0 holds the flights, then the flight-free vertices in
     Welsh–Powell order (degree descending, ties to the lower id) by first
-    fit.  A vertex tied to a flight by a shared qubit, a joint overshoot or
-    a crosstalk record never joins, so only the flight-free vertices get
-    neighbor sets: their CSG degree orders them, and first fit reads them.
+    fit.  A vertex tied to a flight by a shared qubit or a crosstalk record
+    never joins, so only the flight-free vertices get neighbor sets: their
+    CSG degree orders them, and first fit reads them.
+
+    A flight's joint overshoots are not looked for.  Every caller computes
+    its candidates on the drained mapping, the one that holds once every
+    flight lands, so a flight helps a gate by moving one of its current
+    qubits one hop closer, and a candidate free of that flight's qubits
+    moves the other end: the two bring the gate two hops closer unless
+    another flight moves that end, whose qubit the candidate then shares.
     """
     l2p = mapping.placement
     vertices = _vertices(cgates, candidate_swaps, in_progress, l2p)
@@ -307,11 +315,6 @@ def flight_color_zero(
         by_edge.setdefault(edge, []).append(j)
     dist = hw.all_pairs_distance()
     placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending} if by_help else {}
-    for f in flights:
-        for key in f.helps:
-            ids = by_help.get(key)
-            if ids is not None and key in placed:
-                tied.update(_overshoots(dist, placed[key], f.edge, ids, vertices, tied))
 
     neighbors: dict[int, set[int]] = {}
     for v in others:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import HardwareError, MappingError
 
@@ -42,8 +43,9 @@ def bfs_depths(adj, root: int, skip=None) -> dict[int, int]:
 class CouplingGraph:
     """Undirected connected device graph with per-edge and per-qubit rates.
 
-    Missing error rates are allowed at load time; fidelity estimation raises
-    if it actually needs one.  Missing T1/T2 entries mean "no decay data" and
+    Missing error rates load, except on a link that a crosstalk record
+    names (``CrosstalkProfile`` refuses it); fidelity estimation raises if
+    it actually needs one.  Missing T1/T2 entries mean "no decay data" and
     are treated as infinite.
     """
 
@@ -163,17 +165,19 @@ class CrosstalkRecord:
     e2_given_e1: float
 
 
-class CrosstalkProfile:
-    """Pairwise conditional-error table over coupling edges.
+_UNPAIRED = MappingProxyType({})  # the partners of an edge that no record names
 
-    ``cheapest_excess`` is the least ``excess_error`` over the records,
-    ``inf`` with none: an allowance below it can permit no pair.  It is 0.0
-    when some record's edge has no isolated rate, since that pair's price
-    is asked, and raises, only when the pair is priced."""
+
+class CrosstalkProfile:
+    """Pairwise conditional-error table over coupling edges, each record
+    priced once, at load, by its excess error.  A record needs both links'
+    isolated rates.  ``cheapest_excess`` is the least price, ``inf`` with
+    no record: an allowance below it can permit no pair."""
 
     def __init__(self, graph: CouplingGraph, records: list[CrosstalkRecord]):
         self._by_pair: dict[frozenset[Edge], CrosstalkRecord] = {}
-        self._partners: dict[Edge, list[Edge]] = {}
+        self._partners: dict[Edge, dict[Edge, float]] = {}
+        self.cheapest_excess = math.inf
         for rec in records:
             e1 = normalize_edge(*rec.e1)
             e2 = normalize_edge(*rec.e2)
@@ -182,41 +186,34 @@ class CrosstalkProfile:
             for e in (e1, e2):
                 if e not in graph.edges:
                     raise HardwareError(f"crosstalk record references unknown edge {e}")
+                if e not in graph.edge_error:
+                    raise HardwareError(f"crosstalk record {e1} / {e2}: missing error rate for edge {e}")
             for cond in (rec.e1_given_e2, rec.e2_given_e1):
                 if not 0.0 <= cond < 1.0:
                     raise HardwareError(f"conditional error {cond} outside [0,1)")
-            base1 = graph.edge_error.get(e1)
-            base2 = graph.edge_error.get(e2)
-            if base1 is not None and rec.e1_given_e2 < base1:
-                raise HardwareError(
-                    f"conditional error for {e1} given {e2} below isolated rate"
-                )
-            if base2 is not None and rec.e2_given_e1 < base2:
-                raise HardwareError(
-                    f"conditional error for {e2} given {e1} below isolated rate"
-                )
+            base1, base2 = graph.edge_error[e1], graph.edge_error[e2]
+            if rec.e1_given_e2 < base1:
+                raise HardwareError(f"conditional error for {e1} given {e2} below isolated rate")
+            if rec.e2_given_e1 < base2:
+                raise HardwareError(f"conditional error for {e2} given {e1} below isolated rate")
             key = frozenset((e1, e2))
             if key in self._by_pair:
                 raise HardwareError(f"duplicate crosstalk record for {e1} / {e2}")
             self._by_pair[key] = CrosstalkRecord(e1, e2, rec.e1_given_e2, rec.e2_given_e1)
-            self._partners.setdefault(e1, []).append(e2)
-            self._partners.setdefault(e2, []).append(e1)
-        self.graph = graph
-        self._excess: dict[tuple[Edge, Edge], float] = {}
-        self.cheapest_excess = math.inf
-        for rec in self._by_pair.values():
-            try:
-                excess = self._record_excess(rec)
-            except HardwareError:
-                excess = 0.0
+            excess = (rec.e1_given_e2 - base1) + (rec.e2_given_e1 - base2)
+            self._partners.setdefault(e1, {})[e2] = excess
+            self._partners.setdefault(e2, {})[e1] = excess
             self.cheapest_excess = min(self.cheapest_excess, excess)
+        self.graph = graph
 
     def __len__(self) -> int:
         return len(self._by_pair)
 
-    def partners(self, edge: Edge) -> list[Edge]:
-        """The edges the profile pairs with the normalized ``edge``."""
-        return self._partners.get(edge, [])
+    def partners(self, edge: Edge) -> dict[Edge, float] | MappingProxyType:
+        """Each edge the profile pairs with the normalized ``edge``, mapped
+        to the pair's ``excess_error``: the profile's own table, so do not
+        modify it."""
+        return self._partners.get(edge, _UNPAIRED)
 
     def record_for(self, e1: Edge, e2: Edge) -> CrosstalkRecord | None:
         e1 = normalize_edge(*e1)
@@ -238,23 +235,14 @@ class CrosstalkProfile:
 
     def excess_error(self, e1: Edge, e2: Edge) -> float:
         """Total error inflation of running e1 and e2 simultaneously: the
-        one price of a link pair that the crosstalk allowance pays.
-
-        Zero when the pair is not in the profile.  Never negative thanks to
-        the load-time check against isolated rates.  Memoised per ordered
-        pair; a lookup that raises is not remembered.
-        """
-        key = (e1, e2)
-        excess = self._excess.get(key)
-        if excess is None:
+        one price of a link pair that the crosstalk allowance pays, read
+        from ``partners``.  Zero when the pair is not in the profile; never
+        negative, as no conditional rate is below its isolated one."""
+        excess = self.partners(e1).get(e2)
+        if excess is None:  # unknown or unnormalized edges, or no record
             rec = self.record_for(e1, e2)
-            excess = 0.0 if rec is None else self._record_excess(rec)
-            self._excess[key] = excess
+            excess = 0.0 if rec is None else self._partners[rec.e1][rec.e2]
         return excess
-
-    def _record_excess(self, rec: CrosstalkRecord) -> float:
-        error_of = self.graph.error_of
-        return max((rec.e1_given_e2 - error_of(rec.e1)) + (rec.e2_given_e1 - error_of(rec.e2)), 0.0)
 
 
 class Mapping:

@@ -101,10 +101,13 @@ def _multiply(s1: str, s2: str) -> tuple[complex, str]:
 def jw_encode(terms: list[FermionTerm], num_modes: int | None = None) -> PauliProgram:
     """Encode a Hermitian sum of fermionic terms as a Pauli program.
 
-    Strings with negligible coefficients are dropped; a weight that is not
-    finite (an overflow) or a surviving imaginary part (the input was not
-    Hermitian) raises EncodingError.  The output is sorted by weight
-    (non-identity count), then lexicographically.
+    A weight that is not finite (an overflow) raises EncodingError.  A
+    string is dropped if its |weight| is 0 or below ``COEFF_CUTOFF`` times
+    the largest, and a kept one whose |imaginary part| exceeds
+    ``IMAG_TOLERANCE`` times it (the input was not Hermitian) raises: both
+    are relative, so scaling every coefficient by 2**k scales each weight.
+    The output is sorted by weight (non-identity count), then
+    lexicographically.
     """
     highest = max((t.max_mode() for t in terms), default=-1)
     if num_modes is None:
@@ -131,13 +134,10 @@ def jw_encode(terms: list[FermionTerm], num_modes: int | None = None) -> PauliPr
     for s, c in total.items():  # before the cutoff, which a NaN would pass
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise EncodingError(f"string {s} has weight {c}, which is not finite")
-    surviving = {s: c for s, c in total.items() if abs(c) >= COEFF_CUTOFF}
+    scale = max(map(abs, total.values()), default=0.0)
+    surviving = {s: c for s, c in total.items() if c and abs(c) >= COEFF_CUTOFF * scale}
     for s, c in surviving.items():
-        if abs(c.imag) > IMAG_TOLERANCE:
-            raise EncodingError(
-                f"operator is not Hermitian: string {s} has imaginary weight {c.imag:g}"
-            )
+        if abs(c.imag) > IMAG_TOLERANCE * scale:
+            raise EncodingError(f"operator is not Hermitian: string {s} has imaginary weight {c.imag:g}")
     ordered = sorted(surviving, key=lambda s: (sum(1 for ch in s if ch != "I"), s))
-    return PauliProgram(
-        num_modes, [PauliString(s, surviving[s].real) for s in ordered]
-    )
+    return PauliProgram(num_modes, [PauliString(s, surviving[s].real) for s in ordered])

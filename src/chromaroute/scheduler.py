@@ -450,17 +450,16 @@ class ScheduleState:
         """Excess error that placing a two-qubit op on ``edge``, whose qubits
         are free, into the open layer would charge."""
         partners = self.profile.partners(edge)
-        return left_sum(
-            self.profile.excess_error(edge, other) for other in self._cur_edges if other in partners
-        )
+        return left_sum(partners[other] for other in self._cur_edges if other in partners)
 
     def _charge(self, edge: Edge) -> None:
         """Write a ledger entry for each profiled pair of ``edge`` with a
         link of the open layer, and add each entry's excess to the running
         total in ledger order, which is the ledger's ``ledger_total``."""
         layer_idx = len(self.layers)
-        for other in sorted(self._cur_edges.intersection(self.profile.partners(edge))):
-            excess = self.profile.excess_error(edge, other)
+        partners = self.profile.partners(edge)
+        for other in sorted(self._cur_edges.intersection(partners)):
+            excess = partners[other]
             self.ledger.append(LedgerEntry(layer_idx, tuple(sorted((edge, other))), excess))
             self._spent += excess
         if self._spent > self.allowance * (1 + LEDGER_RTOL):
@@ -810,11 +809,12 @@ def verify_routing(
         # side starts here, charged once (a layer's ops share no qubit)
         charged_pairs: set[tuple[Edge, Edge]] = set()
         for edge in started_edges + [op.phys_edge() for op in layer if op.kind in ("cx", "rzz")]:
-            for other in layer_edges.intersection(profile.partners(edge)):
+            partners = profile.partners(edge)
+            for other in layer_edges.intersection(partners):
                 pair = tuple(sorted((edge, other)))
                 if pair not in charged_pairs:
                     charged_pairs.add(pair)
-                    expected_ledger.append((li, pair, profile.excess_error(edge, other)))
+                    expected_ledger.append((li, pair, partners[other]))
         # close out finished swaps
         for edge in [e for e, nxt in open_swaps.items() if nxt > SWAP_DURATION]:
             gid = swap_gate_edge.pop(edge)

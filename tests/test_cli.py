@@ -312,6 +312,10 @@ def _string_conditional_rate(data):
     data["crosstalk"][0]["e1_given_e2"] = "0.05"
 
 
+def _unrated_crosstalk_link(data):
+    del data["edge_error"]["3-4"]
+
+
 def _non_integer_qubits(tmp, hw, circ):
     out = tmp / "sched.json"
     assert main(["compile", "-c", circ, "-H", hw, "-o", str(out)]) == 0
@@ -494,6 +498,11 @@ def _device_size(doc):
         (
             _hardware_edit(_string_conditional_rate),
             "error: crosstalk e1_given_e2: expected a number, got '0.05'",
+        ),
+        # a record is priced at load, so both of its links need an isolated rate
+        (
+            _hardware_edit(_unrated_crosstalk_link),
+            "error: crosstalk record (0, 1) / (3, 4): missing error rate for edge (3, 4)",
         ),
     ],
 )

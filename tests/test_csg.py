@@ -214,7 +214,8 @@ def test_allowance_greedy_permits_cheapest_first():
 
 
 def test_in_progress_pairs_never_get_crosstalk_edges():
-    hw = line5()
+    # both links rated, so a priced pair would be an edge at allowance 0
+    hw = CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], edge_error=dict.fromkeys([(0, 1), (2, 3)], 0.01))
     prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.5, 0.5)])
     m = Mapping(5, 5)
     flights = [

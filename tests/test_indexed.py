@@ -148,7 +148,8 @@ def reference_overshoots(u, v, pending_by_key, mapping, hw):
 
 def reference_excess(prof, e1, e2):
     """The excess error of two links from their crosstalk record, never
-    from the profile's memo; None when the profile does not pair them."""
+    from the profile's priced table; None when the profile does not pair
+    them."""
     rec = prof.record_for(e1, e2)
     if rec is None:
         return None
@@ -333,37 +334,23 @@ def test_running_crosstalk_total_is_the_ledger_sum(monkeypatch, allowance, units
     assert seen["entries"] > 1
 
 
-def test_missing_isolated_rate_raises_only_when_the_pair_is_priced():
+def test_a_profile_prices_each_record_at_load_and_refuses_an_unrated_link():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
     hw = CouplingGraph(5, edges, edge_error={(0, 1): 0.01, (1, 2): 0.01, (2, 3): 0.01})
-    prof = CrosstalkProfile(
-        hw,
-        [
-            CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02),
-            CrosstalkRecord((0, 1), (3, 4), 0.02, 0.02),
-        ],
-    )
-    m = Mapping(5, 5)
-    # (3, 4) has no isolated rate, but it shares qubit 3 with (2, 3), so
-    # the conflict comes first and its profiled pair with (0, 1) is absent
-    gates = [PendingPair(0, (2, 3)), PendingPair(1, (3, 4))]
-    csg = build_csg(gates, [], [], gates, m, hw, prof, 1.0)
-    assert csg.conflict_edges == {(0, 1)}
+    priced = CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02)
+    # (3, 4) has no isolated rate, so its record cannot be priced
+    unrated = CrosstalkRecord((0, 1), (3, 4), 0.02, 0.02)
+    with pytest.raises(HardwareError, match=r"record \(0, 1\) / \(3, 4\): missing error rate for edge \(3, 4\)"):
+        CrosstalkProfile(hw, [priced, unrated])
+    prof = CrosstalkProfile(hw, [priced])
+    assert prof.partners((0, 1)) == {(2, 3): 0.02} and prof.partners((2, 3)) == {(0, 1): 0.02}
+    assert prof.partners((3, 4)) == {} and prof.cheapest_excess == 0.02
+    for e1, e2 in [((0, 1), (2, 3)), ((1, 0), (3, 2)), ((3, 2), (0, 1))]:
+        assert prof.excess_error(e1, e2) == prof.excess_error(e2, e1) == 0.02
+    assert prof.excess_error((0, 1), (1, 2)) == 0.0
     gates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3))]
-    csg = build_csg(gates, [], [], gates, m, hw, prof, 1.0)
-    assert csg.permitted_pairs == [(0, 1, pytest.approx(0.02))]
-    gates = [PendingPair(0, (0, 1)), PendingPair(1, (3, 4))]
-    with pytest.raises(HardwareError, match=r"missing error rate for edge \(3, 4\)"):
-        build_csg(gates, [], [], gates, m, hw, prof, 1.0)
-    # a lookup that raised is asked again, not remembered; one that
-    # returned is remembered per ordered pair
-    asked = []
-    record_for = prof.record_for
-    prof.record_for = lambda e1, e2: asked.append((e1, e2)) or record_for(e1, e2)
-    with pytest.raises(HardwareError, match="missing error rate"):
-        prof.excess_error((0, 1), (3, 4))
-    assert prof.excess_error((2, 3), (0, 1)) == prof.excess_error((2, 3), (0, 1))
-    assert asked == [((0, 1), (3, 4)), ((2, 3), (0, 1))]
+    csg = build_csg(gates, [], [], gates, Mapping(5, 5), hw, prof, 1.0)
+    assert csg.permitted_pairs == [(0, 1, 0.02)]
     with pytest.raises(HardwareError, match="unknown edge"):
         prof.excess_error((0, 1), (0, 4))
 
@@ -489,6 +476,37 @@ def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
     assert all(seen.values()), seen
 
 
+def test_a_flights_joint_overshoot_ties_only_vertices_on_a_flights_qubit():
+    """``flight_color_zero`` looks for no flight's joint overshoot.  On
+    every flight layer of the seeded compiles, a vertex tied to a flight by
+    neither a shared qubit nor a crosstalk edge, so by an overshoot, shares
+    a qubit with some flight, which keeps it out of color 0 anyway."""
+    seen = {"flight_layers": 0, "overshoot_ties": 0}
+
+    def check(info):
+        csg = info["csg"]
+        flights = [v for v in csg.vertices if v.kind == "inprogress"] if csg else []
+        busy = {q for f in flights for q in f.edge}
+        seen["flight_layers"] += bool(flights)
+        for f in flights:
+            for i in csg.adjacency[f.vertex_id]:
+                v = csg.vertices[i]
+                pair = (min(i, f.vertex_id), max(i, f.vertex_id))
+                if v.kind != "inprogress" and not set(v.edge) & set(f.edge) and pair not in csg.crosstalk_edges:
+                    seen["overshoot_ties"] += 1
+                    assert busy.intersection(v.edge), (f, v)
+
+    for rows, seed in [(4, 1), (5, 2), (6, 3)]:
+        rng = random.Random(seed)
+        hw, prof = grid_device(rows, rows, rng)
+        circuit = random_circuit(rows * rows, 110, rng)
+        program = random_pauli_program(rows * rows, 12, rng)
+        for allowance in (0.0, 0.05, math.inf):
+            compile_circuit(circuit, hw, prof, allowance=allowance, on_iteration=check)
+            synthesize(program, hw, prof, allowance=allowance, on_iteration=check)
+    assert seen["overshoot_ties"], seen
+
+
 def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
     """The scheduler's candidates help on the drained mapping, so a
     candidate tied to a flight by a joint overshoot also shares a qubit
@@ -496,7 +514,9 @@ def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
     square 0-1-3-2, the flight on 0-1 and the candidate on 2-3 each bring
     the gate on 0 and 3 one hop closer, and together they leave it two
     hops apart.  The overshoot comes before the crosstalk record on the
-    same two links, and holds without it."""
+    same two links, and holds without it.  ``flight_color_zero`` looks for
+    no flight's overshoot, as its candidates help on the drained mapping,
+    so it is not asked about this state."""
     hw = CouplingGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], edge_error=dict.fromkeys([(0, 1), (2, 3)], 0.01))
     prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02)])
     gate = PendingPair("g", (0, 3))
@@ -506,7 +526,6 @@ def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
         args = ([], [swap], [flight], [gate], Mapping(4, 4), hw, profile)
         csg = build_csg(*args, 0.0)
         assert csg.conflict_edges == {(0, 1)} and not csg.crosstalk_edges
-        assert flight_color_zero(*args) == (csg.vertices, [0])
         # with the gate gone from the pending set the tie goes too
         args = ([], [swap], [flight], [], Mapping(4, 4), hw, profile)
         want = next(color_classes(build_csg(*args, 0.0))).members

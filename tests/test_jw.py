@@ -118,6 +118,9 @@ def test_non_hermitian_input_rejected():
         jw_encode([FermionTerm(1.0, ((0, True),))])
     with pytest.raises(EncodingError):
         jw_encode([FermionTerm(1.0, ((0, True), (1, False)))])
+    # every weight is far below 1e-12, but the cutoffs are relative
+    with pytest.raises(EncodingError, match="not Hermitian"):
+        jw_encode([FermionTerm(0.5 * 2.0**-40, ((0, True), (1, False)))])
 
 
 def test_mode_out_of_range():

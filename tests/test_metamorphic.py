@@ -11,6 +11,10 @@ slack in an allowance test shows there as crosstalk bought at allowance 0.
 T1, T2 and single-qubit errors are priced only by the ESP: changing them
 must leave every schedule unchanged.  Devices and programs are drawn by the
 benchmark's own generators, as in ``tests/test_oracles.py``.
+
+The Jordan-Wigner encoding is scale-free too: scaling every fermion
+coefficient by 2**k scales each Pauli weight by exactly 2**k and keeps
+every string.
 """
 
 import json
@@ -22,18 +26,22 @@ from random import Random
 import pytest
 
 from chromaroute import (
+    FermionTerm,
     baseline_schedule,
     compile_circuit,
+    jw_encode,
     load_hardware,
     parse_circuit,
+    parse_fermion_terms,
     parse_pauli_program,
     synthesize,
 )
+from chromaroute.fixtures import fixture_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from corpus import grid_device, random_circuit, random_pauli_program  # noqa: E402
+from corpus import build_corpus, grid_device, random_circuit, random_pauli_program  # noqa: E402
 
 SEEDS = range(12)
 ALLOWANCES = (0.0, 0.05, math.inf)
@@ -110,3 +118,20 @@ def test_coherence_and_single_qubit_errors_leave_schedules_alone(seed, allowance
     changed = schedules(doc, circuit, pauli, allowance)
     for name, sched in changed.items():
         assert sched.to_json_dict() == original[name].to_json_dict(), name
+
+
+FERMION_CASES = [("h2_fermion", fixture_text("h2_fermion.txt"))] + [
+    (case.name, case.program) for case in build_corpus("synth-pauli", 1) if case.kind == "fermion"
+]
+
+
+@pytest.mark.parametrize("name,text", FERMION_CASES, ids=[name for name, _ in FERMION_CASES])
+def test_scaling_every_fermion_coefficient_scales_only_the_encoding(name, text):
+    terms = parse_fermion_terms(text)
+    want = jw_encode(terms).strings
+    assert want
+    for k in (-60, -40, 40):
+        factor = 2.0**k
+        got = jw_encode([FermionTerm(t.coefficient * factor, t.ops) for t in terms]).strings
+        assert [s.operators for s in got] == [s.operators for s in want], k
+        assert [s.coefficient for s in got] == [s.coefficient * factor for s in want], k

@@ -41,7 +41,9 @@ from chromaroute.fixtures import (
 )
 import chromaroute.scheduler as scheduler
 from chromaroute.csg import PendingPair
+from chromaroute.hardware import normalize_edge
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard, schedule_layer
+from test_indexed import reference_excess
 from test_metamorphic import scaled_rates, seeded_case
 
 
@@ -159,14 +161,12 @@ def test_a_hot_pair_costs_more_error_mass_than_the_allowance():
 
 
 def test_pricing_a_pair_needs_isolated_error_rates():
-    # The device loads without isolated rates, but a compile that prices a
-    # profiled pair cannot, at any allowance.
+    # each record is priced at load, so a device whose records name links
+    # without isolated rates does not load
     data = json.loads(fixture_text("ring6_cross_hot.json"))
     del data["edge_error"]
-    hw, prof = load_hardware(data)
-    for allowance in (1.0, math.inf):
-        with pytest.raises(HardwareError, match="missing error rate"):
-            compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
+    with pytest.raises(HardwareError, match="missing error rate"):
+        load_hardware(data)
 
 
 def test_more_allowance_never_hurts_depth_here():
@@ -579,21 +579,26 @@ def test_a_profile_without_records_never_builds_a_flight_layers_csg(monkeypatch)
     assert seen["full"]
 
 
-@pytest.mark.parametrize("device", ["ring6", "ring6_cross", "ring6_cross_hot", "tree7", "grid6"])
+@pytest.mark.parametrize(
+    "device", ["ring6", "ring6_cross", "ring6_cross_hot", "tree7", "grid6", "seeded0", "seeded1", "seeded2"]
+)
 def test_cheapest_excess_is_the_least_price_of_a_record(device):
-    doc = json.loads(fixture_text(f"{device}.json"))
+    """Each record is priced once, at load: ``partners`` holds the price
+    both ways, ``excess_error`` reads it, and it is the reference price;
+    each edge's partners are those its records name."""
+    if device.startswith("seeded"):
+        doc = seeded_case(int(device[-1]))[0]
+    else:
+        doc = json.loads(fixture_text(f"{device}.json"))
     _, prof = load_hardware(doc)
-    prices = [prof.excess_error(tuple(r["e1"]), tuple(r["e2"])) for r in doc["crosstalk"]]
+    prices, named = [], {}
+    for rec in doc["crosstalk"]:
+        e1, e2 = (normalize_edge(*rec[e]) for e in ("e1", "e2"))
+        price = prof.partners(e1)[e2]
+        assert price == prof.partners(e2)[e1] == prof.excess_error(e1, e2) == reference_excess(prof, e1, e2)
+        prices.append(price)
+        named.setdefault(e1, set()).add(e2)
+        named.setdefault(e2, set()).add(e1)
+    for edge in prof.graph.edges:
+        assert set(prof.partners(edge)) == named.get(edge, set())
     assert prices and prof.cheapest_excess == min(prices)
-
-
-def test_a_record_that_cannot_be_priced_keeps_the_full_csg():
-    """An edge without an isolated rate raises when its pair is priced, so
-    its record makes ``cheapest_excess`` 0.0 and every CSG is built: here
-    the cx on 2-3 meets the SWAP gate on 0-1 in flight."""
-    hw = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)], edge_error={(0, 1): 0.01})
-    prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02)])
-    assert prof.cheapest_excess == 0.0
-    circuit = parse_circuit("qubits 4\nswap 0 1\nu h 2\ncx 2 3\n")
-    with pytest.raises(HardwareError, match=r"missing error rate for edge \(2, 3\)"):
-        compile_circuit(circuit, hw, prof, allowance=0.0)
