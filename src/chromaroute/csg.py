@@ -24,10 +24,12 @@ class PendingPair:
     logicals: tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SwapCandidate:
     """A coupling edge whose SWAP strictly reduces some pending gate's
-    physical distance; ``helps`` holds the keys of those gates."""
+    physical distance; ``helps`` holds the keys of those gates.  Not
+    frozen: nothing hashes one, and ``useful_swaps`` builds about a dozen
+    per layer."""
 
     edge: Edge
     helps: frozenset
@@ -125,37 +127,16 @@ def closing_swap(pair: PendingPair, mapping: Mapping, hw: CouplingGraph) -> Swap
     return cheapest_swap(swaps, hw) if swaps else None
 
 
-def _vertices(
-    cgates: list[PendingPair],
-    candidate_swaps: list[SwapCandidate],
-    in_progress: list[InProgressSwap],
-    l2p: list[int],
-) -> list[CsgVertex]:
-    """A CSG's vertices, ids assigned deterministically: in-progress SWAPs
-    first (by edge), then cgates (by gate key), then candidate SWAPs (by
-    edge)."""
-    vertices: list[CsgVertex] = []
-    for ip in sorted(in_progress, key=attrgetter("edge")):
-        vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
-    for p in sorted(cgates, key=attrgetter("key")):
-        edge = normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])
-        vertices.append(CsgVertex(len(vertices), "cgate", edge, p.key))
-    busy_edges = {ip.edge for ip in in_progress}
-    for sc in sorted(candidate_swaps, key=attrgetter("edge")):
-        # The same physical SWAP may already be running; restarting it would
-        # be a different operation on busy qubits anyway.
-        if sc.edge not in busy_edges:
-            vertices.append(CsgVertex(len(vertices), "swap", sc.edge, None, None, sc.helps))
-    return vertices
-
-
-def _overshoots(dist, gate: tuple[int, int], edge: Edge, ids: list[int], vertices, joined) -> list[int]:
-    """The vertices of ``ids`` outside ``joined`` whose SWAP, run together
-    with the SWAP on ``edge``, leaves the gate on physical qubits ``gate``
-    no closer.  Two SWAPs attacking one gate from opposite ends can cancel
-    out: each alone reduces its distance, both together move the endpoints
-    past each other.  ``joined`` holds every vertex that shares a qubit
-    with ``edge``, so the two SWAPs commute."""
+def _overshoots(
+    dist, gate: tuple[int, int], edge: Edge, ids: list[int], edges: list[Edge], joined
+) -> list[int]:
+    """The vertices of ``ids`` outside ``joined`` whose SWAP (vertex ``i``
+    on ``edges[i]``), run together with the SWAP on ``edge``, leaves the
+    gate on physical qubits ``gate`` no closer.  Two SWAPs attacking one
+    gate from opposite ends can cancel out: each alone reduces its
+    distance, both together move the endpoints past each other.
+    ``joined`` holds every vertex that shares a qubit with ``edge``, so the
+    two SWAPs commute."""
     pa, pb = gate
     near = dist[pa][pb]
     a, b = edge
@@ -165,7 +146,7 @@ def _overshoots(dist, gate: tuple[int, int], edge: Edge, ids: list[int], vertice
     out = []
     for i in ids:
         if i not in joined:
-            c, d = vertices[i].edge
+            c, d = edges[i]
             x = d if pa == c else c if pa == d else pa
             y = d if pb == c else c if pb == d else pb
             if dist[x][y] >= near:
@@ -183,8 +164,10 @@ def build_csg(
     profile: CrosstalkProfile,
     allowance_left: float,
 ) -> Csg:
-    """Assemble the candidate set graph for one scheduling iteration, on
-    the vertices of ``_vertices``.
+    """Assemble the candidate set graph for one scheduling iteration.  Its
+    vertex ids are assigned deterministically: in-progress SWAPs first (by
+    edge), then cgates (by gate key), then the candidate SWAPs (by edge)
+    whose edge is not in flight.
 
     Crosstalk pairs, each priced in ``profile.partners``, are sorted
     ascending by price and permitted while the running total stays within
@@ -193,7 +176,18 @@ def build_csg(
     its conflict edges are derived.
     """
     l2p = mapping.placement
-    vertices = _vertices(cgates, candidate_swaps, in_progress, l2p)
+    vertices: list[CsgVertex] = []
+    for ip in sorted(in_progress, key=attrgetter("edge")):
+        vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
+    for p in sorted(cgates, key=attrgetter("key")):
+        edge = normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])
+        vertices.append(CsgVertex(len(vertices), "cgate", edge, p.key))
+    busy_edges = {ip.edge for ip in in_progress}
+    for sc in sorted(candidate_swaps, key=attrgetter("edge")):
+        # The same physical SWAP may already be running; restarting it would
+        # be a different operation on busy qubits anyway.
+        if sc.edge not in busy_edges:
+            vertices.append(CsgVertex(len(vertices), "swap", sc.edge, None, None, sc.helps))
 
     # Each vertex meets the earlier ones through three indexes instead of
     # all V^2 pairs, and each test keeps its precedence: a shared qubit,
@@ -201,6 +195,7 @@ def build_csg(
     # the crosstalk price.  An edge goes into the adjacency when it is found.
     dist = hw.all_pairs_distance()
     placed = None  # pending gate key -> its two physical qubits, built on first use
+    edges = None  # each vertex's edge, for _overshoots, built with placed
     partners = profile.partners
     adjacency: list[set[int]] = [set() for _ in vertices]
     maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
@@ -229,8 +224,9 @@ def build_csg(
                 continue
             if placed is None:
                 placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
+                edges = [u.edge for u in vertices]
             if key in placed:
-                for i in _overshoots(dist, placed[key], edge, ids, vertices, joined):
+                for i in _overshoots(dist, placed[key], edge, ids, edges, joined):
                     adjacency[i].add(j)
                     joined.add(i)
             ids.append(j)
@@ -270,17 +266,20 @@ def flight_color_zero(
     mapping: Mapping,
     hw: CouplingGraph,
     profile: CrosstalkProfile,
-) -> tuple[list[CsgVertex], list[int]]:
-    """Color 0 of ``build_csg`` on these inputs, for a layer with SWAPs in
-    flight whose allowance left is below ``profile.cheapest_excess``: no
-    pair can be permitted, so every crosstalk pair is an edge.  Returns
-    ``build_csg``'s vertices and the sorted ids of color 0.
+) -> list[tuple[Edge, frozenset, object]]:
+    """What color 0 of ``build_csg`` on these inputs commits, for a layer
+    with SWAPs in flight whose allowance left is below
+    ``profile.cheapest_excess``: no pair can be permitted, so every
+    crosstalk pair is an edge.  Returns an ``(edge, helps, gate key)``
+    tuple per committed cgate or candidate SWAP, in ``build_csg``'s vertex
+    order; a None gate key marks a candidate SWAP.
 
     Color 0 holds the flights, then the flight-free vertices in
     Welsh–Powell order (degree descending, ties to the lower id) by first
     fit.  A vertex tied to a flight by a shared qubit or a crosstalk record
     never joins, so only the flight-free vertices get neighbor sets: their
-    CSG degree orders them, and first fit reads them.
+    CSG degree orders them, and first fit reads them.  Fewer than two of
+    them all join, with no neighbor set.
 
     A flight's joint overshoots are not looked for.  Every caller computes
     its candidates on the drained mapping, the one that holds once every
@@ -290,49 +289,62 @@ def flight_color_zero(
     another flight moves that end, whose qubit the candidate then shares.
     """
     l2p = mapping.placement
-    vertices = _vertices(cgates, candidate_swaps, in_progress, l2p)
-    flights, others = vertices[: len(in_progress)], vertices[len(in_progress) :]
     partners = profile.partners
+    busy_edges: set[Edge] = set()
     flight_qubits: set[int] = set()
     flight_partners: set[Edge] = set()
-    for f in flights:
+    for f in in_progress:
+        busy_edges.add(f.edge)
         flight_qubits.update(f.edge)
         flight_partners.update(partners(f.edge))
+    # build_csg's vertices past the flights, position i being vertex id
+    # len(in_progress) + i
+    items = [
+        (normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]]), frozenset(), p.key)
+        for p in sorted(cgates, key=attrgetter("key"))
+    ]
+    items += [
+        (sc.edge, sc.helps, None)
+        for sc in sorted(candidate_swaps, key=attrgetter("edge"))
+        if sc.edge not in busy_edges
+    ]
+    free = [
+        i
+        for i, ((a, b), _, _) in enumerate(items)
+        if a not in flight_qubits and b not in flight_qubits and (a, b) not in flight_partners
+    ]
+    if len(free) < 2:
+        return [items[i] for i in free]
     # the indexes of build_csg, over every vertex that is not a flight
-    tied: set[int] = set()
     by_qubit: dict[int, list[int]] = {}
     by_help: dict[object, list[int]] = {}
     by_edge: dict[Edge, list[int]] = {}
-    for v in others:
-        j, edge = v.vertex_id, v.edge
-        a, b = edge
-        if a in flight_qubits or b in flight_qubits or edge in flight_partners:
-            tied.add(j)
-        by_qubit.setdefault(a, []).append(j)
-        by_qubit.setdefault(b, []).append(j)
-        for key in v.helps:
-            by_help.setdefault(key, []).append(j)
-        by_edge.setdefault(edge, []).append(j)
-    dist = hw.all_pairs_distance()
-    placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending} if by_help else {}
+    for i, (edge, helps, _) in enumerate(items):
+        by_qubit.setdefault(edge[0], []).append(i)
+        by_qubit.setdefault(edge[1], []).append(i)
+        for key in helps:
+            by_help.setdefault(key, []).append(i)
+        by_edge.setdefault(edge, []).append(i)
+    if by_help:
+        dist = hw.all_pairs_distance()
+        placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
+        edges = [edge for edge, _, _ in items]
 
     neighbors: dict[int, set[int]] = {}
-    for v in others:
-        j, edge = v.vertex_id, v.edge
-        if j in tied:
-            continue
+    for i in free:
+        edge, helps, _ = items[i]
         joined = set(by_qubit[edge[0]])
         joined.update(by_qubit[edge[1]])
         for partner in partners(edge):
             joined.update(by_edge.get(partner, ()))
-        for key in v.helps:
+        for key in helps:
             ids = by_help[key]
             if len(ids) > 1 and key in placed:
-                joined.update(_overshoots(dist, placed[key], edge, ids, vertices, joined))
-        joined.discard(j)
-        neighbors[j] = joined
+                joined.update(_overshoots(dist, placed[key], edge, ids, edges, joined))
+        joined.discard(i)
+        neighbors[i] = joined
     taken: set[int] = set()
-    for vid in sorted(neighbors, key=lambda vid: -len(neighbors[vid])):  # stable: ties to the lower id
-        if taken.isdisjoint(neighbors[vid]):
-            taken.add(vid)
-    return vertices, [f.vertex_id for f in flights] + sorted(taken)
+    for i in sorted(neighbors, key=lambda i: -len(neighbors[i])):  # stable: ties to the lower id
+        if taken.isdisjoint(neighbors[i]):
+            taken.add(i)
+    return [items[i] for i in sorted(taken)]

@@ -3,12 +3,15 @@
 Each iteration assembles the candidate set graph for the current frontier
 and commits one color class as the next layer: while SWAPs are in flight
 the first color, which holds them, and otherwise the class a ranked
-tie-break chain picks from a full coloring.  A flight layer whose allowance
-left can pay for no crosstalk pair gets its first color from the vertices
-no flight is tied to (``csg.flight_color_zero``), without the full graph,
-unless an ``on_iteration`` hook is to receive it.  SWAPs occupy their
-qubits for three consecutive layers; the logical-to-physical mapping
-changes when a routing SWAP finishes.  Every crosstalk pair actually
+tie-break chain picks from a full coloring.  Unless an ``on_iteration``
+hook is to receive every graph, two kinds of layer build none.  A layer
+with no choice commits at once, whatever the allowance: with no cgate and
+no candidate SWAP off the flights' edges it commits nothing new, and with
+no flight and one vertex it commits that vertex.  A flight layer whose
+allowance left can pay for no crosstalk pair gets its first color from
+the vertices no flight is tied to (``csg.flight_color_zero``).  SWAPs
+occupy their qubits for three consecutive layers; the logical-to-physical
+mapping changes when a routing SWAP finishes.  Every crosstalk pair actually
 committed is written to a ledger at the layer where the later of the two
 operations starts.  Every allowance test admits a price up to
 ``allowance_left()``, with no absolute slack, so the ledger total exceeds
@@ -216,9 +219,9 @@ def color_classes(csg: Csg):
     current class when it has no neighbor there.  First fit in one order
     peels greedy independent sets in that order, so each class is the one a
     first-fit coloring gives that color, and a caller can stop after the
-    first.  ``csg.flight_color_zero`` gives the first class of a flight
-    layer that permits no crosstalk pair without the full graph; this is
-    its reference."""
+    first.  ``csg.flight_color_zero`` gives what the first class of a
+    flight layer that permits no crosstalk pair commits, without the full
+    graph; this is its reference."""
     neighbors = csg.adjacency
     members = {v.vertex_id for v in csg.vertices if v.kind == "inprogress"}
     rest = [v.vertex_id for v in csg.vertices if v.kind != "inprogress"]
@@ -516,34 +519,46 @@ def schedule_layer(
     ``criticality`` (gate key -> weight) and ``tie_breaker``.  Returns
     (csg, selected class), the class None when the CSG is empty.
 
-    A flight layer whose allowance left is below the profile's
-    ``cheapest_excess`` permits no pair; unless ``keep_csg`` asks for the
-    CSG, ``flight_color_zero`` gives its color 0 without building it, and
-    the csg returned is None."""
-    if state.flights and not keep_csg and state.allowance_left() < state.profile.cheapest_excess:
-        csg = None
-        vertices, members = flight_color_zero(
-            cgates, swaps, state.flights, pending, state.mapping, state.hw, state.profile
-        )
-        selected = ColorClass(color=0, members=members)
+    Unless ``keep_csg`` asks for the CSG, two kinds of layer commit
+    without building it and return (None, None).  A layer with no choice:
+    with no cgate and no candidate off the flights' edges it commits
+    nothing new, and with no flight and one vertex it commits that vertex;
+    every allowance gives it that commit, and no pair is priced.  A flight
+    layer whose allowance left is below the profile's ``cheapest_excess``:
+    it permits no pair, and ``flight_color_zero`` gives what its color 0
+    commits."""
+    flights = state.flights
+    if not keep_csg:
+        if flights:
+            if not cgates:
+                busy = {f.edge for f in flights}
+                if all(s.edge in busy for s in swaps):
+                    return None, None
+            if state.allowance_left() < state.profile.cheapest_excess:
+                for edge, helps, key in flight_color_zero(
+                    cgates, swaps, flights, pending, state.mapping, state.hw, state.profile
+                ):
+                    if key is None:
+                        state.start_swap(edge, helps=helps)
+                    else:
+                        run_cgate(key)
+                return None, None
+        elif len(cgates) + len(swaps) < 2:
+            for p in cgates:
+                run_cgate(p.key)
+            for s in swaps:
+                state.start_swap(s.edge, helps=s.helps)
+            return None, None
+    csg = build_csg(
+        cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, state.allowance_left()
+    )
+    vertices = csg.vertices
+    if not vertices:
+        return csg, None
+    if flights:
+        selected = next(color_classes(csg))
     else:
-        csg = build_csg(
-            cgates,
-            swaps,
-            state.flights,
-            pending,
-            state.mapping,
-            state.hw,
-            state.profile,
-            state.allowance_left(),
-        )
-        vertices = csg.vertices
-        if not vertices:
-            return csg, None
-        if state.flights:
-            selected = next(color_classes(csg))
-        else:
-            selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
+        selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
     for vid in selected.members:
         v = vertices[vid]
         if v.kind == "cgate":

@@ -199,8 +199,9 @@ def test_cli_output_digests(name, tmp_path):
 def test_schedules_without_hooks_match_the_digest(name, tmp_path):
     """Without ``--emit-csg`` and ``--emit-timeline`` no ``on_iteration``
     hook asks for the CSG, so a flight layer that can permit no crosstalk
-    pair takes its color 0 from ``flight_color_zero``; the schedule must be
-    the one the hooked run pins."""
+    pair commits what ``flight_color_zero`` gives, and a layer with no
+    choice builds no CSG; the schedule must be the one the hooked run
+    pins."""
     for file, text in FILES.items():
         (tmp_path / file).write_text(text(), encoding="utf-8")
     out = tmp_path / "out.json"

@@ -6,7 +6,8 @@ endpoints, ``build_csg`` finds its vertex pairs through indexes,
 ``Csg.adjacency`` is the one edge store ``build_csg`` fills, a layer with
 SWAPs in flight commits the first of ``color_classes`` without coloring
 the rest, and without the full CSG when it can permit no crosstalk pair
-(``flight_color_zero``), ``CircuitRun`` keeps its ready set
+(``flight_color_zero``), a layer with no choice commits without any CSG,
+``CircuitRun`` keeps its ready set
 incrementally, ``ScheduleState`` keeps its drained mapping and its
 crosstalk total as it goes.  The references below are the
 straightforward versions: every coupling edge, every vertex pair, both
@@ -58,9 +59,6 @@ from chromaroute.csg import (
 from chromaroute.hardware import bfs_depths
 from chromaroute.ir import frontier
 from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, color_classes, welsh_powell
-
-# The seeded compiles count their allowance in excess error, the only unit.
-UNITS = ["error"]
 
 
 def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None):
@@ -263,9 +261,8 @@ def checking_build_csg(seen):
     return checked_build_csg
 
 
-@pytest.mark.parametrize("units", UNITS)
 @pytest.mark.parametrize("rows,seed,size", [(4, 1, 90), (5, 2, 110), (6, 3, 130)])
-def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units):
+def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size):
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, size, rng)
@@ -307,9 +304,8 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size, units
     assert seen["permitted"] and seen["crosstalk"] and seen["ties"]
 
 
-@pytest.mark.parametrize("units", UNITS)
 @pytest.mark.parametrize("allowance", [0.05, math.inf])
-def test_running_crosstalk_total_is_the_ledger_sum(monkeypatch, allowance, units):
+def test_running_crosstalk_total_is_the_ledger_sum(monkeypatch, allowance):
     """``ScheduleState`` adds each ledger entry's excess to its total as the
     entry is written; after every placement, in both scheduling loops, the
     total is exactly the ledger's left-to-right sum, ``ledger_total``."""
@@ -419,22 +415,31 @@ def test_flight_layers_commit_the_reference_color_zero(monkeypatch, rows, seed):
     assert seen["flight_layers"] and seen["joined"]
 
 
+def color_zero_commits(csg):
+    """The ``(edge, helps, gate key)`` of each cgate and candidate SWAP in
+    color 0 of ``color_classes(csg)``, in the order ``schedule_layer``
+    commits them; none for an empty CSG."""
+    color_zero = next(color_classes(csg), ColorClass(0, []))
+    vertices = [csg.vertices[i] for i in color_zero.members]
+    return [(v.edge, v.helps, v.gate_key) for v in vertices if v.kind != "inprogress"]
+
+
 def checking_flight_color_zero(seen):
-    """``flight_color_zero`` wrapped to compare its vertices and color 0,
-    in the order ``schedule_layer`` commits them, with ``build_csg``'s
-    and ``color_classes``' on the same inputs.  It counts into ``seen`` the
-    layers where a vertex joined the flights and where no vertex was free
-    of them, the vertices a flight kept out by crosstalk alone, and the
-    joint overshoots between two flight-free vertices."""
+    """``flight_color_zero`` wrapped to compare what it commits, in commit
+    order, with color 0 of ``build_csg`` and ``color_classes`` on the same
+    inputs.  It counts into ``seen`` the layers where a vertex joined the
+    flights and where no vertex was free of them, the vertices a flight
+    kept out by crosstalk alone, and the joint overshoots between two
+    flight-free vertices."""
 
     def checked(cgates, swaps, in_prog, pending, mapping, hw, prof):
-        vertices, members = flight_color_zero(cgates, swaps, in_prog, pending, mapping, hw, prof)
+        got = flight_color_zero(cgates, swaps, in_prog, pending, mapping, hw, prof)
         # every allowance below prof.cheapest_excess gives this CSG
         assert prof.cheapest_excess > 0.0
         csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, 0.0)
         assert not csg.permitted_pairs
-        assert vertices == csg.vertices
-        assert members == next(color_classes(csg)).members
+        assert got == color_zero_commits(csg)
+        vertices = csg.vertices
         flights = {v.vertex_id for v in vertices if v.kind == "inprogress"}
         busy = {q for i in flights for q in vertices[i].edge}
         free = set()
@@ -449,9 +454,9 @@ def checking_flight_color_zero(seen):
         for i, j in csg.conflict_edges:
             if i in free and j in free and not set(vertices[i].edge) & set(vertices[j].edge):
                 seen["free_overshoot"] += 1
-        seen["joined"] += len(members) > len(flights)
+        seen["joined"] += bool(got)
         seen["none_free"] += not free
-        return vertices, members
+        return got
 
     return checked
 
@@ -459,8 +464,8 @@ def checking_flight_color_zero(seen):
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
 def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
     """With no ``on_iteration`` hook a flight layer whose allowance left is
-    below the profile's cheapest pair takes its color 0 from
-    ``flight_color_zero``; each one must be the full CSG's, and each
+    below the profile's cheapest pair commits what ``flight_color_zero``
+    gives; it must be what the full CSG's color 0 commits, and each
     schedule the one a hooked run, which builds every CSG, gives."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
@@ -474,6 +479,73 @@ def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
             hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
             assert sched.to_json_dict() == hooked.to_json_dict()
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
+def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
+    """Without a hook, a layer with no cgate and no candidate off the
+    flights' edges commits nothing new, and a layer with no flight and one
+    vertex commits that vertex, both with neither ``build_csg`` nor
+    ``flight_color_zero``.  The full CSG at allowance 0 and at inf commits
+    the same, and each schedule is the one a hooked run gives."""
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, 110, rng)
+    program = random_pauli_program(rows * rows, 12, rng)
+    seen = {name: {"nothing_new": 0, "one_vertex": 0} for name in ("compile_circuit", "synthesize")}
+    calls = {"csg": 0}
+    build, color_zero, layer = scheduler.build_csg, scheduler.flight_color_zero, scheduler.schedule_layer
+
+    def counted(fn):
+        def wrapped(*args):
+            calls["csg"] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def checked_layer(state, cgates, swaps, pending, run_cgate, **kwargs):
+        flights = list(state.flights)
+        busy = {f.edge for f in flights}
+        if not cgates and all(s.edge in busy for s in swaps):
+            kind, want = "nothing_new", []
+        elif not flights and len(cgates) + len(swaps) == 1:
+            kind = "one_vertex"
+            want = [("cgate", p.key) for p in cgates] + [("swap", s.edge) for s in swaps]
+        else:
+            kind = None
+        if kind is not None and not kwargs["keep_csg"]:
+            for allowance in (0.0, math.inf):
+                csg = build(cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, allowance)
+                # color 0 is the class the full path commits: it holds the
+                # flights, or it is the only class
+                assert flights or len(welsh_powell(csg)) <= 1
+                full = color_zero_commits(csg)
+                assert [("swap", edge) if key is None else ("cgate", key) for edge, _, key in full] == want
+        ran = []
+        before = calls["csg"]
+
+        def run(key):
+            ran.append(("cgate", key))
+            run_cgate(key)
+
+        csg, selected = layer(state, cgates, swaps, pending, run, **kwargs)
+        if kind is not None and not kwargs["keep_csg"]:
+            assert calls["csg"] == before and csg is None and selected is None
+            started = [("swap", f.edge) for f in state.flights[len(flights) :] if f.gate_key is None]
+            assert ran + started == want
+            seen[compile_fn.__name__][kind] += 1
+        return csg, selected
+
+    monkeypatch.setattr(scheduler, "build_csg", counted(build))
+    monkeypatch.setattr(scheduler, "flight_color_zero", counted(color_zero))
+    monkeypatch.setattr(scheduler, "schedule_layer", checked_layer)
+    monkeypatch.setattr(vqa, "schedule_layer", checked_layer)
+    for allowance in (0.0, 0.05, math.inf):
+        for compile_fn, source in ((compile_circuit, circuit), (synthesize, program)):
+            sched = compile_fn(source, hw, prof, allowance=allowance)
+            hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
+            assert sched.to_json_dict() == hooked.to_json_dict()
+    assert all(all(kinds.values()) for kinds in seen.values()), seen
 
 
 def test_a_flights_joint_overshoot_ties_only_vertices_on_a_flights_qubit():
@@ -516,7 +588,7 @@ def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
     hops apart.  The overshoot comes before the crosstalk record on the
     same two links, and holds without it.  ``flight_color_zero`` looks for
     no flight's overshoot, as its candidates help on the drained mapping,
-    so it is not asked about this state."""
+    so it is asked about this state only with the gate gone."""
     hw = CouplingGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], edge_error=dict.fromkeys([(0, 1), (2, 3)], 0.01))
     prof = CrosstalkProfile(hw, [CrosstalkRecord((0, 1), (2, 3), 0.02, 0.02)])
     gate = PendingPair("g", (0, 3))
@@ -528,8 +600,9 @@ def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
         assert csg.conflict_edges == {(0, 1)} and not csg.crosstalk_edges
         # with the gate gone from the pending set the tie goes too
         args = ([], [swap], [flight], [], Mapping(4, 4), hw, profile)
-        want = next(color_classes(build_csg(*args, 0.0))).members
-        assert flight_color_zero(*args)[1] == want == ([0] if profile is prof else [0, 1])
+        want = color_zero_commits(build_csg(*args, 0.0))
+        swap_joins = [((2, 3), frozenset({"g"}), None)]
+        assert flight_color_zero(*args) == want == ([] if profile is prof else swap_joins)
 
 
 def test_closer_swaps_match_a_scan_of_every_edge():
@@ -633,9 +706,8 @@ def reference_closing_swaps(mapping, u, v, hw):
     return sorted(out)
 
 
-@pytest.mark.parametrize("units", UNITS)
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
-def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed, units):
+def test_synthesis_indexes_match_the_references(monkeypatch, rows, seed):
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng, error_levels=(0.01, 0.02))
     program = random_pauli_program(rows * rows, 16, rng)

@@ -40,6 +40,7 @@ from chromaroute.fixtures import (
     ring6_cross_hot,
 )
 import chromaroute.scheduler as scheduler
+import chromaroute.vqa as vqa
 from chromaroute.csg import PendingPair
 from chromaroute.hardware import normalize_edge
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard, schedule_layer
@@ -525,7 +526,9 @@ def test_an_allowance_left_of_exactly_the_cheapest_pair_builds_the_csg():
     # a hair below it no pair can be permitted: color 0 without the CSG
     state, gates, run_cgate = flight_beside_its_partner(math.nextafter(cheapest, 0.0))
     csg, selected = schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
-    assert csg is None and selected.members == [0] and not state.ledger
+    # color 0 holds the flight alone: the gate on 2-3 is not placed
+    assert csg is None and selected is None and not state.ledger
+    assert state.qubit_free(2) and state.qubit_free(3)
     # a caller that keeps the CSG, for a hook, gets it at any allowance
     state, gates, run_cgate = flight_beside_its_partner(0.0)
     csg, selected = schedule_layer(state, gates, [], gates, run_cgate)
@@ -533,21 +536,43 @@ def test_an_allowance_left_of_exactly_the_cheapest_pair_builds_the_csg():
 
 
 def counting_paths(monkeypatch):
-    """Count the scheduler's flight layers by the path they take."""
-    seen = {"full": 0, "color_zero": 0}
-    build, color_zero = scheduler.build_csg, scheduler.flight_color_zero
+    """Count the scheduler's layers by the path they take: flight layers
+    that build the full CSG, flight layers that take ``flight_color_zero``,
+    and layers of any kind that take neither, as a layer with no choice
+    does."""
+    seen = {"full": 0, "color_zero": 0, "no_choice": 0}
+    calls = {"csg": 0}
+    build, color_zero, layer = scheduler.build_csg, scheduler.flight_color_zero, scheduler.schedule_layer
 
     def counted_build(cgates, swaps, in_prog, *args):
+        calls["csg"] += 1
         seen["full"] += bool(in_prog)
         return build(cgates, swaps, in_prog, *args)
 
     def counted_color_zero(*args):
+        calls["csg"] += 1
         seen["color_zero"] += 1
         return color_zero(*args)
 
+    def counted_layer(*args, **kwargs):
+        before = calls["csg"]
+        out = layer(*args, **kwargs)
+        seen["no_choice"] += calls["csg"] == before
+        return out
+
     monkeypatch.setattr(scheduler, "build_csg", counted_build)
     monkeypatch.setattr(scheduler, "flight_color_zero", counted_color_zero)
+    monkeypatch.setattr(scheduler, "schedule_layer", counted_layer)
+    monkeypatch.setattr(vqa, "schedule_layer", counted_layer)
     return seen
+
+
+def flight_choices():
+    """A circuit and a program for ``ring6`` whose flight layers have a
+    cgate or a candidate to choose.  On ``ring6`` those of ``pair_circuit``
+    and ``chain_pair`` have none, so each commits only the flights."""
+    circuit = parse_circuit("qubits 6\ncx 0 2\ncx 3 5\ncx 1 4\ncx 0 3\ncx 2 5\n")
+    return circuit, parse_pauli_program("0.5 ZIZIZI\n")
 
 
 def test_a_free_crosstalk_pair_keeps_every_flight_layer_on_the_full_csg(monkeypatch):
@@ -556,8 +581,9 @@ def test_a_free_crosstalk_pair_keeps_every_flight_layer_on_the_full_csg(monkeypa
     prof = CrosstalkProfile(hw, [free_pair])
     assert prof.cheapest_excess == 0.0
     seen = counting_paths(monkeypatch)
-    compile_circuit(pair_circuit(), hw, prof, allowance=0.0)
-    synthesize(chain_pair(), hw, prof, allowance=0.0)
+    circuit, program = flight_choices()
+    compile_circuit(circuit, hw, prof, allowance=0.0)
+    synthesize(program, hw, prof, allowance=0.0)
     assert seen["full"] and not seen["color_zero"]
 
 
@@ -568,15 +594,25 @@ def test_a_profile_without_records_never_builds_a_flight_layers_csg(monkeypatch)
     prof = CrosstalkProfile(hw, [])
     assert prof.cheapest_excess == math.inf
     seen = counting_paths(monkeypatch)
+    circuit, program = flight_choices()
     for allowance in (0.0, 0.05, 1e300):
+        compile_circuit(circuit, hw, prof, allowance=allowance)
+        synthesize(program, hw, prof, allowance=allowance)
+    assert seen["color_zero"] and not seen["full"]
+    compile_circuit(circuit, hw, prof, allowance=math.inf)
+    assert seen["full"]
+    seen["full"] = seen["no_choice"] = 0
+    compile_circuit(circuit, hw, prof, allowance=0.0, on_iteration=lambda info: None)
+    assert seen["full"] and not seen["no_choice"]
+
+
+def test_the_fixture_pairs_flight_layers_commit_with_no_choice(monkeypatch):
+    hw, prof = ring6()
+    seen = counting_paths(monkeypatch)
+    for allowance in (0.0, math.inf):
         compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
         synthesize(chain_pair(), hw, prof, allowance=allowance)
-    assert seen["color_zero"] and not seen["full"]
-    compile_circuit(pair_circuit(), hw, prof, allowance=math.inf)
-    assert seen["full"]
-    seen["full"] = 0
-    compile_circuit(pair_circuit(), hw, prof, allowance=0.0, on_iteration=lambda info: None)
-    assert seen["full"]
+    assert seen["no_choice"] and not seen["full"] and not seen["color_zero"]
 
 
 @pytest.mark.parametrize(
