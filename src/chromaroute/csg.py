@@ -10,6 +10,7 @@ buys back as much parallelism as it can pay for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -70,12 +71,16 @@ class Csg:
     """One iteration's candidate set graph.  ``adjacency[v]`` holds the
     vertices joined to ``v`` by either kind of edge: it is the one edge
     store, filled by ``build_csg``; do not modify it.  The priced
-    ``crosstalk_edges`` are a part of it, ``conflict_edges`` the rest."""
+    ``crosstalk_edges`` are a part of it, ``conflict_edges`` the rest.
+    ``window`` is the range [lo, hi) of allowance left that builds this
+    graph: lo the total its permitted pairs spend, hi the least total a
+    refused pair would have reached (inf with none refused)."""
 
     vertices: list[CsgVertex]
     crosstalk_edges: dict[tuple[int, int], float]
     permitted_pairs: list[tuple[int, int, float]]
     adjacency: list[set[int]] = field(repr=False, compare=False)
+    window: tuple[float, float] = (0.0, math.inf)
 
     @property
     def conflict_edges(self) -> set[tuple[int, int]]:
@@ -247,15 +252,22 @@ def build_csg(
     permitted: list[tuple[int, int, float]] = []
     crosstalk_edges: dict[tuple[int, int], float] = {}
     running = 0.0
+    # Each admitted total is at most the final running and each refused one
+    # at least ``refused``, so any allowance left in [running, refused), the
+    # window, repeats every test.
+    refused = math.inf
     for cost, _ea, _eb, i, j in maybe_crosstalk:
-        if running + cost <= allowance_left:
-            running += cost
+        total = running + cost
+        if total <= allowance_left:
+            running = total
             permitted.append((i, j, cost))
         else:
+            if total < refused:
+                refused = total
             crosstalk_edges[(i, j)] = cost
             adjacency[i].add(j)
             adjacency[j].add(i)
-    return Csg(vertices, crosstalk_edges, permitted, adjacency)
+    return Csg(vertices, crosstalk_edges, permitted, adjacency, (running, refused))
 
 
 def flight_color_zero(

@@ -10,7 +10,12 @@ The allowance search trades those two loss channels off: more permitted
 crosstalk shortens the circuit (less decoherence, fewer SWAPs) but
 inflates gate errors.  ESP over allowance is generally not monotonic, so
 the search probes a bracketing interval with a derivative-sign bisection
-and keeps the best probe it ever saw.
+and keeps the best probe it ever saw.  Within one search, a compile of
+the circuit compiler resumes from an earlier probe's trail (the scheduler
+module states the window rule): it replays the leading iterations whose
+allowance tests its own allowance is sure to repeat, and builds no CSG for
+them.  A compile with an ``on_iteration`` hook neither records nor
+resumes, and nothing is kept outside a search.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .hardware import CouplingGraph, CrosstalkProfile
-from .scheduler import ScheduledCircuit
+from .scheduler import SEARCH_TRAILS, ScheduledCircuit
 
 # Bisection steps search_core takes at most, whatever the resolution.
 SEARCH_MAX_ITER = 64
@@ -185,6 +190,10 @@ def search_allowance(
         sched = compile_fn(x)
         return esp(sched, hw, profile), sched
 
-    # With x_max 0 the search is one probe at 0.
-    x_max = max(0.0, find_x_max(compile_fn))
-    return search_core(0.0, x_max, x_max / steps, objective)
+    token = SEARCH_TRAILS.set([])
+    try:
+        # With x_max 0 the search is one probe at 0.
+        x_max = max(0.0, find_x_max(compile_fn))
+        return search_core(0.0, x_max, x_max / steps, objective)
+    finally:
+        SEARCH_TRAILS.reset(token)

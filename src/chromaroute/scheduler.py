@@ -17,11 +17,21 @@ operations starts.  Every allowance test admits a price up to
 ``allowance_left()``, with no absolute slack, so the ledger total exceeds
 the allowance only by the rounding of adding the prices back up, which
 ``LEDGER_RTOL`` bounds relative to the allowance: exact at 0, void at inf.
+
+Each iteration's allowance tests have one outcome over a window [lo, hi)
+of allowance left, so a compile inside an allowance search keeps a trail,
+one record per iteration: the ledger total ``spent`` at its start, its
+window, and the items it committed.  A later compile of the same inputs at
+allowance A replays the longest leading run of an earlier trail with
+``lo <= max(A - spent, 0.0) < hi`` at every record, the very expression
+``allowance_left`` computes, so the replay needs no rounding slack; by
+induction over iterations it is what a fresh compile does.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -55,6 +65,10 @@ SWAP_DURATION = 3
 TOP_K = 3
 
 LEDGER_RTOL = 1e-9  # see the module docstring
+
+# An allowance search's list of (inputs, trail) pairs, one per finished
+# hook-free compile; None outside a search (see compile_circuit).
+SEARCH_TRAILS: ContextVar[list | None] = ContextVar("search_trails", default=None)
 
 # Qubit count of each operation kind a schedule may hold.
 OP_ARITY = {**GATE_ARITY, "rz": 1}
@@ -385,6 +399,7 @@ class ScheduleState:
         self._cur_edges: set[Edge] = set()
         self._cur_busy: set[int] = set()
         self._placed = False
+        self.trail: list | None = None  # schedule_layer's records, when kept
 
     def allowance_left(self) -> float:
         return max(self.allowance - self._spent, 0.0)
@@ -498,6 +513,16 @@ class ScheduleState:
         return self._placed, completed
 
 
+def _commit(state: ScheduleState, items, run_cgate) -> None:
+    """Commit ``items``, ``(edge, helps, gate key)`` each, in order:
+    ``run_cgate(key)`` for a cgate, a started SWAP where the key is None."""
+    for edge, helps, key in items:
+        if key is None:
+            state.start_swap(edge, helps=helps)
+        else:
+            run_cgate(key)
+
+
 def schedule_layer(
     state: ScheduleState,
     cgates: list[PendingPair],
@@ -526,45 +551,55 @@ def schedule_layer(
     every allowance gives it that commit, and no pair is priced.  A flight
     layer whose allowance left is below the profile's ``cheapest_excess``:
     it permits no pair, and ``flight_color_zero`` gives what its color 0
-    commits."""
+    commits.
+
+    With a ``state.trail`` the step appends its record ``(spent, lo, hi,
+    items)``: the ledger total before it, the window [lo, hi) of allowance
+    left over which each of its allowance tests has the same outcome, and
+    the ``(edge, helps, gate key)`` items it committed.  The window is
+    ``Csg.window``, [0, inf) for a layer with no choice, [0,
+    cheapest_excess) for a flight layer that permits no pair, and a flight
+    layer that builds the CSG raises lo to ``cheapest_excess``."""
     flights = state.flights
+    spent = state._spent
+    lo, hi = 0.0, math.inf
+    csg = selected = items = None
     if not keep_csg:
         if flights:
-            if not cgates:
-                busy = {f.edge for f in flights}
-                if all(s.edge in busy for s in swaps):
-                    return None, None
-            if state.allowance_left() < state.profile.cheapest_excess:
-                for edge, helps, key in flight_color_zero(
+            cheapest = state.profile.cheapest_excess
+            if not cgates and {f.edge for f in flights}.issuperset(s.edge for s in swaps):
+                items = ()
+            elif state.allowance_left() < cheapest:
+                hi = cheapest
+                items = flight_color_zero(
                     cgates, swaps, flights, pending, state.mapping, state.hw, state.profile
-                ):
-                    if key is None:
-                        state.start_swap(edge, helps=helps)
-                    else:
-                        run_cgate(key)
-                return None, None
+                )
+            else:
+                lo = cheapest
         elif len(cgates) + len(swaps) < 2:
-            for p in cgates:
-                run_cgate(p.key)
-            for s in swaps:
-                state.start_swap(s.edge, helps=s.helps)
-            return None, None
-    csg = build_csg(
-        cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, state.allowance_left()
-    )
-    vertices = csg.vertices
-    if not vertices:
-        return csg, None
-    if flights:
-        selected = next(color_classes(csg))
-    else:
-        selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
-    for vid in selected.members:
-        v = vertices[vid]
-        if v.kind == "cgate":
-            run_cgate(v.gate_key)
-        elif v.kind == "swap":
-            state.start_swap(v.edge, helps=v.helps)
+            l2p = state.mapping.placement
+            items = [
+                (normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]]), frozenset(), p.key) for p in cgates
+            ]
+            items += [(s.edge, s.helps, None) for s in swaps]
+    if items is None:
+        csg = build_csg(
+            cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, state.allowance_left()
+        )
+        lo, hi = max(lo, csg.window[0]), csg.window[1]
+        items = ()
+        if csg.vertices:
+            if flights:
+                selected = next(color_classes(csg))
+            else:
+                selected = rank_and_select(
+                    csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker
+                )
+            members = map(csg.vertices.__getitem__, selected.members)
+            items = [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
+    _commit(state, items, run_cgate)
+    if state.trail is not None:
+        state.trail.append((spent, lo, hi, items))
     return csg, selected
 
 
@@ -646,6 +681,24 @@ class CircuitRun:
         return placed
 
 
+def _resumable(trails: list, inputs: tuple, allowance: float):
+    """The longest leading run of records, over the ``trails`` of these
+    ``inputs``, whose window holds the allowance this compile has left at
+    that record: ``max(allowance - spent, 0.0)``, as ``allowance_left``
+    computes it."""
+    best: list = []
+    for (*objects, placement), trail in trails:
+        if all(a is b for a, b in zip(objects, inputs)) and placement == inputs[-1]:
+            n = 0
+            for spent, lo, hi, _ in trail:
+                if not lo <= max(allowance - spent, 0.0) < hi:
+                    break
+                n += 1
+            if n > len(best):
+                best = trail[:n]
+    return best
+
+
 def compile_circuit(
     circuit: LogicalCircuit,
     hw: CouplingGraph,
@@ -660,11 +713,25 @@ def compile_circuit(
     ``allowance``, an excess error mass.  After more than ``num_qubits``
     iterations with no gate run it escapes: one SWAP at a time for its most
     critical gate (StallGuard).
-    ``on_iteration`` gets ``{"iteration", "csg", "selected"}`` after each layer."""
+    ``on_iteration`` gets ``{"iteration", "csg", "selected"}`` after each layer;
+    without it, inside an allowance search, the compile keeps a trail and
+    resumes from an earlier one (see the module docstring)."""
     state = ScheduleState(hw, profile, allowance, circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
     criticality = circuit.criticality()
     guard = StallGuard(len(circuit.gates), hw)
+    trails = SEARCH_TRAILS.get() if on_iteration is None else None
+    if trails is not None:
+        inputs = (circuit, hw, profile, tuple(state.initial_mapping.placement))
+        state.trail = []
+        for record in _resumable(trails, inputs, allowance):
+            guard.next_iteration()
+            state.open_layer()
+            two_q, singles = run.pending()
+            guard.escape_swaps(two_q, state, criticality)  # the escape target moves as in guard.swaps
+            _commit(state, record[3], run.run_gate)
+            guard.record(run.finish_layer(singles), len(run.executed))
+            state.trail.append(record)
     while not run.done():
         iterations = guard.next_iteration()
         state.open_layer()
@@ -683,6 +750,8 @@ def compile_circuit(
         guard.record(run.finish_layer(singles), len(run.executed))
         if on_iteration is not None:
             on_iteration({"iteration": iterations, "csg": csg, "selected": selected})
+    if trails is not None:
+        trails.append((inputs, state.trail))
     return state.result()
 
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 import chromaroute.scheduler as scheduler
@@ -20,6 +23,7 @@ from chromaroute.csg import (
 from chromaroute.fixtures import ring6
 from chromaroute.ir import frontier
 from chromaroute.scheduler import rank_and_select, welsh_powell
+from test_indexed import grid_device, random_circuit
 
 
 def line5():
@@ -318,3 +322,38 @@ def test_to_dot_mentions_every_vertex():
     assert dot.startswith("graph it0 {")
     for v in csg.vertices:
         assert f"v{v.vertex_id}" in dot
+
+
+@pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2)])
+def test_the_window_is_the_allowance_left_that_builds_the_same_csg(monkeypatch, rows, seed):
+    """Each CSG a seeded grid compile builds is rebuilt, on the same
+    inputs, at the ends and middle of its window: the same graph.  At a
+    finite hi the least refused pair fits, so the graph differs."""
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, 100, rng)
+    seen = {"bounded": 0, "spent": 0, "unpriced": 0}
+
+    def shape(csg):
+        return csg.adjacency, csg.permitted_pairs, csg.crosstalk_edges
+
+    def checked_build_csg(*args):
+        *inputs, allowance_left = args
+        csg = build_csg(*args)
+        lo, hi = csg.window
+        assert lo <= allowance_left < hi
+        inside = [lo, math.nextafter(hi, 0.0)] + ([(lo + hi) / 2] if hi < math.inf else [])
+        for left in inside:
+            assert shape(build_csg(*inputs, left)) == shape(csg)
+        if hi < math.inf:
+            assert shape(build_csg(*inputs, hi)) != shape(csg)
+            seen["bounded"] += 1
+        if not csg.permitted_pairs and not csg.crosstalk_edges:
+            assert csg.window == (0.0, math.inf)
+            seen["unpriced"] += 1
+        seen["spent"] += lo > 0.0
+        return csg
+
+    monkeypatch.setattr(scheduler, "build_csg", checked_build_csg)
+    scheduler.compile_circuit(circuit, hw, prof, allowance=0.05)
+    assert seen["bounded"] and seen["spent"] and seen["unpriced"]

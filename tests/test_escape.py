@@ -25,6 +25,7 @@ from chromaroute import (
     SynthesisOptions,
     baseline_schedule,
     compile_circuit,
+    search_allowance,
     synthesize,
     verify_routing,
 )
@@ -103,6 +104,38 @@ def seeded_grid_digests() -> dict[str, str]:
 def test_every_loop_finishes_on_seeded_grids(escapes):
     assert seeded_grid_digests() == SEEDED_GRID_DIGESTS
     assert all(escapes.values()), escapes
+
+
+@pytest.mark.parametrize("seed", [5, 10])
+def test_a_resumed_search_probe_escapes_as_a_fresh_compile(monkeypatch, seed):
+    """A search probe that replays an earlier probe's iterations moves its
+    StallGuard as a fresh compile does, escape target included: after every
+    iteration both have the same count and target."""
+    log = []
+    record = StallGuard.record
+
+    def logged(guard, progress, gates_done):
+        record(guard, progress, gates_done)
+        log.append((guard.iterations, guard.target))
+
+    monkeypatch.setattr(StallGuard, "record", logged)
+    rng = random.Random(seed)
+    hw, prof = grid_device(2, 6, rng)
+    circuit = random_circuit(12, 120, rng)
+    logs = {}
+
+    def compile_fn(allowance):
+        log.clear()
+        sched = compile_circuit(circuit, hw, prof, allowance=allowance)
+        logs[allowance] = list(log)
+        return sched
+
+    search_allowance(compile_fn, hw, prof)
+    assert any(target is not None for probe in logs.values() for _, target in probe)
+    for allowance, probe in logs.items():
+        log.clear()
+        compile_circuit(circuit, hw, prof, allowance=allowance)
+        assert log == probe
 
 
 # sha256 over every schedule JSON ``synthesize`` emits under option sets the

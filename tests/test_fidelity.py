@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+import chromaroute.scheduler as scheduler
 from chromaroute import (
     CouplingGraph,
     CrosstalkProfile,
@@ -19,6 +21,8 @@ from chromaroute import (
 )
 from chromaroute.fidelity import find_x_max, search_core
 from chromaroute.fixtures import pair_circuit, ring6
+from chromaroute.scheduler import StallGuard
+from test_indexed import grid_device, random_circuit
 
 
 def toy_device(t1=None, t2=None):
@@ -230,3 +234,59 @@ def test_search_result_json():
     assert data["best_allowance"] == 1.0
     assert data["x_max"] == 1.0
     assert [1.0, 1.0] in data["probes"]
+
+
+def counting_iterations(monkeypatch):
+    """Count the circuit compiler's loop iterations, and those of them that
+    look for executable pairs: a replayed iteration does not."""
+    seen = {"iterations": 0, "executable_pairs": 0}
+    next_iteration, executable = StallGuard.next_iteration, scheduler.executable_pairs
+
+    def counted_next_iteration(guard):
+        seen["iterations"] += 1
+        return next_iteration(guard)
+
+    def counted_executable(*args):
+        seen["executable_pairs"] += 1
+        return executable(*args)
+
+    monkeypatch.setattr(StallGuard, "next_iteration", counted_next_iteration)
+    monkeypatch.setattr(scheduler, "executable_pairs", counted_executable)
+    return seen
+
+
+@pytest.mark.parametrize("rows,seed", [(3, 1), (4, 2), (4, 3)])
+def test_a_search_probe_resumes_to_the_schedule_of_a_fresh_compile(monkeypatch, rows, seed):
+    """Within one search a probe replays the iterations an earlier probe's
+    trail decided for its allowance; every probe's schedule is still the one
+    a compile outside any search gives, and a hook turns the replay off."""
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng)
+    circuit = random_circuit(rows * rows, 100, rng)
+
+    def searched(**hook):
+        probes = {}
+
+        def compile_fn(allowance):
+            sched = compile_circuit(circuit, hw, prof, allowance=allowance, **hook)
+            probes[allowance] = sched.to_json_dict()
+            return sched
+
+        return search_allowance(compile_fn, hw, prof), probes
+
+    seen = counting_iterations(monkeypatch)
+    result, probes = searched()
+    assert scheduler.SEARCH_TRAILS.get() is None
+    assert len(probes) > 2
+    assert result.schedule.to_json_dict() == probes[result.best_allowance]
+    # some iterations were replayed, not computed
+    assert seen["executable_pairs"] < seen["iterations"]
+    for allowance, doc in probes.items():
+        assert compile_circuit(circuit, hw, prof, allowance=allowance).to_json_dict() == doc
+
+    seen["iterations"] = seen["executable_pairs"] = 0
+    hooked, hooked_probes = searched(on_iteration=lambda info: None)
+    assert seen["executable_pairs"] == seen["iterations"]
+    assert hooked_probes == probes
+    assert hooked.to_json_dict() == result.to_json_dict()
+    assert hooked.schedule.to_json_dict() == result.schedule.to_json_dict()

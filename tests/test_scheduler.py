@@ -535,6 +535,29 @@ def test_an_allowance_left_of_exactly_the_cheapest_pair_builds_the_csg():
     assert csg.crosstalk_edges == {(0, 1): cheapest} and selected.members == [0]
 
 
+def test_each_layer_path_records_the_window_of_its_allowance_tests():
+    """With a trail, a layer appends (spent, lo, hi, items): over [lo, hi)
+    of allowance left every allowance test it made has the same outcome."""
+    cheapest = interfering_pair()[2].cheapest_excess
+    below = math.nextafter(cheapest, 0.0)
+
+    def recorded(allowance, gates):
+        state, _, run_cgate = flight_beside_its_partner(allowance)
+        state.trail = []
+        schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
+        return [(spent, lo, hi, list(items)) for spent, lo, hi, items in state.trail]
+
+    beside, across = [PendingPair(0, (2, 3))], [PendingPair(0, (1, 2))]
+    # the pair fits: the CSG's window starts at the total it spends
+    assert recorded(cheapest, beside) == [(0, cheapest, math.inf, [((2, 3), frozenset(), 0)])]
+    # no pair fits: color 0 without the CSG, up to the cheapest pair
+    assert recorded(below, beside) == [(0, 0.0, cheapest, [])]
+    # a CSG that prices no pair was still built because the cheapest fits
+    assert recorded(cheapest, across) == [(0, cheapest, math.inf, [])]
+    # only the flight: no allowance test
+    assert recorded(below, []) == [(0, 0.0, math.inf, [])]
+
+
 def counting_paths(monkeypatch):
     """Count the scheduler's layers by the path they take: flight layers
     that build the full CSG, flight layers that take ``flight_color_zero``,
