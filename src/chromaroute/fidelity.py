@@ -11,11 +11,12 @@ crosstalk shortens the circuit (less decoherence, fewer SWAPs) but
 inflates gate errors.  ESP over allowance is generally not monotonic, so
 the search probes a bracketing interval with a derivative-sign bisection
 and keeps the best probe it ever saw.  Within one search, a compile of
-the circuit compiler resumes from an earlier probe's trail (the scheduler
-module states the window rule): it replays the leading iterations whose
-allowance tests its own allowance is sure to repeat, and builds no CSG for
-them.  A compile with an ``on_iteration`` hook neither records nor
-resumes, and nothing is kept outside a search.
+the circuit compiler follows the trails of earlier probes of the same
+inputs (the scheduler module states the window rule): while the allowance
+it has left lies in a trail's next window it commits that record and
+builds no CSG, then it decides the rest itself.  A compile with an
+``on_iteration`` hook neither records nor follows, and nothing is kept
+outside a search.
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ the allowance only by the rounding of adding the prices back up, which
 ``LEDGER_RTOL`` bounds relative to the allowance: exact at 0, void at inf.
 
 Each iteration's allowance tests have one outcome over a window [lo, hi)
-of allowance left, so a compile inside an allowance search keeps a trail,
-one record per iteration: the ledger total ``spent`` at its start, its
-window, and the items it committed.  A later compile of the same inputs at
-allowance A replays the longest leading run of an earlier trail with
-``lo <= max(A - spent, 0.0) < hi`` at every record, the very expression
-``allowance_left`` computes, so the replay needs no rounding slack; by
-induction over iterations it is what a fresh compile does.
+of allowance left, so ``schedule_layer`` returns its decision as a record
+(lo, hi, items) that its caller commits, and a compile inside an allowance
+search keeps them as a trail.  A later compile of the same inputs follows
+the earlier trails whose next record's window holds its live
+``allowance_left()`` and commits that record instead of deciding; by
+induction over iterations its state is the trail's, so the window was
+built for that very value, and the replay is what a fresh compile does.
 """
 
 from __future__ import annotations
@@ -167,7 +167,8 @@ class ScheduledCircuit:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScheduledCircuit":
         """Read a schedule document back, type-checking every field but the
-        elements of an op's ``qubits`` (ParseError); those, and whether the
+        elements of an op's ``qubits`` (ParseError), and each ledger entry
+        must name two edges of two qubits; an op's qubits, and whether the
         schedule holds together, are verify_routing's question."""
         num_physical = _typed(data["num_physical"], int, "num_physical")
 
@@ -200,12 +201,18 @@ class ScheduledCircuit:
                     raise ParseError(f"layer {li}: param {op.param!r} is not finite")
                 ops.append(op)
             layers.append(ops)
+
+        def pair(value, where: str) -> list:
+            if len(_typed(value, list, where)) != 2:
+                raise ParseError(f"{where}: {value!r} does not hold two")
+            return value
+
         ledger = [
             LedgerEntry(
                 layer=_typed(ed["layer"], int, "ledger layer"),
                 edges=tuple(
-                    tuple(_typed(q, int, "ledger edge qubit") for q in ed["edges"][k])
-                    for k in (0, 1)
+                    tuple(_typed(q, int, "ledger edge qubit") for q in pair(edge, "ledger edge"))
+                    for edge in pair(ed["edges"], "ledger edges")
                 ),
                 excess=_typed(ed["excess"], (int, float), "ledger excess"),
             )
@@ -276,7 +283,7 @@ def rank_and_select(
     csg: Csg, classes: list[ColorClass], last_helped: frozenset, criticality, tie_breaker
 ) -> ColorClass:
     """Pick the color class to commit next from a CSG with no SWAP in
-    flight (``schedule_layer`` commits the first class while one is).
+    flight (``schedule_layer`` takes the first class while one is).
 
     The classes are cut down to the ``TOP_K`` largest and ranked by member
     count, cgate count, count of SWAPs that help a gate ``last_helped``
@@ -399,7 +406,6 @@ class ScheduleState:
         self._cur_edges: set[Edge] = set()
         self._cur_busy: set[int] = set()
         self._placed = False
-        self.trail: list | None = None  # schedule_layer's records, when kept
 
     def allowance_left(self) -> float:
         return max(self.allowance - self._spent, 0.0)
@@ -410,8 +416,8 @@ class ScheduleState:
         callers read it and must not change it (``vqa.pattern_cost`` and
         ``_lookahead_extra_swaps`` preview a pattern by walking positions
         through its SWAPs, ``vqa._preview_positions``).  They read it before
-        ``schedule_layer`` commits, as synthesis's tie-breaker does: the
-        SWAPs a commit starts move it."""
+        ``commit``, as synthesis's tie-breaker does: the SWAPs a commit
+        starts move it."""
         return self._drained
 
     def result(self) -> ScheduledCircuit:
@@ -512,15 +518,14 @@ class ScheduleState:
         self.last_helped = frozenset(helped)
         return self._placed, completed
 
-
-def _commit(state: ScheduleState, items, run_cgate) -> None:
-    """Commit ``items``, ``(edge, helps, gate key)`` each, in order:
-    ``run_cgate(key)`` for a cgate, a started SWAP where the key is None."""
-    for edge, helps, key in items:
-        if key is None:
-            state.start_swap(edge, helps=helps)
-        else:
-            run_cgate(key)
+    def commit(self, items, run_cgate) -> None:
+        """Commit ``items``, ``(edge, helps, gate key)`` each, in order:
+        ``run_cgate(key)`` for a cgate, a started SWAP where the key is None."""
+        for edge, helps, key in items:
+            if key is None:
+                self.start_swap(edge, helps=helps)
+            else:
+                run_cgate(key)
 
 
 def schedule_layer(
@@ -528,40 +533,38 @@ def schedule_layer(
     cgates: list[PendingPair],
     swaps: list,
     pending: list[PendingPair],
-    run_cgate,
     *,
     criticality=MappingProxyType({}),
     tie_breaker=None,
     keep_csg: bool = True,
-) -> tuple[Csg | None, ColorClass | None]:
-    """One CSG layer step into the open layer: build the candidate set graph
-    of ``cgates``, ``swaps`` and the state's flights, pick a class and
-    commit its members in vertex order, ``run_cgate(key)`` for a cgate and
-    a started SWAP for a candidate.  With SWAPs in flight the class is the
-    first of ``color_classes``, the one holding them: an interrupted SWAP
-    is not a thing.  Otherwise the CSG is colored in full and
-    ``rank_and_select`` picks by the state's ``last_helped``,
-    ``criticality`` (gate key -> weight) and ``tie_breaker``.  Returns
-    (csg, selected class), the class None when the CSG is empty.
+) -> tuple[Csg | None, ColorClass | None, tuple]:
+    """Decide one CSG layer step into the open layer, committing nothing:
+    build the candidate set graph of ``cgates``, ``swaps`` and the state's
+    flights and pick a class.  With SWAPs in flight the class is the first
+    of ``color_classes``, the one holding them: an interrupted SWAP is not a
+    thing.  Otherwise the CSG is colored in full and ``rank_and_select``
+    picks by the state's ``last_helped``, ``criticality`` (gate key ->
+    weight) and ``tie_breaker``.  Returns (csg, selected class, record), the
+    class None when the CSG is empty; the caller commits the record's items
+    with ``state.commit``.
 
-    Unless ``keep_csg`` asks for the CSG, two kinds of layer commit
-    without building it and return (None, None).  A layer with no choice:
-    with no cgate and no candidate off the flights' edges it commits
-    nothing new, and with no flight and one vertex it commits that vertex;
-    every allowance gives it that commit, and no pair is priced.  A flight
-    layer whose allowance left is below the profile's ``cheapest_excess``:
-    it permits no pair, and ``flight_color_zero`` gives what its color 0
-    commits.
-
-    With a ``state.trail`` the step appends its record ``(spent, lo, hi,
-    items)``: the ledger total before it, the window [lo, hi) of allowance
-    left over which each of its allowance tests has the same outcome, and
-    the ``(edge, helps, gate key)`` items it committed.  The window is
+    The record is ``(lo, hi, items)``: the window [lo, hi) of allowance
+    left over which each of the step's allowance tests has the same
+    outcome, and the ``(edge, helps, gate key)`` items of the class's
+    members in vertex order, flights left out.  The window is
     ``Csg.window``, [0, inf) for a layer with no choice, [0,
     cheapest_excess) for a flight layer that permits no pair, and a flight
-    layer that builds the CSG raises lo to ``cheapest_excess``."""
+    layer that builds the CSG raises lo to ``cheapest_excess``.
+
+    Unless ``keep_csg`` asks for the CSG, two kinds of layer are decided
+    without building it and return no csg and no class.  A layer with no
+    choice: with no cgate and no candidate off the flights' edges it
+    commits nothing new, and with no flight and one vertex it commits that
+    vertex; every allowance gives it that commit, and no pair is priced.  A
+    flight layer whose allowance left is below the profile's
+    ``cheapest_excess``: it permits no pair, and ``flight_color_zero`` gives
+    what its color 0 commits."""
     flights = state.flights
-    spent = state._spent
     lo, hi = 0.0, math.inf
     csg = selected = items = None
     if not keep_csg:
@@ -597,10 +600,7 @@ def schedule_layer(
                 )
             members = map(csg.vertices.__getitem__, selected.members)
             items = [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
-    _commit(state, items, run_cgate)
-    if state.trail is not None:
-        state.trail.append((spent, lo, hi, items))
-    return csg, selected
+    return csg, selected, (lo, hi, items)
 
 
 class CircuitRun:
@@ -681,24 +681,6 @@ class CircuitRun:
         return placed
 
 
-def _resumable(trails: list, inputs: tuple, allowance: float):
-    """The longest leading run of records, over the ``trails`` of these
-    ``inputs``, whose window holds the allowance this compile has left at
-    that record: ``max(allowance - spent, 0.0)``, as ``allowance_left``
-    computes it."""
-    best: list = []
-    for (*objects, placement), trail in trails:
-        if all(a is b for a, b in zip(objects, inputs)) and placement == inputs[-1]:
-            n = 0
-            for spent, lo, hi, _ in trail:
-                if not lo <= max(allowance - spent, 0.0) < hi:
-                    break
-                n += 1
-            if n > len(best):
-                best = trail[:n]
-    return best
-
-
 def compile_circuit(
     circuit: LogicalCircuit,
     hw: CouplingGraph,
@@ -715,43 +697,45 @@ def compile_circuit(
     critical gate (StallGuard).
     ``on_iteration`` gets ``{"iteration", "csg", "selected"}`` after each layer;
     without it, inside an allowance search, the compile keeps a trail and
-    resumes from an earlier one (see the module docstring)."""
+    follows earlier ones (see the module docstring)."""
     state = ScheduleState(hw, profile, allowance, circuit.num_qubits, initial_mapping)
     run = CircuitRun(circuit, state)
     criticality = circuit.criticality()
     guard = StallGuard(len(circuit.gates), hw)
     trails = SEARCH_TRAILS.get() if on_iteration is None else None
+    follow = ()  # the earlier trails of these inputs that this compile is still on
     if trails is not None:
         inputs = (circuit, hw, profile, tuple(state.initial_mapping.placement))
-        state.trail = []
-        for record in _resumable(trails, inputs, allowance):
-            guard.next_iteration()
-            state.open_layer()
-            two_q, singles = run.pending()
-            guard.escape_swaps(two_q, state, criticality)  # the escape target moves as in guard.swaps
-            _commit(state, record[3], run.run_gate)
-            guard.record(run.finish_layer(singles), len(run.executed))
-            state.trail.append(record)
+        follow = [
+            t
+            for (*objects, placement), t in trails
+            if placement == inputs[-1] and all(a is b for a, b in zip(objects, inputs))
+        ]
+        trail = []
     while not run.done():
         iterations = guard.next_iteration()
         state.open_layer()
         two_q, singles = run.pending()
-        cgates = executable_pairs(two_q, state.mapping, hw)
-        swaps = guard.swaps(two_q, state, criticality)
-        csg, selected = schedule_layer(
-            state,
-            cgates,
-            swaps,
-            two_q,
-            run.run_gate,
-            criticality=criticality,
-            keep_csg=on_iteration is not None,
-        )
+        if follow:
+            n, left = iterations - 1, state.allowance_left()
+            follow = [t for t in follow if t[n][0] <= left < t[n][1]]
+        if follow:
+            guard.escape_swaps(two_q, state, criticality)  # the escape target moves as in guard.swaps
+            record = follow[0][n]
+        else:
+            cgates = executable_pairs(two_q, state.mapping, hw)
+            swaps = guard.swaps(two_q, state, criticality)
+            csg, selected, record = schedule_layer(
+                state, cgates, swaps, two_q, criticality=criticality, keep_csg=on_iteration is not None
+            )
+        state.commit(record[2], run.run_gate)
         guard.record(run.finish_layer(singles), len(run.executed))
+        if trails is not None:
+            trail.append(record)
         if on_iteration is not None:
             on_iteration({"iteration": iterations, "csg": csg, "selected": selected})
     if trails is not None:
-        trails.append((inputs, state.trail))
+        trails.append((inputs, trail))
     return state.result()
 
 

@@ -359,15 +359,10 @@ def _synthesize_string(
                     tied, csg, remaining, drained, depth, next_active, hw, options
                 )
 
-            csg, selected = schedule_layer(
-                state,
-                cgates,
-                candidates,
-                pending,
-                run_cx,
-                tie_breaker=tie_breaker,
-                keep_csg=on_iteration is not None,
+            csg, selected, (_, _, items) = schedule_layer(
+                state, cgates, candidates, pending, tie_breaker=tie_breaker, keep_csg=on_iteration is not None
             )
+            state.commit(items, run_cx)
         guard.record(state.close_layer()[0], len(ladder))
         if on_iteration is not None:
             on_iteration(

@@ -204,6 +204,24 @@ def test_report_rejects_tampered_schedule(paths, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda edges: edges.append([2, 3]), lambda edges: edges.pop(), lambda edges: edges[1].append(5)],
+    ids=["three_edges", "one_edge", "three_qubit_edge"],
+)
+def test_report_rejects_a_ledger_entry_that_is_not_two_edges_of_two_qubits(paths, tmp_path, capsys, edit):
+    _, hw, circ = paths
+    out = tmp_path / "sched.json"
+    assert main(["compile", "-c", circ, "-H", hw, "-a", "inf", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert main(["report", "-s", str(out), "-H", hw]) == 0
+    edit(doc["crosstalk_ledger"][0]["edges"])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "-s", str(out), "-H", hw]) == 2
+    assert "not a valid schedule document" in capsys.readouterr().err
+
+
 def test_search(paths, capsys):
     tmp, hw, circ = paths
     best_out = tmp / "best.json"

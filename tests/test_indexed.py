@@ -503,7 +503,7 @@ def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
 
         return wrapped
 
-    def checked_layer(state, cgates, swaps, pending, run_cgate, **kwargs):
+    def checked_layer(state, cgates, swaps, pending, **kwargs):
         flights = list(state.flights)
         busy = {f.edge for f in flights}
         if not cgates and all(s.edge in busy for s in swaps):
@@ -521,20 +521,17 @@ def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
                 assert flights or len(welsh_powell(csg)) <= 1
                 full = color_zero_commits(csg)
                 assert [("swap", edge) if key is None else ("cgate", key) for edge, _, key in full] == want
-        ran = []
         before = calls["csg"]
-
-        def run(key):
-            ran.append(("cgate", key))
-            run_cgate(key)
-
-        csg, selected = layer(state, cgates, swaps, pending, run, **kwargs)
+        csg, selected, record = layer(state, cgates, swaps, pending, **kwargs)
         if kind is not None and not kwargs["keep_csg"]:
             assert calls["csg"] == before and csg is None and selected is None
-            started = [("swap", f.edge) for f in state.flights[len(flights) :] if f.gate_key is None]
+            lo, hi, items = record
+            assert (lo, hi) == (0.0, math.inf)
+            ran = [("cgate", key) for _, _, key in items if key is not None]
+            started = [("swap", edge) for edge, _, key in items if key is None]
             assert ran + started == want
             seen[compile_fn.__name__][kind] += 1
-        return csg, selected
+        return csg, selected, record
 
     monkeypatch.setattr(scheduler, "build_csg", counted(build))
     monkeypatch.setattr(scheduler, "flight_color_zero", counted(color_zero))

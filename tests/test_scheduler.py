@@ -516,46 +516,56 @@ def flight_beside_its_partner(allowance):
     return state, [PendingPair(0, (2, 3))], run_cgate
 
 
+def committed_layer(state, gates, run_cgate, **kwargs):
+    """``schedule_layer`` on ``gates`` with its record's items committed."""
+    csg, selected, (_, _, items) = schedule_layer(state, gates, [], gates, **kwargs)
+    state.commit(items, run_cgate)
+    return csg, selected
+
+
 def test_an_allowance_left_of_exactly_the_cheapest_pair_builds_the_csg():
     cheapest = interfering_pair()[2].cheapest_excess
     state, gates, run_cgate = flight_beside_its_partner(cheapest)
-    csg, selected = schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
+    csg, selected = committed_layer(state, gates, run_cgate, keep_csg=False)
     assert csg.permitted_pairs == [(0, 1, cheapest)]
     assert selected.members == [0, 1]
     assert [e.excess for e in state.ledger] == [cheapest]
     # a hair below it no pair can be permitted: color 0 without the CSG
     state, gates, run_cgate = flight_beside_its_partner(math.nextafter(cheapest, 0.0))
-    csg, selected = schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
+    csg, selected = committed_layer(state, gates, run_cgate, keep_csg=False)
     # color 0 holds the flight alone: the gate on 2-3 is not placed
     assert csg is None and selected is None and not state.ledger
     assert state.qubit_free(2) and state.qubit_free(3)
     # a caller that keeps the CSG, for a hook, gets it at any allowance
     state, gates, run_cgate = flight_beside_its_partner(0.0)
-    csg, selected = schedule_layer(state, gates, [], gates, run_cgate)
+    csg, selected = committed_layer(state, gates, run_cgate)
     assert csg.crosstalk_edges == {(0, 1): cheapest} and selected.members == [0]
 
 
 def test_each_layer_path_records_the_window_of_its_allowance_tests():
-    """With a trail, a layer appends (spent, lo, hi, items): over [lo, hi)
-    of allowance left every allowance test it made has the same outcome."""
+    """A layer returns the record (lo, hi, items): over [lo, hi) of
+    allowance left every allowance test it made has the same outcome, and
+    the allowance left it was decided at lies in it."""
     cheapest = interfering_pair()[2].cheapest_excess
     below = math.nextafter(cheapest, 0.0)
 
     def recorded(allowance, gates):
-        state, _, run_cgate = flight_beside_its_partner(allowance)
-        state.trail = []
-        schedule_layer(state, gates, [], gates, run_cgate, keep_csg=False)
-        return [(spent, lo, hi, list(items)) for spent, lo, hi, items in state.trail]
+        state, _, _ = flight_beside_its_partner(allowance)
+        left = state.allowance_left()
+        _, _, (lo, hi, items) = schedule_layer(state, gates, [], gates, keep_csg=False)
+        assert left == allowance and lo <= left < hi
+        assert not state.ledger and state.qubit_free(2)  # the layer committed nothing
+        return lo, hi, list(items)
 
     beside, across = [PendingPair(0, (2, 3))], [PendingPair(0, (1, 2))]
     # the pair fits: the CSG's window starts at the total it spends
-    assert recorded(cheapest, beside) == [(0, cheapest, math.inf, [((2, 3), frozenset(), 0)])]
+    assert recorded(cheapest, beside) == (cheapest, math.inf, [((2, 3), frozenset(), 0)])
     # no pair fits: color 0 without the CSG, up to the cheapest pair
-    assert recorded(below, beside) == [(0, 0.0, cheapest, [])]
+    assert recorded(below, beside) == (0.0, cheapest, [])
     # a CSG that prices no pair was still built because the cheapest fits
-    assert recorded(cheapest, across) == [(0, cheapest, math.inf, [])]
+    assert recorded(cheapest, across) == (cheapest, math.inf, [])
     # only the flight: no allowance test
-    assert recorded(below, []) == [(0, 0.0, math.inf, [])]
+    assert recorded(below, []) == (0.0, math.inf, [])
 
 
 def counting_paths(monkeypatch):
