@@ -288,10 +288,14 @@ def flight_color_zero(
 
     Color 0 holds the flights, then the flight-free vertices in
     Welsh–Powell order (degree descending, ties to the lower id) by first
-    fit.  A vertex tied to a flight by a shared qubit or a crosstalk record
-    never joins, so only the flight-free vertices get neighbor sets: their
-    CSG degree orders them, and first fit reads them.  Fewer than two of
-    them all join, with no neighbor set.
+    fit.  Two vertices that share no help key are joined exactly when one's
+    edge is in the other's ``profile.ties``, so the flight-free vertices
+    are those whose edge lies outside the union of the flights' ties.  A
+    flight-free vertex's degree counts the vertices on the edges of its tie
+    set, itself included, which adds one to every degree and so keeps
+    their order, plus its joint overshoots off that set; first fit tests
+    the taken vertices' edges against its tie set and the taken ids
+    against its overshoots.  Fewer than two flight-free vertices all join.
 
     A flight's joint overshoots are not looked for.  Every caller computes
     its candidates on the drained mapping, the one that holds once every
@@ -301,14 +305,9 @@ def flight_color_zero(
     another flight moves that end, whose qubit the candidate then shares.
     """
     l2p = mapping.placement
-    partners = profile.partners
-    busy_edges: set[Edge] = set()
-    flight_qubits: set[int] = set()
-    flight_partners: set[Edge] = set()
-    for f in in_progress:
-        busy_edges.add(f.edge)
-        flight_qubits.update(f.edge)
-        flight_partners.update(partners(f.edge))
+    ties = profile.ties
+    busy_edges = [f.edge for f in in_progress]
+    flight_ties = frozenset().union(*map(ties.__getitem__, busy_edges))
     # build_csg's vertices past the flights, position i being vertex id
     # len(in_progress) + i
     items = [
@@ -320,43 +319,33 @@ def flight_color_zero(
         for sc in sorted(candidate_swaps, key=attrgetter("edge"))
         if sc.edge not in busy_edges
     ]
-    free = [
-        i
-        for i, ((a, b), _, _) in enumerate(items)
-        if a not in flight_qubits and b not in flight_qubits and (a, b) not in flight_partners
-    ]
+    free = [i for i, item in enumerate(items) if item[0] not in flight_ties]
     if len(free) < 2:
         return [items[i] for i in free]
-    # the indexes of build_csg, over every vertex that is not a flight
-    by_qubit: dict[int, list[int]] = {}
+    edges = [edge for edge, _, _ in items]
     by_help: dict[object, list[int]] = {}
-    by_edge: dict[Edge, list[int]] = {}
-    for i, (edge, helps, _) in enumerate(items):
-        by_qubit.setdefault(edge[0], []).append(i)
-        by_qubit.setdefault(edge[1], []).append(i)
+    for i, (_, helps, _) in enumerate(items):
         for key in helps:
             by_help.setdefault(key, []).append(i)
-        by_edge.setdefault(edge, []).append(i)
     if by_help:
         dist = hw.all_pairs_distance()
         placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
-        edges = [edge for edge, _, _ in items]
 
-    neighbors: dict[int, set[int]] = {}
+    ranked = []  # (-degree, i, tie set, overshoots) of each flight-free vertex
     for i in free:
         edge, helps, _ = items[i]
-        joined = set(by_qubit[edge[0]])
-        joined.update(by_qubit[edge[1]])
-        for partner in partners(edge):
-            joined.update(by_edge.get(partner, ()))
+        tie = ties[edge]
+        over = set()
         for key in helps:
             ids = by_help[key]
             if len(ids) > 1 and key in placed:
-                joined.update(_overshoots(dist, placed[key], edge, ids, edges, joined))
-        joined.discard(i)
-        neighbors[i] = joined
-    taken: set[int] = set()
-    for i in sorted(neighbors, key=lambda i: -len(neighbors[i])):  # stable: ties to the lower id
-        if taken.isdisjoint(neighbors[i]):
-            taken.add(i)
+                over.update(j for j in _overshoots(dist, placed[key], edge, ids, edges, ()) if edges[j] not in tie)
+        ranked.append((-sum(1 for e in edges if e in tie) - len(over), i, tie, over))
+    ranked.sort()  # the ids are unique, so no two sets are compared
+    taken: list[int] = []
+    taken_edges: set[Edge] = set()
+    for _, i, tie, over in ranked:
+        if taken_edges.isdisjoint(tie) and over.isdisjoint(taken):
+            taken.append(i)
+            taken_edges.add(edges[i])
     return [items[i] for i in sorted(taken)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .hardware import CouplingGraph, CrosstalkProfile
+from .hardware import CouplingGraph, CrosstalkProfile, normalize_edge
 from .scheduler import SEARCH_TRAILS, ScheduledCircuit
 
 # Bisection steps search_core takes at most, whatever the resolution.
@@ -58,25 +58,32 @@ def _conditional_rates(sched: ScheduledCircuit, profile: CrosstalkProfile):
 def esp(sched: ScheduledCircuit, hw: CouplingGraph, profile: CrosstalkProfile) -> float:
     """Estimated success probability of a schedule on the given device.
 
-    Every op of every layer is one survival factor.  A SWAP's three slices
-    are three ops, so a SWAP costs three factors of its edge's CX error.
-    An edge in the ledger at a layer uses the highest conditional rate its
-    entries there give it; any other two-qubit op uses its edge's isolated
-    rate, and a single-qubit op its qubit's rate."""
+    Every op of every layer is one survival factor, multiplied in in layer
+    and op order.  A SWAP's three slices are three ops, so a SWAP costs
+    three factors of its edge's CX error.  An edge in the ledger at a layer
+    uses the highest conditional rate its entries there give it; any other
+    two-qubit op uses its edge's isolated rate, and a single-qubit op its
+    qubit's rate.  An edge the device lacks, or whose rate it lacks, raises
+    ``HardwareError`` (``CouplingGraph.error_of``)."""
     inflated = _conditional_rates(sched, profile)
+    edge_error, single_error = hw.edge_error, hw.single_qubit_error
     p = 1.0
-    used_qubits: set[int] = set(sched.initial_mapping.as_dict().values())
+    used_qubits: set[int] = set(sched.initial_mapping.placement)
     for li, layer in enumerate(sched.layers):
         for op in layer:
-            used_qubits.update(op.qubits)
-            edge = op.phys_edge()
-            if edge is not None:
-                rate = inflated.get((li, edge), None)
+            qubits = op.qubits
+            used_qubits.update(qubits)
+            if len(qubits) == 2:
+                a, b = qubits
+                edge = (a, b) if a < b else normalize_edge(a, b)
+                rate = inflated.get((li, edge)) if inflated else None
                 if rate is None:
-                    rate = hw.error_of(edge)
+                    rate = edge_error.get(edge)
+                    if rate is None:
+                        rate = hw.error_of(edge)  # raises
                 p *= 1.0 - rate
             else:
-                p *= 1.0 - hw.single_qubit_error_of(op.qubits[0])
+                p *= 1.0 - single_error.get(qubits[0], 0.0)
     duration = sched.depth_cx * hw.gate_time_cx
     for q in sorted(used_qubits):
         p *= 1.0 - decoherence_error(duration, hw.t1_of(q), hw.t2_of(q))

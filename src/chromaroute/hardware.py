@@ -172,7 +172,13 @@ class CrosstalkProfile:
     """Pairwise conditional-error table over coupling edges, each record
     priced once, at load, by its excess error.  A record needs both links'
     isolated rates.  ``cheapest_excess`` is the least price, ``inf`` with
-    no record: an allowance below it can permit no pair."""
+    no record: an allowance below it can permit no pair.
+
+    ``ties[edge]``, built at load for every coupling edge, is the frozenset
+    of links that cannot share a layer with ``edge`` when no pair is
+    permitted: those that share a qubit with it (``edge`` itself included)
+    and its record partners, a partner on a shared qubit held once.  It is
+    the profile's own table, so do not modify it."""
 
     def __init__(self, graph: CouplingGraph, records: list[CrosstalkRecord]):
         self._by_pair: dict[frozenset[Edge], CrosstalkRecord] = {}
@@ -205,6 +211,13 @@ class CrosstalkProfile:
             self._partners.setdefault(e2, {})[e1] = excess
             self.cheapest_excess = min(self.cheapest_excess, excess)
         self.graph = graph
+        adj = graph.adjacency
+        self.ties: dict[Edge, frozenset[Edge]] = {
+            (a, b): frozenset(
+                [(min(q, n), max(q, n)) for q in (a, b) for n in adj[q]] + list(self.partners((a, b)))
+            )
+            for a, b in graph.edges
+        }
 
     def __len__(self) -> int:
         return len(self._by_pair)

@@ -93,9 +93,6 @@ class LogicalCircuit:
                     self.successors[prev].add(g.gate_id)
                 last_on_qubit[q] = g.gate_id
 
-    def gate(self, gate_id: int) -> Gate:
-        return self.gates[gate_id]
-
     def criticality(self) -> dict[int, int]:
         """Longest path (in edges) from each gate to any DAG sink."""
         out: dict[int, int] = {}

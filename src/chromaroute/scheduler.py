@@ -102,11 +102,6 @@ class Op:
     label: str | None = None
     slice_index: int | None = None
 
-    def phys_edge(self) -> Edge | None:
-        if len(self.qubits) == 2:
-            return normalize_edge(self.qubits[0], self.qubits[1])
-        return None
-
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind, "qubits": list(self.qubits)}
         if self.gate_id is not None:
@@ -432,40 +427,44 @@ class ScheduleState:
     def open_layer(self) -> None:
         if self._cur is not None:
             raise InvariantError("layer already open")
-        self._cur = []
-        self._cur_edges = set()
-        self._cur_busy = set()
+        cur = self._cur = []
+        edges = self._cur_edges = set()
+        busy = self._cur_busy = set()
         self._placed = False
         for f in self.flights:
-            sl = SWAP_DURATION - f.remaining_time + 1
-            self._cur.append(Op(kind="swap", qubits=f.edge, gate_id=f.gate_key, slice_index=sl))
-            self._cur_edges.add(f.edge)
-            self._cur_busy.update(f.edge)
+            edge = f.edge
+            cur.append(Op("swap", edge, f.gate_key, None, None, SWAP_DURATION - f.remaining_time + 1))
+            edges.add(edge)
+            busy.update(edge)
 
     def qubit_free(self, phys: int) -> bool:
         return phys not in self._cur_busy
 
     def place(self, op: Op) -> None:
-        if self._cur is None:
+        cur = self._cur
+        if cur is None:
             raise InvariantError("no open layer")
-        for q in op.qubits:
-            if q in self._cur_busy:
+        busy = self._cur_busy
+        qubits = op.qubits
+        for q in qubits:
+            if q in busy:
                 raise InvariantError(f"physical qubit {q} scheduled twice in layer {len(self.layers)}")
             if not 0 <= q < self.hw.num_qubits:
                 raise InvariantError(f"physical qubit {q} out of range")
-        edge = op.phys_edge()
-        if edge is not None:
-            if not self.hw.has_edge(*edge):
+        if len(qubits) == 2:
+            a, b = qubits
+            edge = (a, b) if a < b else normalize_edge(a, b)
+            if edge not in self.hw.edges:
                 raise InvariantError(f"operation on non-adjacent qubits {edge}")
             self._charge(edge)
             self._cur_edges.add(edge)
-        self._cur.append(op)
-        self._cur_busy.update(op.qubits)
+        cur.append(op)
+        busy.update(qubits)
         self._placed = True
 
     def start_swap(self, edge: Edge, helps: frozenset = frozenset(), gate_key=None) -> None:
         edge = normalize_edge(*edge)
-        self.place(Op(kind="swap", qubits=edge, gate_id=gate_key, slice_index=1))
+        self.place(Op("swap", edge, gate_key, None, None, 1))
         self.flights.append(InProgressSwap(edge, SWAP_DURATION, helps, gate_key))
         if gate_key is None:
             self._drained.apply_swap(*edge)
@@ -479,12 +478,16 @@ class ScheduleState:
     def _charge(self, edge: Edge) -> None:
         """Write a ledger entry for each profiled pair of ``edge`` with a
         link of the open layer, and add each entry's excess to the running
-        total in ledger order, which is the ledger's ``ledger_total``."""
-        layer_idx = len(self.layers)
+        total in ledger order, which is the ledger's ``ledger_total``.  Only
+        an entry moves the total, so only then is it checked."""
         partners = self.profile.partners(edge)
-        for other in sorted(self._cur_edges.intersection(partners)):
+        hits = self._cur_edges.intersection(partners)
+        if not hits:
+            return
+        layer_idx = len(self.layers)
+        for other in sorted(hits):
             excess = partners[other]
-            self.ledger.append(LedgerEntry(layer_idx, tuple(sorted((edge, other))), excess))
+            self.ledger.append(LedgerEntry(layer_idx, (edge, other) if edge < other else (other, edge), excess))
             self._spent += excess
         if self._spent > self.allowance * (1 + LEDGER_RTOL):
             raise InvariantError(
@@ -495,9 +498,9 @@ class ScheduleState:
         """Commit the open layer.  Returns (was an op placed in it?, completed
         flights); the slices of SWAPs already in flight are not placements.
         An empty layer is dropped rather than padded in."""
-        if self._cur is None:
-            raise InvariantError("no open layer")
         ops = self._cur
+        if ops is None:
+            raise InvariantError("no open layer")
         self._cur = None
         if not ops:
             return False, []
@@ -509,12 +512,13 @@ class ScheduleState:
             f.remaining_time -= 1
             if f.remaining_time == 0:
                 completed.append(f)
-        self.flights = [f for f in self.flights if f.remaining_time > 0]
-        self.last_completed_edges = set()
-        for f in completed:
-            if f.gate_key is None:
-                self.mapping.apply_swap(*f.edge)
-                self.last_completed_edges.add(f.edge)
+        landed = self.last_completed_edges = set()
+        if completed:
+            self.flights = [f for f in self.flights if f.remaining_time > 0]
+            for f in completed:
+                if f.gate_key is None:
+                    self.mapping.apply_swap(*f.edge)
+                    landed.add(f.edge)
         self.last_helped = frozenset(helped)
         return self._placed, completed
 
@@ -626,26 +630,30 @@ class CircuitRun:
         return len(self.executed) == len(self.circuit.gates)
 
     def _start(self, gate_id: int) -> None:
-        if gate_id not in self.ready:
+        ready = self.ready
+        if gate_id not in ready:
             raise InvariantError(f"gate {gate_id} started before it was ready")
-        self.ready.remove(gate_id)
+        ready.remove(gate_id)
 
     def _finish(self, gate_id: int) -> None:
         self.executed.add(gate_id)
+        waiting, ready = self._waiting, self.ready
         for succ in self.circuit.successors[gate_id]:
-            self._waiting[succ] -= 1
-            if self._waiting[succ] == 0:
-                self.ready.add(succ)
+            left = waiting[succ] - 1
+            waiting[succ] = left
+            if not left:
+                ready.add(succ)
 
     def pending(self) -> tuple[list[PendingPair], list[Gate]]:
         """The ready two-qubit gates and the ready single-qubit gates, each
         by gate id."""
+        pairs, gates = self._pairs, self.circuit.gates
         two_q: list[PendingPair] = []
         singles: list[Gate] = []
         for gid in sorted(self.ready):
-            pair = self._pairs.get(gid)
+            pair = pairs.get(gid)
             if pair is None:
-                singles.append(self.circuit.gate(gid))
+                singles.append(gates[gid])
             else:
                 two_q.append(pair)
         return two_q, singles
@@ -654,26 +662,30 @@ class CircuitRun:
         """Start a circuit SWAP, or place any other two-qubit gate, on the
         physical qubits that hold its operands now."""
         self._start(gate_id)
-        g = self.circuit.gate(gate_id)
-        mapping = self.state.mapping
-        pq = (mapping.phys(g.qubits[0]), mapping.phys(g.qubits[1]))
+        g = self.circuit.gates[gate_id]
+        state = self.state
+        l2p = state.mapping.placement
+        a, b = g.qubits
+        pq = (l2p[a], l2p[b])
         if g.kind == "swap":
-            self.state.start_swap(pq, gate_key=g.gate_id)
+            state.start_swap(pq, gate_key=gate_id)
         else:
-            self.state.place(Op(kind=g.kind, qubits=pq, gate_id=g.gate_id, param=g.param))
-            self._finish(g.gate_id)
+            state.place(Op(g.kind, pq, gate_id, g.param))
+            self._finish(gate_id)
 
     def finish_layer(self, singles: list[Gate]) -> bool:
         """Place every ready single-qubit gate whose qubit is still free,
         close the layer and land the circuit SWAP gates that finish.  True
         when the layer had an op placed or a circuit SWAP landed."""
+        state = self.state
+        l2p = state.mapping.placement
         for g in singles:
-            p = self.state.mapping.phys(g.qubits[0])
-            if self.state.qubit_free(p):
+            p = l2p[g.qubits[0]]
+            if state.qubit_free(p):
                 self._start(g.gate_id)
-                self.state.place(Op(kind="u", qubits=(p,), gate_id=g.gate_id, label=g.label))
+                state.place(Op("u", (p,), g.gate_id, None, g.label))
                 self._finish(g.gate_id)
-        placed, completed = self.state.close_layer()
+        placed, completed = state.close_layer()
         for f in completed:
             if f.gate_key is not None:
                 self._finish(f.gate_key)
@@ -779,112 +791,132 @@ def verify_routing(
 ) -> bool:
     """Independent replay of a schedule.
 
-    Walks the layers with its own mapping copy, checking adjacency, qubit
-    exclusivity, SWAP slice bookkeeping, the crosstalk ledger (both
-    completeness and the allowance bound), and the final mapping.  With the
-    source ``circuit`` every op but a routing SWAP (one with no gate id)
-    must start a circuit gate: one of its own kind, not started before,
-    after all its predecessors have run, on the qubits the replayed mapping
-    gives the gate's operands; a circuit SWAP gate counts as run when it
-    lands, and every gate must run.  Synthesized schedules carry no gate
-    ids, so they verify structurally.  Raises VerificationError on the
-    first violation."""
-    if sched.num_physical != hw.num_qubits:
-        raise VerificationError(f"num_physical {sched.num_physical}, device has {hw.num_qubits}")
+    Walks the layers once with its own mapping copy, checking adjacency,
+    qubit exclusivity, SWAP slice bookkeeping, the crosstalk ledger (both
+    completeness and the allowance bound), and the final mapping.  Each
+    op's edge is derived once, from its ``qubits`` as they are now, and
+    the same walk collects the layer's edges, the edges of the ops that
+    start in it, which the ledger prices, and the SWAPs that finish in it;
+    it counts the in-flight SWAPs that ran a slice.  With the source
+    ``circuit``, whose qubit count must be the one the schedule's mapping
+    places, every op but a routing SWAP (one with no gate id) must start a
+    circuit gate: one of its own kind, not started before, after all its
+    predecessors have run, on the qubits the replayed mapping gives the
+    gate's operands; a circuit SWAP gate counts as run when it lands, and
+    every gate must run.  Synthesized schedules carry no gate ids, so they
+    verify structurally.  Raises VerificationError on the first violation."""
+    num_physical = sched.num_physical
+    if num_physical != hw.num_qubits:
+        raise VerificationError(f"num_physical {num_physical}, device has {hw.num_qubits}")
     for q, p in enumerate(sched.initial_mapping.placement):
-        if not 0 <= p < sched.num_physical:
+        if not 0 <= p < num_physical:
             raise VerificationError(
                 f"initial mapping places logical {q} on physical {p}, outside the device"
             )
+    num_logical = sched.initial_mapping.num_logical
+    if circuit is not None and circuit.num_qubits != num_logical:
+        raise VerificationError(
+            f"circuit has {circuit.num_qubits} logical qubits, the schedule's mapping places {num_logical}"
+        )
     mapping = sched.initial_mapping.copy()
+    l2p = mapping.placement
+    device_edges = hw.edges
+    partners_of = profile.partners
     executed: set[int] = set()
     gate_of = {g.gate_id: g for g in circuit.gates} if circuit is not None else {}
     open_swaps: dict[Edge, int] = {}  # edge -> expected next slice
     swap_gate_edge: dict[Edge, int | None] = {}
     expected_ledger: list[tuple[int, tuple[Edge, Edge], float]] = []
 
-    def start_gate(li: int, op: Op) -> None:
-        if circuit is None:
-            return
-        g = gate_of.get(op.gate_id)
+    def start_gate(li: int, op: Op, got) -> None:
+        gid = op.gate_id
+        g = gate_of.get(gid)
         if g is None or g.kind != op.kind:
-            raise VerificationError(f"layer {li}: gate id {op.gate_id} names no circuit {op.kind}")
-        if g.gate_id in executed or g.gate_id in swap_gate_edge.values():  # run or in flight
-            raise VerificationError(f"layer {li}: gate {g.gate_id} runs twice")
-        for p in circuit.predecessors[g.gate_id]:
+            raise VerificationError(f"layer {li}: gate id {gid} names no circuit {op.kind}")
+        if gid in executed or gid in swap_gate_edge.values():  # run or in flight
+            raise VerificationError(f"layer {li}: gate {gid} runs twice")
+        for p in circuit.predecessors[gid]:
             if p not in executed:
-                raise VerificationError(f"layer {li}: gate {g.gate_id} before its predecessor {p}")
-        got, want = tuple(op.qubits), tuple(mapping.phys(q) for q in g.qubits)
+                raise VerificationError(f"layer {li}: gate {gid} before its predecessor {p}")
+        want = tuple([l2p[q] for q in g.qubits])
         if g.kind == "swap":
-            got, want = normalize_edge(*got), normalize_edge(*want)
+            want = normalize_edge(*want)
         if got != want:
-            raise VerificationError(f"layer {li}: gate {g.gate_id} on {got}, mapping says {want}")
+            raise VerificationError(f"layer {li}: gate {gid} on {got}, mapping says {want}")
         if g.kind != "swap":
-            executed.add(g.gate_id)
+            executed.add(gid)
 
+    later_slices = range(2, SWAP_DURATION + 1)
     for li, layer in enumerate(sched.layers):
         busy: set[int] = set()
-        started_edges: list[Edge] = []
         layer_edges: set[Edge] = set()
+        priced: list[Edge] = []  # the edges of the ops that start here
+        in_flight, finished = len(open_swaps), []
         for op in layer:
-            arity = OP_ARITY.get(op.kind)
+            kind, qubits = op.kind, op.qubits
+            arity = OP_ARITY.get(kind)
             if arity is None:
-                raise VerificationError(f"layer {li}: unknown operation kind {op.kind!r}")
-            if len(op.qubits) != arity:
-                raise VerificationError(
-                    f"layer {li}: {op.kind} needs {arity} qubit(s), got {len(op.qubits)}"
-                )
-            for q in op.qubits:
+                raise VerificationError(f"layer {li}: unknown operation kind {kind!r}")
+            if len(qubits) != arity:
+                raise VerificationError(f"layer {li}: {kind} needs {arity} qubit(s), got {len(qubits)}")
+            for q in qubits:
                 if type(q) is not int:
                     raise VerificationError(f"layer {li}: qubit {q!r} is not an integer")
-                if not 0 <= q < sched.num_physical:
+                if not 0 <= q < num_physical:
                     raise VerificationError(f"layer {li}: qubit {q} out of range")
                 if q in busy:
                     raise VerificationError(f"layer {li}: qubit {q} used twice")
                 busy.add(q)
-            edge = op.phys_edge()
-            if edge is not None:
-                if not hw.has_edge(*edge):
-                    raise VerificationError(f"layer {li}: {op.kind} on non-adjacent {edge}")
+            edge = None
+            if arity == 2:
+                a, b = qubits
+                edge = (a, b) if a < b else (b, a)
+                if edge not in device_edges:
+                    raise VerificationError(f"layer {li}: {kind} on non-adjacent {edge}")
                 layer_edges.add(edge)
-            if op.kind != "swap":
-                start_gate(li, op)
-            elif op.slice_index not in range(1, SWAP_DURATION + 1):
-                raise VerificationError(
-                    f"layer {li}: SWAP slice {op.slice_index!r} is not 1, 2 or 3"
-                )
-            elif op.slice_index == 1:
+            if kind != "swap":
+                if circuit is not None:
+                    start_gate(li, op, tuple(qubits))
+                if edge is not None:
+                    priced.append(edge)
+                continue
+            sl = op.slice_index
+            if sl == 1:
                 if edge in open_swaps:
                     raise VerificationError(f"layer {li}: SWAP restarted on {edge}")
-                if op.gate_id is not None:
-                    start_gate(li, op)
+                if op.gate_id is not None and circuit is not None:
+                    start_gate(li, op, edge)
                 open_swaps[edge] = 2
                 swap_gate_edge[edge] = op.gate_id
-                started_edges.append(edge)
+                priced.append(edge)
+            elif sl not in later_slices:
+                raise VerificationError(f"layer {li}: SWAP slice {sl!r} is not 1, 2 or 3")
             else:
-                if open_swaps.get(edge) != op.slice_index:
-                    raise VerificationError(
-                        f"layer {li}: SWAP slice {op.slice_index} on {edge} out of order"
-                    )
+                if open_swaps.get(edge) != sl:
+                    raise VerificationError(f"layer {li}: SWAP slice {sl} on {edge} out of order")
                 if swap_gate_edge.get(edge) != op.gate_id:
                     raise VerificationError(f"layer {li}: SWAP on {edge} changed identity")
-                open_swaps[edge] = op.slice_index + 1
-        # a SWAP in flight runs its own next slice in every layer
-        missing = open_swaps.keys() - {op.phys_edge() for op in layer if op.kind == "swap"}
-        if missing:
-            raise VerificationError(f"layer {li}: SWAP on {min(missing)} went missing mid-flight")
+                open_swaps[edge] = sl + 1
+                in_flight -= 1
+                if sl == SWAP_DURATION:
+                    finished.append(edge)
+        # a SWAP in flight runs its own next slice in every layer; the
+        # layer's ops share no qubit, so each slice that ran is another flight's
+        if in_flight:
+            ran = {normalize_edge(*op.qubits) for op in layer if op.kind == "swap"}
+            raise VerificationError(f"layer {li}: SWAP on {min(open_swaps.keys() - ran)} went missing mid-flight")
         # expected crosstalk entries: every profiled pair where at least one
         # side starts here, charged once (a layer's ops share no qubit)
         charged_pairs: set[tuple[Edge, Edge]] = set()
-        for edge in started_edges + [op.phys_edge() for op in layer if op.kind in ("cx", "rzz")]:
-            partners = profile.partners(edge)
+        for edge in priced:
+            partners = partners_of(edge)
             for other in layer_edges.intersection(partners):
-                pair = tuple(sorted((edge, other)))
+                pair = (edge, other) if edge < other else (other, edge)
                 if pair not in charged_pairs:
                     charged_pairs.add(pair)
                     expected_ledger.append((li, pair, partners[other]))
         # close out finished swaps
-        for edge in [e for e, nxt in open_swaps.items() if nxt > SWAP_DURATION]:
+        for edge in finished:
             gid = swap_gate_edge.pop(edge)
             if gid is None:
                 mapping.apply_swap(*edge)

@@ -99,8 +99,9 @@ def test_compile_does_not_undo_a_swap_that_just_landed(monkeypatch):
     assert undoing
     landed: set = set()
     for layer in sched.layers:
-        assert not landed & {op.phys_edge() for op in layer if op.slice_index == 1}
-        landed = {op.phys_edge() for op in layer if op.slice_index == 3}
+        # the engine writes each SWAP on its normalized edge
+        assert not landed & {op.qubits for op in layer if op.slice_index == 1}
+        landed = {op.qubits for op in layer if op.slice_index == 3}
 
 
 def test_useful_swaps_multiple_gates_share_an_edge():

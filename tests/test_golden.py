@@ -5,7 +5,9 @@ Each case runs one subcommand with ``-o``, ``--emit-timeline`` and
 text (which also renders the crosstalk ledger) and the DOT text of every
 candidate set graph the scheduler built.  Each compiler case also runs
 with ``-o`` alone, where no hook asks for the graphs, and must write the
-same schedule.  A change that alters any of them
+same schedule.  ``report`` on each case's schedule and device must write
+the bytes ``REPORT_DIGESTS`` pins, which holds the ESP to the last bit.
+A change that alters any of them
 on purpose updates the digests here and says why; print the current ones,
 and the per-loop digests of ``test_escape.py``'s seeded-grid fuzz, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -177,6 +179,27 @@ EXPECTED: dict[str, tuple[str, str, str]] = {
     ),
 }
 
+# case -> sha256 of the ``report`` JSON of its schedule, computed before
+# ``esp`` read the device's rate tables directly.
+REPORT_DIGESTS: dict[str, str] = {
+    'baseline-mixed': 'e7a1808bdfffbcaaa3ef5dbd1306a7f276e940a01326addd36a423baf7acd6f4',
+    'baseline-pair': '47eed33f914b572c03042bb2a797b5cbca35dd486ec12b6549c689f5f02c0dd8',
+    'compile-mixed-error-0': 'c3463d7333f35825c2c001fe239b2d2b9ded5659f093a1dada5ac3f83b9ea8db',
+    'compile-mixed-error-0.05': 'c3463d7333f35825c2c001fe239b2d2b9ded5659f093a1dada5ac3f83b9ea8db',
+    'compile-mixed-error-0.1': '9f40aca1f16cefe834f03455403cb771cb0912a329cfc03e6010926840ab8c0a',
+    'compile-mixed-error-inf': '602ca199b4f923d8ed081b9ff76d42b505e947aadb484b3651e39446c8f66585',
+    'compile-mixed-mapped': '70aeb788e0e4c7e27f0fe1699134f049c897f396dfdf2f3cc8b787cdfbc431b4',
+    'compile-pair-error-0': 'f065a5d1282d2842d7740e50c2b55f1724c4c1c02a1dd1e812ea603499222440',
+    'compile-pair-error-0.05': 'f58084a0c57cb32a8d69f1bc36d5afc28bccceca7152d6a6329f825a68e12609',
+    'compile-pair-error-inf': 'f58084a0c57cb32a8d69f1bc36d5afc28bccceca7152d6a6329f825a68e12609',
+    'compile-wide-pauli': 'fa97bc86dc7b9a35182e894d39c0ec3d48a262b1fe7ba72d8997af99fd3971f0',
+    'synth-chain-off': 'e965edb0b578c3fb41adec3110dd7e1ca1073dd863fe66eecbb461a0bc9aead0',
+    'synth-chain-on': '9e7c8d74323086e73e3d0248bae919cc4e2532241dad1de93ae92933df2f94a4',
+    'synth-wide-off': 'f848f93d1e1555d13d6444996625433cf56b4efbf1abacb9c19dc35d40b12d5b',
+    'synth-wide-on': 'f848f93d1e1555d13d6444996625433cf56b4efbf1abacb9c19dc35d40b12d5b',
+    'synth-zz-tree7': 'd93fbcf052af0e6c6f765da3fb8fae9ffc2909503c3d01958082e401af664380',
+}
+
 
 def run_case(tmp_path: Path, argv: list[str]) -> tuple[str, str, str]:
     for name, text in FILES.items():
@@ -210,8 +233,26 @@ def test_schedules_without_hooks_match_the_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED[name][0]
 
 
+def report_digest(tmp_path: Path, argv: list[str]) -> str:
+    """sha256 of what ``report`` writes for the schedule the case ``argv``
+    writes, on the case's own device."""
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text(), encoding="utf-8")
+    sched, report = tmp_path / "out.json", tmp_path / "report.json"
+    args = [str(tmp_path / a) if a in FILES else a for a in argv]
+    assert main(args + ["-o", str(sched)]) == 0
+    device = args[argv.index("-H") + 1]
+    assert main(["report", "-s", str(sched), "-H", device, "-o", str(report)]) == 0
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digests(name, tmp_path):
+    assert report_digest(tmp_path, CASES[name]) == REPORT_DIGESTS[name]
+
+
 def test_every_case_is_pinned():
-    assert sorted(EXPECTED) == sorted(CASES)
+    assert sorted(EXPECTED) == sorted(CASES) == sorted(REPORT_DIGESTS)
 
 
 if __name__ == "__main__":
@@ -221,6 +262,12 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digests = run_case(Path(tmp), CASES[name])
         sys.stdout.write(f"    {name!r}: (\n" + "".join(f"        {d!r},\n" for d in digests) + "    ),\n")
+
+    sys.stdout.write("\nREPORT_DIGESTS = {\n")
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.stdout.write(f"    {name!r}: {report_digest(Path(tmp), CASES[name])!r},\n")
+    sys.stdout.write("}\n")
 
     from test_escape import seeded_grid_digests
 

@@ -61,10 +61,12 @@ from chromaroute.ir import frontier
 from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, color_classes, welsh_powell
 
 
-def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None):
+def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None, touching=False):
     """A grid with isolated error rates, and crosstalk records on about half
     of the disjoint link pairs at hop distance 1.  With ``error_levels`` each
-    isolated rate is drawn from that list, so equal rates are common."""
+    isolated rate is drawn from that list, so equal rates are common; with
+    ``touching`` about half of the link pairs that share a qubit get a
+    record too."""
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -81,7 +83,10 @@ def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None):
     records = []
     for i, e1 in enumerate(edges):
         for e2 in edges[i + 1 :]:
-            if set(e1) & set(e2) or min(dist[a][b] for a in e1 for b in e2) != 1:
+            if set(e1) & set(e2):
+                if not touching or rng.random() >= 0.5:
+                    continue
+            elif min(dist[a][b] for a in e1 for b in e2) != 1:
                 continue
             if rng.random() < 0.5:
                 records.append(
@@ -479,6 +484,42 @@ def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
             hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
             assert sched.to_json_dict() == hooked.to_json_dict()
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2)])
+def test_records_on_links_that_share_a_qubit_tie_once(monkeypatch, rows, seed):
+    """The loader takes a record between two links that share a qubit, though
+    no fixture or corpus device has one.  A flight-free vertex is then tied
+    to a neighbor both by the qubit and by the record, and
+    ``flight_color_zero`` must count that neighbor once in its Welsh–Powell
+    degree, as the full CSG's adjacency does."""
+    rng = random.Random(seed)
+    hw, prof = grid_device(rows, rows, rng, touching=True)
+    circuit = random_circuit(rows * rows, 110, rng)
+    program = random_pauli_program(rows * rows, 12, rng)
+    seen = dict.fromkeys(("joined", "none_free", "crosstalk_only", "free_overshoot", "free_overlap"), 0)
+    checked = checking_flight_color_zero(seen)
+
+    def counted(cgates, swaps, in_prog, pending, mapping, hw, prof):
+        # pairs of flight-free vertices that share a qubit and a record
+        busy = {q for f in in_prog for q in f.edge}
+        priced = set().union(*(prof.partners(f.edge) for f in in_prog))
+        l2p = mapping.placement
+        edges = [tuple(sorted((l2p[p.logicals[0]], l2p[p.logicals[1]]))) for p in cgates]
+        edges += [s.edge for s in swaps]
+        free = [e for e in edges if not busy & set(e) and e not in priced]
+        seen["free_overlap"] += sum(
+            1 for i, e in enumerate(free) for d in free[i + 1 :] if set(e) & set(d) and d in prof.partners(e)
+        )
+        return checked(cgates, swaps, in_prog, pending, mapping, hw, prof)
+
+    monkeypatch.setattr(scheduler, "flight_color_zero", counted)
+    for allowance in (0.0, 0.05):
+        for compile_fn, source in ((compile_circuit, circuit), (synthesize, program)):
+            sched = compile_fn(source, hw, prof, allowance=allowance)
+            hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
+            assert sched.to_json_dict() == hooked.to_json_dict()
+    assert seen["free_overlap"] and seen["joined"], seen
 
 
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])

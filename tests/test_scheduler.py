@@ -410,6 +410,137 @@ def test_verify_checks_dependence_order():
         verify_routing(flipped, hw, prof, circ)
 
 
+def _set(layer, index, **fields):
+    """A tampering that sets ``fields`` of op ``index`` of ``layer``."""
+
+    def edit(sched):
+        for name, value in fields.items():
+            setattr(sched.layers[layer][index], name, value)
+
+    return edit
+
+
+def _base_schedule(base):
+    """(schedule, hw, profile, circuit) of a tampering table's base: "pair"
+    is ``pair_circuit`` on ``ring6`` (two routing SWAPs in layers 0-2, its
+    CXs on 1-2 and 4-5 in layer 3), "gates" the circuit of
+    ``test_verify_runs_each_circuit_gate_once_by_its_own_kind``, and
+    "interfering" ``interfering_pair`` at allowance 0.08 (one ledger entry)."""
+    if base == "interfering":
+        circ, hw, prof = interfering_pair()
+        return compile_circuit(circ, hw, prof, allowance=0.08), hw, prof, circ
+    hw, prof = ring6()
+    circ = pair_circuit() if base == "pair" else parse_circuit("qubits 6\nu h 0\ncx 0 1\nswap 3 4\n")
+    return compile_circuit(circ, hw, prof, allowance=0.0), hw, prof, circ
+
+
+# (id, base, tampering, allowance, message): one per VerificationError of
+# verify_routing, each schedule broken in one place only.
+VERIFY_TAMPERINGS = [
+    ("num-physical", "pair", lambda s: setattr(s, "num_physical", 7), math.inf,
+     "num_physical 7, device has 6"),
+    ("initial-mapping", "pair", lambda s: setattr(s, "initial_mapping", MISFIT_MAPPINGS["wide"]()), math.inf,
+     "initial mapping places logical 5 on physical 8, outside the device"),
+    ("no-circuit-gate", "pair", _set(3, 0, gate_id=9), math.inf,
+     "layer 3: gate id 9 names no circuit cx"),
+    ("runs-twice", "gates", lambda s: _u_runs_twice(s.layers), math.inf,
+     "layer 3: gate 0 runs twice"),
+    ("predecessor", "gates", lambda s: s.layers[0].pop(1), math.inf,
+     "layer 1: gate 1 before its predecessor 0"),
+    ("mapping-says", "pair", _set(3, 0, qubits=(2, 1)), math.inf,
+     "layer 3: gate 0 on (2, 1), mapping says (1, 2)"),
+    ("unknown-kind", "pair", _set(3, 0, kind="cz"), math.inf,
+     "layer 3: unknown operation kind 'cz'"),
+    ("arity", "pair", _set(3, 0, qubits=(1,)), math.inf,
+     "layer 3: cx needs 2 qubit(s), got 1"),
+    ("not-an-integer", "pair", _set(3, 0, qubits=(1.0, 2)), math.inf,
+     "layer 3: qubit 1.0 is not an integer"),
+    ("out-of-range", "pair", _set(3, 0, qubits=(1, 9)), math.inf,
+     "layer 3: qubit 9 out of range"),
+    ("used-twice", "pair", lambda s: s.layers[3].append(Op(kind="cx", qubits=(1, 2))), math.inf,
+     "layer 3: qubit 1 used twice"),
+    ("non-adjacent", "pair", _set(3, 0, qubits=(0, 3)), math.inf,
+     "layer 3: cx on non-adjacent (0, 3)"),
+    ("slice-range", "pair", _set(1, 0, slice_index=4), math.inf,
+     "layer 1: SWAP slice 4 is not 1, 2 or 3"),
+    ("restarted", "pair", _set(1, 0, slice_index=1), math.inf,
+     "layer 1: SWAP restarted on (0, 1)"),
+    ("out-of-order", "pair", _set(1, 0, slice_index=3), math.inf,
+     "layer 1: SWAP slice 3 on (0, 1) out of order"),
+    ("changed-identity", "pair", _set(1, 0, gate_id=5), math.inf,
+     "layer 1: SWAP on (0, 1) changed identity"),
+    ("missing-mid-flight", "pair", lambda s: s.layers[1].pop(0), math.inf,
+     "layer 1: SWAP on (0, 1) went missing mid-flight"),
+    ("unfinished", "pair", lambda s: s.layers.__delitem__(slice(2, None)), math.inf,
+     "unfinished SWAPs at end of schedule: [(0, 1), (3, 4)]"),
+    ("never-executed", "pair", lambda s: s.layers[3].pop(0), math.inf,
+     "gates never executed: [0]"),
+    ("ledger-mismatch", "interfering", lambda s: s.crosstalk_ledger.clear(), math.inf,
+     "crosstalk ledger mismatch: schedule has [], replay expects [(0, ((0, 1), (2, 3)), "),
+    ("over-allowance", "interfering", lambda s: None, 0.05,
+     "ledger total 0.08 exceeds allowance 0.05"),
+    ("final-mapping", "pair", lambda s: s.final_mapping.apply_swap(2, 5), math.inf,
+     "final mapping does not match replay"),
+]
+
+
+@pytest.mark.parametrize(
+    "base,edit,allowance,message", [case[1:] for case in VERIFY_TAMPERINGS], ids=[c[0] for c in VERIFY_TAMPERINGS]
+)
+def test_verify_names_each_violation(base, edit, allowance, message):
+    """Each tampered schedule fails verification with its own message; the
+    ops are edited in place, after ``verify_routing`` passed them once."""
+    sched, hw, prof, circ = _base_schedule(base)
+    assert verify_routing(sched, hw, prof, circ)
+    edit(sched)
+    with pytest.raises(VerificationError) as info:
+        verify_routing(sched, hw, prof, circ, allowance=allowance)
+    assert str(info.value).startswith(message)
+
+
+def test_verify_refuses_a_circuit_the_mapping_does_not_place():
+    hw, prof = ring6_cross()
+    sched = compile_circuit(parse_circuit("qubits 2\ncx 0 1\n"), hw, prof)
+    assert verify_routing(sched, hw, prof, parse_circuit("qubits 2\ncx 0 1\n"))
+    for text, n in (("qubits 3\ncx 2 0\n", 3), ("qubits 1\nu h 0\n", 1)):
+        with pytest.raises(VerificationError, match=f"circuit has {n} logical qubits, the schedule's mapping places 2"):
+            verify_routing(sched, hw, prof, parse_circuit(text))
+
+
+def _ready_run():
+    """A CircuitRun of a two-CX chain on ``ring6`` with a layer open."""
+    hw, prof = ring6()
+    state = ScheduleState(hw, prof, math.inf, 6)
+    run = scheduler.CircuitRun(parse_circuit("qubits 6\ncx 0 1\ncx 1 2\n"), state)
+    state.open_layer()
+    return state, run
+
+
+# (id, action on an open layer, message): one per InvariantError of the
+# layer engine but the allowance's, which test_interfering_cxs_serialized_at_zero_allowance pins.
+ENGINE_MISUSES = [
+    ("open-twice", lambda state, run: state.open_layer(), "layer already open"),
+    ("place-closed", lambda state, run: (state.close_layer(), state.place(Op(kind="u", qubits=(0,)))),
+     "no open layer"),
+    ("close-closed", lambda state, run: (state.close_layer(), state.close_layer()), "no open layer"),
+    ("twice", lambda state, run: (state.place(Op(kind="cx", qubits=(0, 1))), state.place(Op(kind="u", qubits=(1,)))),
+     "physical qubit 1 scheduled twice in layer 0"),
+    ("out-of-range", lambda state, run: state.place(Op(kind="u", qubits=(6,))), "physical qubit 6 out of range"),
+    ("non-adjacent", lambda state, run: state.place(Op(kind="cx", qubits=(3, 0))),
+     "operation on non-adjacent qubits (0, 3)"),
+    ("swap-non-adjacent", lambda state, run: state.start_swap((4, 1)), "operation on non-adjacent qubits (1, 4)"),
+    ("not-ready", lambda state, run: run.run_gate(1), "gate 1 started before it was ready"),
+]
+
+
+@pytest.mark.parametrize("action,message", [c[1:] for c in ENGINE_MISUSES], ids=[c[0] for c in ENGINE_MISUSES])
+def test_the_layer_engine_names_each_misuse(action, message):
+    state, run = _ready_run()
+    with pytest.raises(InvariantError) as info:
+        action(state, run)
+    assert str(info.value) == message
+
+
 def test_expand_two_local_basis_wrapping():
     prog = parse_pauli_program("0.5 ZZI\n0.25 XIX\n-0.5 IYY\n")
     circ = expand_two_local(prog)
@@ -654,7 +785,8 @@ def test_the_fixture_pairs_flight_layers_commit_with_no_choice(monkeypatch):
 def test_cheapest_excess_is_the_least_price_of_a_record(device):
     """Each record is priced once, at load: ``partners`` holds the price
     both ways, ``excess_error`` reads it, and it is the reference price;
-    each edge's partners are those its records name."""
+    each edge's partners are those its records name, and its ties the
+    links on its qubits and those partners."""
     if device.startswith("seeded"):
         doc = seeded_case(int(device[-1]))[0]
     else:
@@ -670,4 +802,6 @@ def test_cheapest_excess_is_the_least_price_of_a_record(device):
         named.setdefault(e2, set()).add(e1)
     for edge in prof.graph.edges:
         assert set(prof.partners(edge)) == named.get(edge, set())
+        touching = {e for e in prof.graph.edges if set(e) & set(edge)}
+        assert prof.ties[edge] == touching | named.get(edge, set())
     assert prices and prof.cheapest_excess == min(prices)
