@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps",
         type=_checked(int, lambda v: v >= 1, "a whole number >= 1"),
         default=32,
-        help="search resolution (default 32)",
+        help="probe max(2, 2*ceil(log2 STEPS)+1) evenly spaced allowances (default 32: 11 probes)",
     )
     p.add_argument(
         "--lookahead",

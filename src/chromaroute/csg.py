@@ -102,9 +102,15 @@ class Csg:
 
 
 def executable_pairs(pending: list[PendingPair], mapping: Mapping, hw: CouplingGraph) -> list[PendingPair]:
-    """Pending gates whose logical endpoints sit on adjacent physical qubits."""
-    l2p = mapping.placement
-    return [p for p in pending if hw.has_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])]
+    """Pending gates whose logical endpoints sit on adjacent physical qubits
+    (two distinct ones, as a pending pair's logicals are distinct)."""
+    l2p, edges = mapping.placement, hw.edges
+    out = []
+    for p in pending:
+        a, b = l2p[p.logicals[0]], l2p[p.logicals[1]]
+        if ((a, b) if a < b else (b, a)) in edges:
+            out.append(p)
+    return out
 
 
 def useful_swaps(pending: list[PendingPair], mapping: Mapping, hw: CouplingGraph) -> list[SwapCandidate]:

@@ -8,9 +8,9 @@ charged layer; everything else uses the isolated rate.
 
 The allowance search trades those two loss channels off: more permitted
 crosstalk shortens the circuit (less decoherence, fewer SWAPs) but
-inflates gate errors.  ESP over allowance is generally not monotonic, so
-the search probes a bracketing interval with a derivative-sign bisection
-and keeps the best probe it ever saw.  Within one search, a compile of
+inflates gate errors.  ESP over allowance is rugged, not unimodal, so
+the search probes an even grid over [0, x_max] and keeps the best probe,
+ties to the lower allowance.  Within one search, a compile of
 the circuit compiler follows the trails of earlier probes of the same
 inputs (the scheduler module states the window rule): while the allowance
 it has left lies in a trail's next window it commits that record and
@@ -26,9 +26,6 @@ from dataclasses import asdict, dataclass, field
 
 from .hardware import CouplingGraph, CrosstalkProfile, normalize_edge
 from .scheduler import SEARCH_TRAILS, ScheduledCircuit
-
-# Bisection steps search_core takes at most, whatever the resolution.
-SEARCH_MAX_ITER = 64
 
 
 def decoherence_error(t: float, t1: float, t2: float) -> float:
@@ -141,42 +138,21 @@ class AllowanceSearchResult:
         }
 
 
-def search_core(lo: float, hi: float, delta: float, objective) -> AllowanceSearchResult:
-    """Derivative-sign bisection over [lo, hi], maximizing the value of
-    ``objective(x) -> (value, schedule)``.
-
-    Each step evaluates the objective at mid and mid+delta; a rising pair
-    moves the bracket up, otherwise down.  Every value is remembered and the
-    best one wins, ties to the lower x, so a non-unimodal objective still
-    returns the best value actually seen (endpoints included).  Only the
-    best probe's schedule is kept.
+def search_core(x_max: float, probes: int, objective) -> AllowanceSearchResult:
+    """Maximize ``objective(x) -> (value, schedule)`` over ``probes`` >= 2
+    evenly spaced points ``x_max * (i / (probes - 1))``, in ascending order,
+    so the last is ``x_max`` itself; with ``x_max`` 0 it is one probe at 0.
+    The best value wins, ties to the lower x, and only its schedule is kept.
     """
-    seen: dict[float, float] = {}
-    best = None  # ((value, -x), schedule) of the best probe so far
-
-    def probe(x: float) -> float:
-        nonlocal best
-        if x not in seen:
-            seen[x], schedule = objective(x)
-            if best is None or (seen[x], -x) > best[0]:
-                best = (seen[x], -x), schedule
-        return seen[x]
-
-    probe(lo)
-    probe(hi)
-    it = 0
-    a, b = lo, hi
-    while b - a > delta and it < SEARCH_MAX_ITER:
-        it += 1
-        mid = (a + b) / 2.0
-        f_mid = probe(mid)
-        f_next = probe(min(mid + delta, hi))
-        if f_next > f_mid:
-            a = mid
-        else:
-            b = mid
-    (best_v, neg_x), schedule = best
-    return AllowanceSearchResult(-neg_x, best_v, hi, sorted(seen.items()), schedule)
+    xs = [x_max * (i / (probes - 1)) for i in range(probes)] if x_max > 0 else [0.0]
+    probed = []
+    best = None  # (x, value, schedule) of the best probe so far
+    for x in xs:
+        value, schedule = objective(x)
+        probed.append((x, value))
+        if best is None or value > best[1]:
+            best = x, value, schedule
+    return AllowanceSearchResult(best[0], best[1], x_max, probed, best[2])
 
 
 def search_allowance(
@@ -188,11 +164,14 @@ def search_allowance(
     """Find the crosstalk allowance with the best ESP for one workload.
 
     ``compile_fn(allowance) -> ScheduledCircuit`` is the workload; the
-    interval is [0, find_x_max] in excess error, with resolution
-    x_max/steps, ``steps`` >= 1.  The result keeps the best probe's
-    schedule."""
+    interval is [0, find_x_max] in excess error.  ``steps`` >= 1 buys
+    max(2, 2 ceil(log2 steps) + 1) evenly spaced probes, no more than a
+    bisection to resolution x_max/steps would make.  The result keeps the
+    best probe's schedule."""
     if not steps >= 1:
         raise ValueError(f"search needs at least one step, got {steps}")
+    if steps == math.inf:
+        raise ValueError("search needs a finite number of steps")
 
     def objective(x: float):
         sched = compile_fn(x)
@@ -200,8 +179,7 @@ def search_allowance(
 
     token = SEARCH_TRAILS.set([])
     try:
-        # With x_max 0 the search is one probe at 0.
         x_max = max(0.0, find_x_max(compile_fn))
-        return search_core(0.0, x_max, x_max / steps, objective)
+        return search_core(x_max, max(2, 2 * math.ceil(math.log2(steps)) + 1), objective)
     finally:
         SEARCH_TRAILS.reset(token)

@@ -183,6 +183,7 @@ class CrosstalkProfile:
     def __init__(self, graph: CouplingGraph, records: list[CrosstalkRecord]):
         self._by_pair: dict[frozenset[Edge], CrosstalkRecord] = {}
         self._partners: dict[Edge, dict[Edge, float]] = {}
+        self._conditional: dict[tuple[Edge, Edge], float] = {}  # (of_edge, given_edge) -> rate
         self.cheapest_excess = math.inf
         for rec in records:
             e1 = normalize_edge(*rec.e1)
@@ -206,6 +207,8 @@ class CrosstalkProfile:
             if key in self._by_pair:
                 raise HardwareError(f"duplicate crosstalk record for {e1} / {e2}")
             self._by_pair[key] = CrosstalkRecord(e1, e2, rec.e1_given_e2, rec.e2_given_e1)
+            self._conditional[e1, e2] = rec.e1_given_e2
+            self._conditional[e2, e1] = rec.e2_given_e1
             excess = (rec.e1_given_e2 - base1) + (rec.e2_given_e1 - base2)
             self._partners.setdefault(e1, {})[e2] = excess
             self._partners.setdefault(e2, {})[e1] = excess
@@ -240,7 +243,10 @@ class CrosstalkProfile:
 
     def conditional_error(self, of_edge: Edge, given_edge: Edge) -> float:
         """Error rate of ``of_edge`` while ``given_edge`` runs concurrently."""
-        rec = self.record_for(of_edge, given_edge)
+        rate = self._conditional.get((of_edge, given_edge))
+        if rate is not None:
+            return rate
+        rec = self.record_for(of_edge, given_edge)  # unnormalized edges, or no record
         of_edge = normalize_edge(*of_edge)
         if rec is None:
             return self.graph.error_of(of_edge)

@@ -148,28 +148,35 @@ def test_find_x_max_is_unconstrained_ledger_mass():
 
 
 def test_search_core_parabola():
-    res = search_core(0.0, 1.0, 0.01, lambda x: (-((x - 0.3) ** 2), None))
-    assert abs(res.best_allowance - 0.3) <= 0.02
+    res = search_core(1.0, 101, lambda x: (-((x - 0.3) ** 2), None))
+    assert abs(res.best_allowance - 0.3) <= 0.01
     assert res.best_value == max(v for _, v in res.probes)
     xs = [x for x, _ in res.probes]
-    assert 0.0 in xs and 1.0 in xs
+    assert xs[0] == 0.0 and xs[-1] == 1.0
+    assert xs == sorted(set(xs))
 
 
 def test_search_core_monotone_objectives():
-    rising = search_core(0.0, 1.0, 0.05, lambda x: (x, None))
+    rising = search_core(1.0, 11, lambda x: (x, None))
     assert rising.best_allowance == 1.0
-    falling = search_core(0.0, 1.0, 0.05, lambda x: (-x, None))
+    falling = search_core(1.0, 11, lambda x: (-x, None))
     assert falling.best_allowance == 0.0
+    # a flat objective ties everywhere: the lowest allowance wins
+    flat = search_core(1.0, 11, lambda x: (0.5, None))
+    assert flat.best_allowance == 0.0
+    # with x_max 0 the search is one probe at 0
+    assert search_core(0.0, 11, lambda x: (x, None)).probes == [(0.0, 0.0)]
 
 
 def test_search_core_keeps_best_probe_ever_seen():
-    # a spike the bisection bracket walks away from: the endpoint probe wins
+    # a spike at the first probe: every later, rising probe stays below it
     def spiky(x):
         return 2.0 if x == 0.0 else x
 
-    res = search_core(0.0, 1.0, 0.05, lambda x: (spiky(x), None))
+    res = search_core(1.0, 11, lambda x: (spiky(x), None))
     assert res.best_allowance == 0.0
     assert res.best_value == 2.0
+    assert len(res.probes) == 11
 
 
 def test_search_allowance_zero_x_max_single_probe():
@@ -184,9 +191,13 @@ def test_search_allowance_zero_x_max_single_probe():
     assert best.crosstalk_ledger == []
 
 
+# The grid's probe count at each resolution, max(2, 2 ceil(log2 steps) + 1).
+GRID_PROBES = {1: 2, 4: 5, 32: 11}
+
+
 @pytest.mark.parametrize("steps", [1, 4, 32])
 def test_search_allowance_compiles_each_probe_once(steps):
-    # one compile per distinct probe, plus find_x_max's compile at infinity
+    # one compile per grid probe, plus find_x_max's compile at infinity
     hw, prof = toy_device(t1={q: 50.0 for q in range(4)}, t2={q: 50.0 for q in range(4)})
     circ = parse_circuit("qubits 4\ncx 0 1\ncx 2 3\ncx 1 2\ncx 0 1\ncx 2 3\n")
     calls = []
@@ -197,9 +208,11 @@ def test_search_allowance_compiles_each_probe_once(steps):
 
     res = search_allowance(compile_fn, hw, prof, steps=steps)
     assert res.x_max > 0.0
-    assert len(calls) == len(res.probes) + 1
+    n = GRID_PROBES[steps]
+    assert len(calls) == len(res.probes) + 1 == n + 1
     assert calls[0] == math.inf
-    assert sorted(calls[1:]) == [x for x, _ in res.probes]
+    assert calls[1:] == [x for x, _ in res.probes] == [res.x_max * (i / (n - 1)) for i in range(n)]
+    assert calls[-1] == res.x_max
 
 
 def test_search_allowance_prefers_crosstalk_under_heavy_decay():
@@ -229,7 +242,7 @@ def test_search_allowance_prefers_crosstalk_under_heavy_decay():
 
 
 def test_search_result_json():
-    res = search_core(0.0, 1.0, 0.25, lambda x: (x, None))
+    res = search_core(1.0, 5, lambda x: (x, None))
     data = res.to_json_dict()
     assert data["best_allowance"] == 1.0
     assert data["x_max"] == 1.0
@@ -256,9 +269,10 @@ def counting_iterations(monkeypatch):
 
 
 # Upper bounds on the executable_pairs calls of the search in each case
-# below: the count the replay reached when it was introduced.  A search may
-# make no more, so the share of iterations it replays does not drop.
-LIVE_SCANS = {(3, 1): 1459, (4, 2): 1884, (4, 3): 1138}
+# below: the count the replay reached over the search's even grid of probes.
+# A search may make no more, so the share of iterations it replays does not
+# drop.
+LIVE_SCANS = {(3, 1): 1160, (4, 2): 1512, (4, 3): 1557}
 
 
 @pytest.mark.parametrize("rows,seed", [(3, 1), (4, 2), (4, 3)])

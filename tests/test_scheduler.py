@@ -628,6 +628,8 @@ def test_a_search_of_no_steps_is_the_callers_error():
 
     with pytest.raises(ValueError, match="at least one step, got 0"):
         search_allowance(compile_fn, hw, prof, steps=0)
+    with pytest.raises(ValueError, match="a finite number of steps"):
+        search_allowance(compile_fn, hw, prof, steps=math.inf)
 
 
 def flight_beside_its_partner(allowance):
