@@ -11,6 +11,7 @@ buys back as much parallelism as it can pay for.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -277,27 +278,28 @@ def build_csg(
 
 
 def flight_color_zero(
-    cgates: list[PendingPair],
-    candidate_swaps: list[SwapCandidate],
+    items: list[tuple[Edge, object, object]],
     in_progress: list[InProgressSwap],
     pending: list[PendingPair],
     mapping: Mapping,
     hw: CouplingGraph,
     profile: CrosstalkProfile,
-) -> list[tuple[Edge, frozenset, object]]:
-    """What color 0 of ``build_csg`` on these inputs commits, for a layer
-    with SWAPs in flight whose allowance left is below
-    ``profile.cheapest_excess``: no pair can be permitted, so every
-    crosstalk pair is an edge.  Returns an ``(edge, helps, gate key)``
-    tuple per committed cgate or candidate SWAP, in ``build_csg``'s vertex
-    order; a None gate key marks a candidate SWAP.
+) -> list[tuple[Edge, object, object]]:
+    """What color 0 of ``build_csg`` commits, for a layer with SWAPs in
+    flight whose allowance left is below ``profile.cheapest_excess``: no
+    pair can be permitted, so every crosstalk pair is an edge.  ``items``
+    are ``build_csg``'s vertices past the flights, in vertex order, as
+    ``(edge, helps, gate key)``: the cgates by key, then the candidate SWAPs
+    off the in-flight edges by edge, a None gate key marking a SWAP; a
+    SWAP's helps may be any collection of its gates' keys.  Returns the
+    committed items, in that order.
 
     Color 0 holds the flights, then the flight-free vertices in
     Welsh–Powell order (degree descending, ties to the lower id) by first
     fit.  Two vertices that share no help key are joined exactly when one's
     edge is in the other's ``profile.ties``, so the flight-free vertices
     are those whose edge lies outside the union of the flights' ties.  A
-    flight-free vertex's degree counts the vertices on the edges of its tie
+    flight-free vertex's degree counts the items on the edges of its tie
     set, itself included, which adds one to every degree and so keeps
     their order, plus its joint overshoots off that set; first fit tests
     the taken vertices' edges against its tie set and the taken ids
@@ -310,30 +312,21 @@ def flight_color_zero(
     moves the other end: the two bring the gate two hops closer unless
     another flight moves that end, whose qubit the candidate then shares.
     """
-    l2p = mapping.placement
     ties = profile.ties
-    busy_edges = [f.edge for f in in_progress]
-    flight_ties = frozenset().union(*map(ties.__getitem__, busy_edges))
-    # build_csg's vertices past the flights, position i being vertex id
-    # len(in_progress) + i
-    items = [
-        (normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]]), frozenset(), p.key)
-        for p in sorted(cgates, key=attrgetter("key"))
-    ]
-    items += [
-        (sc.edge, sc.helps, None)
-        for sc in sorted(candidate_swaps, key=attrgetter("edge"))
-        if sc.edge not in busy_edges
-    ]
+    flight_ties = frozenset().union(*[ties[f.edge] for f in in_progress])
     free = [i for i, item in enumerate(items) if item[0] not in flight_ties]
     if len(free) < 2:
         return [items[i] for i in free]
     edges = [edge for edge, _, _ in items]
+    edge_set = set(edges)
+    # the items past the first on an edge, as a cgate and a SWAP can share one
+    extra = Counter(edges) - Counter(edge_set) if len(edge_set) < len(edges) else None
     by_help: dict[object, list[int]] = {}
     for i, (_, helps, _) in enumerate(items):
         for key in helps:
             by_help.setdefault(key, []).append(i)
     if by_help:
+        l2p = mapping.placement
         dist = hw.all_pairs_distance()
         placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
 
@@ -346,7 +339,10 @@ def flight_color_zero(
             ids = by_help[key]
             if len(ids) > 1 and key in placed:
                 over.update(j for j in _overshoots(dist, placed[key], edge, ids, edges, ()) if edges[j] not in tie)
-        ranked.append((-sum(1 for e in edges if e in tie) - len(over), i, tie, over))
+        degree = len(tie & edge_set) + len(over)
+        if extra:
+            degree += sum(n for e, n in extra.items() if e in tie)
+        ranked.append((-degree, i, tie, over))
     ranked.sort()  # the ids are unique, so no two sets are compared
     taken: list[int] = []
     taken_edges: set[Edge] = set()

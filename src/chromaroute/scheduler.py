@@ -9,7 +9,9 @@ with no choice commits at once, whatever the allowance: with no cgate and
 no candidate SWAP off the flights' edges it commits nothing new, and with
 no flight and one vertex it commits that vertex.  A flight layer whose
 allowance left can pay for no crosstalk pair gets its first color from
-the vertices no flight is tied to (``csg.flight_color_zero``).  SWAPs
+the vertices no flight is tied to (``csg.flight_color_zero``); the circuit
+compiler, unless escaping, finds those vertices in one pass over its ready
+gates, with no candidate objects (``_unpriced_flight_layer``).  SWAPs
 occupy their qubits for three consecutive layers; the logical-to-physical
 mapping changes when a routing SWAP finishes.  Every crosstalk pair actually
 committed is written to a ledger at the layer where the later of the two
@@ -34,7 +36,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from types import MappingProxyType
 
 from .csg import (
@@ -348,15 +350,17 @@ class StallGuard:
 
     def swaps(self, pending: list, state: "ScheduleState", criticality=MappingProxyType({})):
         """A layer's candidate SWAPs: ``escape_swaps`` while escaping, else
-        the SWAPs that bring a gate of ``pending`` closer on the drained
+        ``closer``'s."""
+        swaps = self.escape_swaps(pending, state, criticality)
+        return self.closer(pending, state) if swaps is None else swaps
+
+    def closer(self, pending: list, state: "ScheduleState") -> list:
+        """The SWAPs that bring a gate of ``pending`` closer on the drained
         mapping, less any whose SWAP just landed.  On the mapping of this
         instant a new SWAP could "help" by undoing an in-flight one, and
         two such SWAPs can chase each other forever."""
-        swaps = self.escape_swaps(pending, state, criticality)
-        if swaps is None:
-            swaps = useful_swaps(pending, state.drained(), self.hw)
-            swaps = [s for s in swaps if s.edge not in state.last_completed_edges]
-        return swaps
+        swaps = useful_swaps(pending, state.drained(), self.hw)
+        return [s for s in swaps if s.edge not in state.last_completed_edges]
 
 
 class ScheduleState:
@@ -568,27 +572,23 @@ def schedule_layer(
     flight layer whose allowance left is below the profile's
     ``cheapest_excess``: it permits no pair, and ``flight_color_zero`` gives
     what its color 0 commits."""
-    flights = state.flights
+    flights, l2p = state.flights, state.mapping.placement
     lo, hi = 0.0, math.inf
     csg = selected = items = None
     if not keep_csg:
         if flights:
             cheapest = state.profile.cheapest_excess
-            if not cgates and {f.edge for f in flights}.issuperset(s.edge for s in swaps):
+            busy = {f.edge for f in flights}
+            if not cgates and busy.issuperset(s.edge for s in swaps):
                 items = ()
             elif state.allowance_left() < cheapest:
                 hi = cheapest
-                items = flight_color_zero(
-                    cgates, swaps, flights, pending, state.mapping, state.hw, state.profile
-                )
+                items = _vertex_items(cgates, swaps, l2p, busy)
+                items = flight_color_zero(items, flights, pending, state.mapping, state.hw, state.profile)
             else:
                 lo = cheapest
         elif len(cgates) + len(swaps) < 2:
-            l2p = state.mapping.placement
-            items = [
-                (normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]]), frozenset(), p.key) for p in cgates
-            ]
-            items += [(s.edge, s.helps, None) for s in swaps]
+            items = _vertex_items(cgates, swaps, l2p)
     if items is None:
         csg = build_csg(
             cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, state.allowance_left()
@@ -605,6 +605,45 @@ def schedule_layer(
             members = map(csg.vertices.__getitem__, selected.members)
             items = [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
     return csg, selected, (lo, hi, items)
+
+
+def _vertex_items(cgates: list[PendingPair], swaps: list, l2p: list[int], busy=()) -> list[tuple]:
+    """``build_csg``'s vertices past the flights, in its vertex order, as
+    ``(edge, helps, gate key)`` items: the cgates by key, then the
+    candidates off the in-flight ``busy`` edges by edge."""
+    cgates = sorted(cgates, key=attrgetter("key"))
+    items = [(normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]]), frozenset(), p.key) for p in cgates]
+    swaps = sorted(swaps, key=attrgetter("edge"))
+    return items + [(s.edge, s.helps, None) for s in swaps if s.edge not in busy]
+
+
+def _unpriced_flight_layer(state: ScheduleState, pending: list[PendingPair]) -> tuple:
+    """``schedule_layer``'s record for a circuit compile's flight layer whose
+    guard is not escaping and whose allowance left is below
+    ``cheapest_excess``, with no CSG and no ``SwapCandidate``.  One pass over
+    the ready gates ``pending``, by key, finds their cgates on the mapping
+    and merges their ``closer_swaps`` on the drained mapping per edge into
+    the candidates of ``StallGuard.closer``; those off the in-flight edges
+    and the cgates go to ``flight_color_zero`` as its items.  Only the
+    committed SWAPs' help lists are frozen."""
+    hw, flights = state.hw, state.flights
+    edges, closer_swaps = hw.edges, hw.closer_swaps
+    l2p, drained = state.mapping.placement, state.drained().placement
+    items, helps = [], {}
+    for p in pending:
+        x, y = p.logicals
+        a, b = l2p[x], l2p[y]
+        edge = (a, b) if a < b else (b, a)
+        if edge in edges:
+            items.append((edge, frozenset(), p.key))
+        for edge in closer_swaps(drained[x], drained[y]):
+            helps.setdefault(edge, []).append(p.key)
+    skip = state.last_completed_edges.union([f.edge for f in flights])
+    items += [(edge, helps[edge], None) for edge in sorted(helps) if edge not in skip]
+    if not items:  # no choice
+        return 0.0, math.inf, ()
+    items = flight_color_zero(items, flights, pending, state.mapping, hw, state.profile)
+    return 0.0, state.profile.cheapest_excess, [(edge, frozenset(keys), key) for edge, keys, key in items]
 
 
 class CircuitRun:
@@ -731,12 +770,16 @@ def compile_circuit(
         if follow:
             n, left = iterations - 1, state.allowance_left()
             follow = [t for t in follow if t[n][0] <= left < t[n][1]]
+        escape = guard.escape_swaps(two_q, state, criticality)  # the target moves on a replay too
         if follow:
-            guard.escape_swaps(two_q, state, criticality)  # the escape target moves as in guard.swaps
             record = follow[0][n]
+        elif escape is None and on_iteration is None and state.flights and (
+            state.allowance_left() < profile.cheapest_excess
+        ):
+            record = _unpriced_flight_layer(state, two_q)
         else:
             cgates = executable_pairs(two_q, state.mapping, hw)
-            swaps = guard.swaps(two_q, state, criticality)
+            swaps = guard.closer(two_q, state) if escape is None else escape
             csg, selected, record = schedule_layer(
                 state, cgates, swaps, two_q, criticality=criticality, keep_csg=on_iteration is not None
             )

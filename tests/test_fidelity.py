@@ -250,25 +250,30 @@ def test_search_result_json():
 
 
 def counting_iterations(monkeypatch):
-    """Count the circuit compiler's loop iterations, and those of them that
-    look for executable pairs: a replayed iteration does not."""
-    seen = {"iterations": 0, "executable_pairs": 0}
-    next_iteration, executable = StallGuard.next_iteration, scheduler.executable_pairs
+    """Count the circuit compiler's loop iterations, and those of them
+    decided live: each either looks for executable pairs or takes the
+    compile's own flight pass, and a replayed iteration does neither."""
+    seen = {"iterations": 0, "live": 0}
+    next_iteration = StallGuard.next_iteration
 
     def counted_next_iteration(guard):
         seen["iterations"] += 1
         return next_iteration(guard)
 
-    def counted_executable(*args):
-        seen["executable_pairs"] += 1
-        return executable(*args)
+    def counted(fn):
+        def live(*args):
+            seen["live"] += 1
+            return fn(*args)
+
+        return live
 
     monkeypatch.setattr(StallGuard, "next_iteration", counted_next_iteration)
-    monkeypatch.setattr(scheduler, "executable_pairs", counted_executable)
+    monkeypatch.setattr(scheduler, "executable_pairs", counted(scheduler.executable_pairs))
+    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", counted(scheduler._unpriced_flight_layer))
     return seen
 
 
-# Upper bounds on the executable_pairs calls of the search in each case
+# Upper bounds on the live iterations of the search in each case
 # below: the count the replay reached over the search's even grid of probes.
 # A search may make no more, so the share of iterations it replays does not
 # drop.
@@ -300,13 +305,13 @@ def test_a_search_probe_resumes_to_the_schedule_of_a_fresh_compile(monkeypatch, 
     assert len(probes) > 2
     assert result.schedule.to_json_dict() == probes[result.best_allowance]
     # iterations were replayed, not computed, at least as many as before
-    assert seen["executable_pairs"] <= LIVE_SCANS[rows, seed] < seen["iterations"]
+    assert seen["live"] <= LIVE_SCANS[rows, seed] < seen["iterations"]
     for allowance, doc in probes.items():
         assert compile_circuit(circuit, hw, prof, allowance=allowance).to_json_dict() == doc
 
-    seen["iterations"] = seen["executable_pairs"] = 0
+    seen["iterations"] = seen["live"] = 0
     hooked, hooked_probes = searched(on_iteration=lambda info: None)
-    assert seen["executable_pairs"] == seen["iterations"]
+    assert seen["live"] == seen["iterations"]
     assert hooked_probes == probes
     assert hooked.to_json_dict() == result.to_json_dict()
     assert hooked.schedule.to_json_dict() == result.schedule.to_json_dict()
@@ -331,9 +336,9 @@ def test_a_search_never_follows_the_trail_of_other_inputs(monkeypatch, differ):
 
     def compile_fn(allowance):
         which = len(probes) % 2
-        before = seen["iterations"] - seen["executable_pairs"]
+        before = seen["iterations"] - seen["live"]
         sched = compile_circuit(inputs[which][0], hw, prof, inputs[which][1], allowance=allowance)
-        replayed[which] += seen["iterations"] - seen["executable_pairs"] - before
+        replayed[which] += seen["iterations"] - seen["live"] - before
         probes.append((which, allowance, sched.to_json_dict()))
         return sched
 

@@ -6,8 +6,9 @@ endpoints, ``build_csg`` finds its vertex pairs through indexes,
 ``Csg.adjacency`` is the one edge store ``build_csg`` fills, a layer with
 SWAPs in flight commits the first of ``color_classes`` without coloring
 the rest, and without the full CSG when it can permit no crosstalk pair
-(``flight_color_zero``), a layer with no choice commits without any CSG,
-``CircuitRun`` keeps its ready set
+(``flight_color_zero``; the circuit compiler finds its cgates and
+candidates for it in one pass, ``_unpriced_flight_layer``), a layer with
+no choice commits without any CSG, ``CircuitRun`` keeps its ready set
 incrementally, ``ScheduleState`` keeps its drained mapping and its
 crosstalk total as it goes.  The references below are the
 straightforward versions: every coupling edge, every vertex pair, both
@@ -58,7 +59,7 @@ from chromaroute.csg import (
 )
 from chromaroute.hardware import bfs_depths
 from chromaroute.ir import frontier
-from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, color_classes, welsh_powell
+from chromaroute.scheduler import CircuitRun, ColorClass, ScheduleState, StallGuard, color_classes, welsh_powell
 
 
 def grid_device(rows: int, cols: int, rng: random.Random, error_levels=None, touching=False):
@@ -429,21 +430,40 @@ def color_zero_commits(csg):
     return [(v.edge, v.helps, v.gate_key) for v in vertices if v.kind != "inprogress"]
 
 
-def checking_flight_color_zero(seen):
-    """``flight_color_zero`` wrapped to compare what it commits, in commit
-    order, with color 0 of ``build_csg`` and ``color_classes`` on the same
-    inputs.  It counts into ``seen`` the layers where a vertex joined the
-    flights and where no vertex was free of them, the vertices a flight
-    kept out by crosstalk alone, and the joint overshoots between two
-    flight-free vertices."""
+def checking_flight_layers(monkeypatch, seen, count=None):
+    """Check every flight layer decided without the full CSG because its
+    allowance left is below the profile's cheapest pair against color 0 of
+    ``build_csg`` and ``color_classes``, in commit order.  Two paths decide
+    them: the compile's own pass, ``_unpriced_flight_layer``, checked on
+    the cgates of ``executable_pairs`` and the candidates of
+    ``StallGuard.swaps`` for a guard that is not escaping, and
+    ``schedule_layer``, checked on the cgates and candidates it is given.
+    Returns the layers checked that go to ``flight_color_zero``, by path:
+    "compile" for the pass, "synthesize" for synthesis's ``schedule_layer``
+    and "escaping" for the compile's; a layer with no choice must record
+    (0.0, inf, ()) and counts as "no_choice".  Over the former it counts
+    into ``seen`` the layers where a vertex joined the flights and where
+    no vertex was free of them, the vertices a flight kept out by
+    crosstalk alone, and the joint overshoots between two flight-free
+    vertices; ``count``, when given, gets each one's inputs too."""
+    layers = dict.fromkeys(("compile", "synthesize", "escaping", "no_choice"), 0)
 
-    def checked(cgates, swaps, in_prog, pending, mapping, hw, prof):
-        got = flight_color_zero(cgates, swaps, in_prog, pending, mapping, hw, prof)
+    def check(path, state, cgates, swaps, pending, record):
+        in_prog, mapping, hw, prof = state.flights, state.mapping, state.hw, state.profile
         # every allowance below prof.cheapest_excess gives this CSG
         assert prof.cheapest_excess > 0.0
         csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, 0.0)
         assert not csg.permitted_pairs
+        got = list(record[2])
         assert got == color_zero_commits(csg)
+        if not cgates and {f.edge for f in in_prog}.issuperset(s.edge for s in swaps):
+            assert record == (0.0, math.inf, ())
+            layers["no_choice"] += 1
+            return
+        assert record[:2] == (0.0, prof.cheapest_excess)
+        layers[path] += 1
+        if count is not None:
+            count(cgates, swaps, in_prog, mapping, prof)
         vertices = csg.vertices
         flights = {v.vertex_id for v in vertices if v.kind == "inprogress"}
         busy = {q for i in flights for q in vertices[i].edge}
@@ -461,29 +481,51 @@ def checking_flight_color_zero(seen):
                 seen["free_overshoot"] += 1
         seen["joined"] += bool(got)
         seen["none_free"] += not free
-        return got
 
-    return checked
+    flight_pass = scheduler._unpriced_flight_layer
+
+    def checked_pass(state, pending):
+        record = flight_pass(state, pending)
+        cgates = scheduler.executable_pairs(pending, state.mapping, state.hw)
+        swaps = StallGuard(0, state.hw).swaps(pending, state)
+        check("compile", state, cgates, swaps, pending, record)
+        return record
+
+    def checking_layer(path, layer):
+        def checked_layer(state, cgates, swaps, pending, **kwargs):
+            out = layer(state, cgates, swaps, pending, **kwargs)
+            if out[0] is None and state.flights and state.allowance_left() < state.profile.cheapest_excess:
+                check(path, state, cgates, swaps, pending, out[2])
+            return out
+
+        return checked_layer
+
+    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", checked_pass)
+    monkeypatch.setattr(scheduler, "schedule_layer", checking_layer("escaping", scheduler.schedule_layer))
+    monkeypatch.setattr(vqa, "schedule_layer", checking_layer("synthesize", vqa.schedule_layer))
+    return layers
 
 
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
 def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
     """With no ``on_iteration`` hook a flight layer whose allowance left is
-    below the profile's cheapest pair commits what ``flight_color_zero``
-    gives; it must be what the full CSG's color 0 commits, and each
-    schedule the one a hooked run, which builds every CSG, gives."""
+    below the profile's cheapest pair commits what the compile's own pass
+    or, in synthesis, ``flight_color_zero`` gives; it must be what the full
+    CSG's color 0 commits, and each schedule the one a hooked run, which
+    builds every CSG, gives.  Both paths must be met."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, 110, rng)
     program = random_pauli_program(rows * rows, 12, rng)
     seen = dict.fromkeys(("joined", "none_free", "crosstalk_only", "free_overshoot"), 0)
-    monkeypatch.setattr(scheduler, "flight_color_zero", checking_flight_color_zero(seen))
+    layers = checking_flight_layers(monkeypatch, seen)
     for allowance in (0.0, 0.05):
         for compile_fn, source in ((compile_circuit, circuit), (synthesize, program)):
             sched = compile_fn(source, hw, prof, allowance=allowance)
             hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
             assert sched.to_json_dict() == hooked.to_json_dict()
     assert all(seen.values()), seen
+    assert layers["compile"] and layers["synthesize"] and layers["no_choice"], layers
 
 
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2)])
@@ -498,9 +540,8 @@ def test_records_on_links_that_share_a_qubit_tie_once(monkeypatch, rows, seed):
     circuit = random_circuit(rows * rows, 110, rng)
     program = random_pauli_program(rows * rows, 12, rng)
     seen = dict.fromkeys(("joined", "none_free", "crosstalk_only", "free_overshoot", "free_overlap"), 0)
-    checked = checking_flight_color_zero(seen)
 
-    def counted(cgates, swaps, in_prog, pending, mapping, hw, prof):
+    def counted(cgates, swaps, in_prog, mapping, prof):
         # pairs of flight-free vertices that share a qubit and a record
         busy = {q for f in in_prog for q in f.edge}
         priced = set().union(*(prof.partners(f.edge) for f in in_prog))
@@ -511,15 +552,15 @@ def test_records_on_links_that_share_a_qubit_tie_once(monkeypatch, rows, seed):
         seen["free_overlap"] += sum(
             1 for i, e in enumerate(free) for d in free[i + 1 :] if set(e) & set(d) and d in prof.partners(e)
         )
-        return checked(cgates, swaps, in_prog, pending, mapping, hw, prof)
 
-    monkeypatch.setattr(scheduler, "flight_color_zero", counted)
+    layers = checking_flight_layers(monkeypatch, seen, counted)
     for allowance in (0.0, 0.05):
         for compile_fn, source in ((compile_circuit, circuit), (synthesize, program)):
             sched = compile_fn(source, hw, prof, allowance=allowance)
             hooked = compile_fn(source, hw, prof, allowance=allowance, on_iteration=lambda info: None)
             assert sched.to_json_dict() == hooked.to_json_dict()
     assert seen["free_overlap"] and seen["joined"], seen
+    assert layers["compile"] and layers["synthesize"], layers
 
 
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
@@ -527,15 +568,20 @@ def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
     """Without a hook, a layer with no cgate and no candidate off the
     flights' edges commits nothing new, and a layer with no flight and one
     vertex commits that vertex, both with neither ``build_csg`` nor
-    ``flight_color_zero``.  The full CSG at allowance 0 and at inf commits
-    the same, and each schedule is the one a hooked run gives."""
+    ``flight_color_zero``, on the compile's own flight pass
+    (``_unpriced_flight_layer``, on the cgates of ``executable_pairs`` and
+    the candidates of ``StallGuard.swaps``) as on ``schedule_layer``.  The
+    full CSG at allowance 0 and at inf commits the same, and each schedule
+    is the one a hooked run gives."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, 110, rng)
     program = random_pauli_program(rows * rows, 12, rng)
     seen = {name: {"nothing_new": 0, "one_vertex": 0} for name in ("compile_circuit", "synthesize")}
+    seen["compile_circuit"]["pass_nothing_new"] = 0
     calls = {"csg": 0}
     build, color_zero, layer = scheduler.build_csg, scheduler.flight_color_zero, scheduler.schedule_layer
+    flight_pass = scheduler._unpriced_flight_layer
 
     def counted(fn):
         def wrapped(*args):
@@ -574,8 +620,25 @@ def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
             seen[compile_fn.__name__][kind] += 1
         return csg, selected, record
 
+    def checked_pass(state, pending):
+        cgates = scheduler.executable_pairs(pending, state.mapping, state.hw)
+        swaps = StallGuard(0, state.hw).swaps(pending, state)
+        flights = list(state.flights)
+        nothing_new = not cgates and all(s.edge in {f.edge for f in flights} for s in swaps)
+        if nothing_new:
+            for allowance in (0.0, math.inf):
+                csg = build(cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, allowance)
+                assert color_zero_commits(csg) == []
+        before = calls["csg"]
+        record = flight_pass(state, pending)
+        if nothing_new:
+            assert calls["csg"] == before and record == (0.0, math.inf, ())
+            seen["compile_circuit"]["pass_nothing_new"] += 1
+        return record
+
     monkeypatch.setattr(scheduler, "build_csg", counted(build))
     monkeypatch.setattr(scheduler, "flight_color_zero", counted(color_zero))
+    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", checked_pass)
     monkeypatch.setattr(scheduler, "schedule_layer", checked_layer)
     monkeypatch.setattr(vqa, "schedule_layer", checked_layer)
     for allowance in (0.0, 0.05, math.inf):
@@ -640,7 +703,8 @@ def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
         args = ([], [swap], [flight], [], Mapping(4, 4), hw, profile)
         want = color_zero_commits(build_csg(*args, 0.0))
         swap_joins = [((2, 3), frozenset({"g"}), None)]
-        assert flight_color_zero(*args) == want == ([] if profile is prof else swap_joins)
+        assert flight_color_zero(swap_joins, [flight], [], Mapping(4, 4), hw, profile) == want
+        assert want == ([] if profile is prof else swap_joins)
 
 
 def test_closer_swaps_match_a_scan_of_every_edge():

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -41,10 +42,10 @@ from chromaroute.fixtures import (
 )
 import chromaroute.scheduler as scheduler
 import chromaroute.vqa as vqa
-from chromaroute.csg import PendingPair
+from chromaroute.csg import PendingPair, build_csg, executable_pairs, useful_swaps
 from chromaroute.hardware import normalize_edge
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard, schedule_layer
-from test_indexed import reference_excess
+from test_indexed import grid_device, random_circuit, reference_excess
 from test_metamorphic import scaled_rates, seeded_case
 
 
@@ -699,37 +700,168 @@ def test_each_layer_path_records_the_window_of_its_allowance_tests():
     assert recorded(cheapest, across) == (cheapest, math.inf, [])
     # only the flight: no allowance test
     assert recorded(below, []) == (0.0, math.inf, [])
+    # the compile's own flight pass records the same windows below the
+    # cheapest pair, from the gates alone: across has a candidate SWAP on
+    # its cgate's edge, and both are tied to the flight
+    for gates, hi in ((beside, cheapest), (across, cheapest), ([], math.inf)):
+        state, _, _ = flight_beside_its_partner(below)
+        record = scheduler._unpriced_flight_layer(state, gates)
+        assert record[0] <= state.allowance_left() < record[1]
+        assert (record[0], record[1], list(record[2])) == (0.0, hi, [])
+
+
+def flight_pass_line(flight, allowance=0.0):
+    """A ten-qubit line, the identity mapping and a profile whose one record
+    pairs 6-7 with 8-9, in an open layer with a routing SWAP on ``flight``
+    in flight and ``allowance`` left."""
+    hw = CouplingGraph(10, [(q, q + 1) for q in range(9)], edge_error=dict.fromkeys([(6, 7), (8, 9)], 0.01))
+    prof = CrosstalkProfile(hw, [CrosstalkRecord((6, 7), (8, 9), 0.02, 0.02)])
+    state = ScheduleState(hw, prof, allowance, 10)
+    state.open_layer()
+    state.start_swap(flight)
+    state.close_layer()
+    state.open_layer()
+    return state
+
+
+def reference_flight_record(state, pending):
+    """Color 0 of the full CSG, on the cgates of ``executable_pairs`` and
+    the candidates of a guard that is not escaping, as the items a flight
+    layer commits."""
+    cgates = executable_pairs(pending, state.mapping, state.hw)
+    swaps = StallGuard(0, state.hw).swaps(pending, state)
+    csg = build_csg(cgates, swaps, state.flights, pending, state.mapping, state.hw, state.profile, 0.0)
+    members = [csg.vertices[i] for i in next(scheduler.color_classes(csg)).members]
+    return [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
+
+
+def test_the_flight_pass_counts_a_cgate_and_a_swap_on_one_edge_twice():
+    """The cgate of gate 0 and a candidate SWAP for gate 2 both sit on 1-2,
+    so the full CSG joins each vertex tied to 1-2 to two vertices there.
+    The pass must count both in the Welsh–Powell degree: the SWAP on 2-3
+    then ranks first, with three neighbors, and color 0 takes it and the
+    SWAP on 4-5.  Counting 1-2 once would tie it at two with the lower
+    cgate on 3-4, which would take the cgates and the SWAP on 5-6."""
+    state = flight_pass_line((8, 9))
+    cheapest = state.profile.cheapest_excess
+    pending = [PendingPair(0, (1, 2)), PendingPair(1, (3, 4)), PendingPair(2, (1, 3)), PendingPair(3, (4, 6))]
+    lo, hi, items = scheduler._unpriced_flight_layer(state, pending)
+    assert lo <= state.allowance_left() < hi
+    assert (lo, hi) == (0.0, cheapest)
+    assert items == [((2, 3), frozenset({2}), None), ((4, 5), frozenset({3}), None)]
+    assert items == reference_flight_record(state, pending)
+    # synthesis's path decides the same from the guard's candidates
+    cgates = executable_pairs(pending, state.mapping, state.hw)
+    swaps = StallGuard(0, state.hw).swaps(pending, state)
+    assert schedule_layer(state, cgates, swaps, pending, keep_csg=False)[2] == (lo, hi, items)
+
+
+def test_a_flight_pass_with_only_landed_and_in_flight_candidates_has_no_choice(monkeypatch):
+    """A routing SWAP on 1-2 has just landed and one on 3-4 is in flight;
+    on the drained mapping the gate of logicals 2 and 3 sits on 1 and 4,
+    and only those two SWAPs bring it closer, so the layer commits nothing
+    new at every allowance, without ranking."""
+    state = flight_pass_line((1, 2))
+    state.start_swap((3, 4))
+    state.close_layer()
+    state.open_layer()
+    state.close_layer()
+    state.open_layer()
+    assert state.last_completed_edges == {(1, 2)} and [f.edge for f in state.flights] == [(3, 4)]
+    pending = [PendingPair(0, (2, 3))]
+    assert [s.edge for s in useful_swaps(pending, state.drained(), state.hw)] == [(1, 2), (3, 4)]
+
+    def never(*args):
+        raise AssertionError("a layer with no choice ranked its vertices")
+
+    monkeypatch.setattr(scheduler, "flight_color_zero", never)
+    record = scheduler._unpriced_flight_layer(state, pending)
+    assert record == (0.0, math.inf, ())
+    assert record[0] <= state.allowance_left() < record[1]
+    assert reference_flight_record(state, pending) == []
+
+
+def test_an_escaping_guard_keeps_its_flight_layers_on_schedule_layer(monkeypatch):
+    """While the guard escapes, ``escape_swaps`` gives a flight layer no
+    candidate, and the layer goes to ``schedule_layer`` with that empty
+    list, below the cheapest pair too; the compile's own pass sees only
+    layers whose guard is not escaping.  Each window holds the allowance
+    left it was decided at.  This seed escapes at allowance 0 with SWAPs
+    in flight."""
+    rng = random.Random(7)
+    hw, prof = grid_device(2, 6, rng)
+    circuit = random_circuit(12, 120, rng)
+    escaping = [False]
+    seen = {"pass": 0, "escaping": 0}
+    escape_swaps, flight_pass, layer = StallGuard.escape_swaps, scheduler._unpriced_flight_layer, schedule_layer
+
+    def logged(guard, *args):
+        swaps = escape_swaps(guard, *args)
+        escaping[0] = swaps is not None
+        return swaps
+
+    def checked_pass(state, pending):
+        assert not escaping[0]
+        lo, hi, _ = record = flight_pass(state, pending)
+        assert lo <= state.allowance_left() < hi
+        seen["pass"] += 1
+        return record
+
+    def checked_layer(state, cgates, swaps, pending, **kwargs):
+        out = layer(state, cgates, swaps, pending, **kwargs)
+        lo, hi, _ = out[2]
+        assert lo <= state.allowance_left() < hi
+        if escaping[0] and state.flights:
+            assert swaps == [] and state.allowance_left() < prof.cheapest_excess
+            seen["escaping"] += 1
+        return out
+
+    monkeypatch.setattr(StallGuard, "escape_swaps", logged)
+    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", checked_pass)
+    monkeypatch.setattr(scheduler, "schedule_layer", checked_layer)
+    sched = compile_circuit(circuit, hw, prof, allowance=0.0)
+    assert seen["pass"] and seen["escaping"], seen
+    hooked = compile_circuit(circuit, hw, prof, allowance=0.0, on_iteration=lambda info: None)
+    assert sched.to_json_dict() == hooked.to_json_dict()
 
 
 def counting_paths(monkeypatch):
-    """Count the scheduler's layers by the path they take: flight layers
-    that build the full CSG, flight layers that take ``flight_color_zero``,
-    and layers of any kind that take neither, as a layer with no choice
-    does."""
-    seen = {"full": 0, "color_zero": 0, "no_choice": 0}
+    """Count each loop's layers by the path they take: flight layers that
+    build the full CSG, flight layers that take ``flight_color_zero``, and
+    layers of any kind that take neither, as a layer with no choice does.
+    ``seen["compile"]`` counts the circuit compiler's layers, those of
+    ``schedule_layer`` and of its own flight pass
+    (``_unpriced_flight_layer``), ``seen["synthesize"]`` synthesis's."""
+    seen = {loop: {"full": 0, "color_zero": 0, "no_choice": 0} for loop in ("compile", "synthesize")}
     calls = {"csg": 0}
-    build, color_zero, layer = scheduler.build_csg, scheduler.flight_color_zero, scheduler.schedule_layer
+    loop = ["compile"]  # the loop of the layer being decided
+    build, color_zero = scheduler.build_csg, scheduler.flight_color_zero
 
     def counted_build(cgates, swaps, in_prog, *args):
         calls["csg"] += 1
-        seen["full"] += bool(in_prog)
+        seen[loop[0]]["full"] += bool(in_prog)
         return build(cgates, swaps, in_prog, *args)
 
     def counted_color_zero(*args):
         calls["csg"] += 1
-        seen["color_zero"] += 1
+        seen[loop[0]]["color_zero"] += 1
         return color_zero(*args)
 
-    def counted_layer(*args, **kwargs):
-        before = calls["csg"]
-        out = layer(*args, **kwargs)
-        seen["no_choice"] += calls["csg"] == before
-        return out
+    def counting(name, layer):
+        def counted_layer(*args, **kwargs):
+            loop[0] = name
+            before = calls["csg"]
+            out = layer(*args, **kwargs)
+            seen[name]["no_choice"] += calls["csg"] == before
+            return out
+
+        return counted_layer
 
     monkeypatch.setattr(scheduler, "build_csg", counted_build)
     monkeypatch.setattr(scheduler, "flight_color_zero", counted_color_zero)
-    monkeypatch.setattr(scheduler, "schedule_layer", counted_layer)
-    monkeypatch.setattr(vqa, "schedule_layer", counted_layer)
+    monkeypatch.setattr(scheduler, "schedule_layer", counting("compile", scheduler.schedule_layer))
+    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", counting("compile", scheduler._unpriced_flight_layer))
+    monkeypatch.setattr(vqa, "schedule_layer", counting("synthesize", vqa.schedule_layer))
     return seen
 
 
@@ -750,7 +882,8 @@ def test_a_free_crosstalk_pair_keeps_every_flight_layer_on_the_full_csg(monkeypa
     circuit, program = flight_choices()
     compile_circuit(circuit, hw, prof, allowance=0.0)
     synthesize(program, hw, prof, allowance=0.0)
-    assert seen["full"] and not seen["color_zero"]
+    for counts in seen.values():
+        assert counts["full"] and not counts["color_zero"], seen
 
 
 def test_a_profile_without_records_never_builds_a_flight_layers_csg(monkeypatch):
@@ -764,12 +897,14 @@ def test_a_profile_without_records_never_builds_a_flight_layers_csg(monkeypatch)
     for allowance in (0.0, 0.05, 1e300):
         compile_circuit(circuit, hw, prof, allowance=allowance)
         synthesize(program, hw, prof, allowance=allowance)
-    assert seen["color_zero"] and not seen["full"]
+    for counts in seen.values():
+        assert counts["color_zero"] and not counts["full"], seen
+    compiled = seen["compile"]
     compile_circuit(circuit, hw, prof, allowance=math.inf)
-    assert seen["full"]
-    seen["full"] = seen["no_choice"] = 0
+    assert compiled["full"]
+    compiled["full"] = compiled["no_choice"] = 0
     compile_circuit(circuit, hw, prof, allowance=0.0, on_iteration=lambda info: None)
-    assert seen["full"] and not seen["no_choice"]
+    assert compiled["full"] and not compiled["no_choice"]
 
 
 def test_the_fixture_pairs_flight_layers_commit_with_no_choice(monkeypatch):
@@ -778,7 +913,8 @@ def test_the_fixture_pairs_flight_layers_commit_with_no_choice(monkeypatch):
     for allowance in (0.0, math.inf):
         compile_circuit(pair_circuit(), hw, prof, allowance=allowance)
         synthesize(chain_pair(), hw, prof, allowance=allowance)
-    assert seen["no_choice"] and not seen["full"] and not seen["color_zero"]
+    for counts in seen.values():
+        assert counts["no_choice"] and not counts["full"] and not counts["color_zero"], seen
 
 
 @pytest.mark.parametrize(
