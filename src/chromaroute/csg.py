@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping, normalize_edge
+from .hardware import CouplingGraph, CrosstalkProfile, Edge, Mapping
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def _overshoots(
 
 
 def build_csg(
-    cgates: list[PendingPair],
-    candidate_swaps: list[SwapCandidate],
+    items: list[tuple[Edge, object, object]],
     in_progress: list[InProgressSwap],
     pending: list[PendingPair],
     mapping: Mapping,
@@ -178,8 +177,11 @@ def build_csg(
 ) -> Csg:
     """Assemble the candidate set graph for one scheduling iteration.  Its
     vertex ids are assigned deterministically: in-progress SWAPs first (by
-    edge), then cgates (by gate key), then the candidate SWAPs (by edge)
-    whose edge is not in flight.
+    edge), then ``items``, ``(edge, helps, gate key)`` each: the cgates by
+    key, then the candidate SWAPs by edge, a None key marking a SWAP, whose
+    helps may be any collection of its gates' keys (its vertex freezes
+    them).  No candidate sits on an in-flight edge: restarting a running
+    SWAP would be a different operation on busy qubits anyway.
 
     Crosstalk pairs, each priced in ``profile.partners``, are sorted
     ascending by price and permitted while the running total stays within
@@ -191,15 +193,12 @@ def build_csg(
     vertices: list[CsgVertex] = []
     for ip in sorted(in_progress, key=attrgetter("edge")):
         vertices.append(CsgVertex(len(vertices), "inprogress", ip.edge, None, ip.remaining_time, ip.helps))
-    for p in sorted(cgates, key=attrgetter("key")):
-        edge = normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])
-        vertices.append(CsgVertex(len(vertices), "cgate", edge, p.key))
-    busy_edges = {ip.edge for ip in in_progress}
-    for sc in sorted(candidate_swaps, key=attrgetter("edge")):
-        # The same physical SWAP may already be running; restarting it would
-        # be a different operation on busy qubits anyway.
-        if sc.edge not in busy_edges:
-            vertices.append(CsgVertex(len(vertices), "swap", sc.edge, None, None, sc.helps))
+    flights = len(vertices)
+    for edge, helps, key in items:
+        if key is None:
+            vertices.append(CsgVertex(len(vertices), "swap", edge, None, None, frozenset(helps)))
+        else:
+            vertices.append(CsgVertex(len(vertices), "cgate", edge, key))
 
     # Each vertex meets the earlier ones through three indexes instead of
     # all V^2 pairs, and each test keeps its precedence: a shared qubit,
@@ -207,15 +206,15 @@ def build_csg(
     # the crosstalk price.  An edge goes into the adjacency when it is found.
     dist = hw.all_pairs_distance()
     placed = None  # pending gate key -> its two physical qubits, built on first use
-    edges = None  # each vertex's edge, for _overshoots, built with placed
+    edges = [v.edge for v in vertices]
     partners = profile.partners
     adjacency: list[set[int]] = [set() for _ in vertices]
     maybe_crosstalk: list[tuple[float, Edge, Edge, int, int]] = []
     by_qubit: dict[int, list[int]] = {}
     by_help: dict[object, list[int]] = {}
     by_edge: dict[Edge, list[int]] = {}
-    for v in vertices:
-        j, edge = v.vertex_id, v.edge
+    for j, v in enumerate(vertices):
+        edge = edges[j]
         joined = adjacency[j]
         for q in edge:
             ids = by_qubit.get(q)
@@ -236,17 +235,18 @@ def build_csg(
                 continue
             if placed is None:
                 placed = {p.key: (l2p[p.logicals[0]], l2p[p.logicals[1]]) for p in pending}
-                edges = [u.edge for u in vertices]
             if key in placed:
                 for i in _overshoots(dist, placed[key], edge, ids, edges, joined):
                     adjacency[i].add(j)
                     joined.add(i)
             ids.append(j)
-        for partner, cost in partners(edge).items():
-            for i in by_edge.get(partner, ()):
-                # two in-flight SWAPs were charged, if at all, when they started
-                if i not in joined and not (v.kind == "inprogress" == vertices[i].kind):
-                    maybe_crosstalk.append((cost, partner, edge, i, j))
+        # the vertices before a flight are flights, and two in-flight SWAPs
+        # were charged, if at all, when they started
+        if j >= flights:
+            for partner, cost in partners(edge).items():
+                for i in by_edge.get(partner, ()):
+                    if i not in joined:
+                        maybe_crosstalk.append((cost, partner, edge, i, j))
         ids = by_edge.get(edge)
         if ids is None:
             by_edge[edge] = [j]

@@ -314,13 +314,17 @@ class Mapping:
         """Exchange the occupants of physical qubits a and b."""
         if a == b:
             raise MappingError("swap needs two distinct physical qubits")
-        la, lb = self.logical_at(a), self.logical_at(b)
-        for p, l in ((b, la), (a, lb)):
-            if l is None:
-                self._p2l.pop(p, None)
-            else:
-                self._p2l[p] = l
-                self._l2p[l] = p
+        n = self.num_physical
+        if not (0 <= a < n and 0 <= b < n):
+            raise MappingError(f"physical qubit {b if 0 <= a < n else a} out of range")
+        p2l, l2p = self._p2l, self._l2p
+        la, lb = p2l.pop(a, None), p2l.pop(b, None)
+        if la is not None:
+            p2l[b] = la
+            l2p[la] = b
+        if lb is not None:
+            p2l[a] = lb
+            l2p[lb] = a
 
     def as_dict(self) -> dict[int, int]:
         return {l: p for l, p in enumerate(self._l2p)}

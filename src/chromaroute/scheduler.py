@@ -1,24 +1,26 @@
 """Layer-by-layer scheduler built on coloring the candidate set graph.
 
-Each iteration assembles the candidate set graph for the current frontier
-and commits one color class as the next layer: while SWAPs are in flight
-the first color, which holds them, and otherwise the class a ranked
-tie-break chain picks from a full coloring.  Unless an ``on_iteration``
-hook is to receive every graph, two kinds of layer build none.  A layer
-with no choice commits at once, whatever the allowance: with no cgate and
-no candidate SWAP off the flights' edges it commits nothing new, and with
-no flight and one vertex it commits that vertex.  A flight layer whose
-allowance left can pay for no crosstalk pair gets its first color from
-the vertices no flight is tied to (``csg.flight_color_zero``); the circuit
-compiler, unless escaping, finds those vertices in one pass over its ready
-gates, with no candidate objects (``_unpriced_flight_layer``).  SWAPs
-occupy their qubits for three consecutive layers; the logical-to-physical
-mapping changes when a routing SWAP finishes.  Every crosstalk pair actually
-committed is written to a ledger at the layer where the later of the two
-operations starts.  Every allowance test admits a price up to
-``allowance_left()``, with no absolute slack, so the ledger total exceeds
-the allowance only by the rounding of adding the prices back up, which
-``LEDGER_RTOL`` bounds relative to the allowance: exact at 0, void at inf.
+Each iteration's ``schedule_layer`` takes the layer's cgates and candidate
+SWAPs as ``(edge, helps, gate key)`` items, the vertex format of
+``build_csg``: the circuit compiler finds them in one pass over its ready
+gates (``_layer_items``), synthesis from its ladder (``_vertex_items``).
+It assembles the candidate set graph of the items and the flights and
+commits one color class as the next layer: while SWAPs are in flight the
+first color, which holds them, and otherwise the class a ranked tie-break
+chain picks from a full coloring.  Unless an ``on_iteration`` hook is to
+receive every graph, two kinds of layer build none.  A layer with no
+choice commits at once, whatever the allowance: with no item it commits
+nothing new, and with no flight and one item it commits that item.  A
+flight layer whose allowance left can pay for no crosstalk pair gets its
+first color from the items no flight is tied to
+(``csg.flight_color_zero``).  SWAPs occupy their qubits for three
+consecutive layers; the logical-to-physical mapping changes when a routing
+SWAP finishes.  Every crosstalk pair actually committed is written to a
+ledger at the layer where the later of the two operations starts.  Every
+allowance test admits a price up to ``allowance_left()``, with no absolute
+slack, so the ledger total exceeds the allowance only by the rounding of
+adding the prices back up, which ``LEDGER_RTOL`` bounds relative to the
+allowance: exact at 0, void at inf.
 
 Each iteration's allowance tests have one outcome over a window [lo, hi)
 of allowance left, so ``schedule_layer`` returns its decision as a record
@@ -39,6 +41,9 @@ from functools import reduce
 from operator import add, attrgetter
 from types import MappingProxyType
 
+# No code here calls executable_pairs any more.  It stays imported because
+# perfbench/tracing.py patches it by name in this module's namespace, and
+# an install fails on a missing name.
 from .csg import (
     Csg,
     InProgressSwap,
@@ -262,17 +267,19 @@ def welsh_powell(csg: Csg) -> list[ColorClass]:
 
 
 def _class_metrics(csg: Csg, cls: ColorClass, last_helped: frozenset, criticality) -> tuple:
-    verts = [csg.vertices[i] for i in cls.members]
-    cgates = sum(1 for v in verts if v.kind == "cgate")
-    continuing = sum(1 for v in verts if v.kind == "swap" and (v.helps & last_helped))
-    members = set(cls.members)
-    usage = left_sum(cost for i, j, cost in csg.permitted_pairs if i in members and j in members)
-    crit = 0
-    for v in verts:
+    vertices = csg.vertices
+    cgates = continuing = crit = 0
+    for i in cls.members:
+        v = vertices[i]
         if v.kind == "cgate":
+            cgates += 1
             crit += criticality.get(v.gate_key, 0)
         elif v.helps:
+            continuing += v.kind == "swap" and not last_helped.isdisjoint(v.helps)
             crit += max(criticality.get(k, 0) for k in v.helps)
+    pairs = csg.permitted_pairs
+    members = set(cls.members) if pairs else ()
+    usage = left_sum(cost for i, j, cost in pairs if i in members and j in members)
     return (-len(cls.members), -cgates, -continuing, usage, -crit, min(cls.members))
 
 
@@ -349,18 +356,15 @@ class StallGuard:
         return [] if swap is None else [swap]
 
     def swaps(self, pending: list, state: "ScheduleState", criticality=MappingProxyType({})):
-        """A layer's candidate SWAPs: ``escape_swaps`` while escaping, else
-        ``closer``'s."""
+        """A synthesis layer's candidate SWAPs: ``escape_swaps`` while
+        escaping, else those that bring a gate of ``pending`` closer on the
+        drained mapping, less any whose SWAP just landed (``_layer_items``
+        gives the circuit compiler's, and why)."""
         swaps = self.escape_swaps(pending, state, criticality)
-        return self.closer(pending, state) if swaps is None else swaps
-
-    def closer(self, pending: list, state: "ScheduleState") -> list:
-        """The SWAPs that bring a gate of ``pending`` closer on the drained
-        mapping, less any whose SWAP just landed.  On the mapping of this
-        instant a new SWAP could "help" by undoing an in-flight one, and
-        two such SWAPs can chase each other forever."""
-        swaps = useful_swaps(pending, state.drained(), self.hw)
-        return [s for s in swaps if s.edge not in state.last_completed_edges]
+        if swaps is None:
+            landed = state.last_completed_edges
+            swaps = [s for s in useful_swaps(pending, state.drained(), self.hw) if s.edge not in landed]
+        return swaps
 
 
 class ScheduleState:
@@ -538,8 +542,7 @@ class ScheduleState:
 
 def schedule_layer(
     state: ScheduleState,
-    cgates: list[PendingPair],
-    swaps: list,
+    items: list[tuple],
     pending: list[PendingPair],
     *,
     criticality=MappingProxyType({}),
@@ -547,9 +550,10 @@ def schedule_layer(
     keep_csg: bool = True,
 ) -> tuple[Csg | None, ColorClass | None, tuple]:
     """Decide one CSG layer step into the open layer, committing nothing:
-    build the candidate set graph of ``cgates``, ``swaps`` and the state's
-    flights and pick a class.  With SWAPs in flight the class is the first
-    of ``color_classes``, the one holding them: an interrupted SWAP is not a
+    build the candidate set graph of ``items``, the cgates and candidate
+    SWAPs in ``build_csg``'s format, and the state's flights and pick a
+    class.  With SWAPs in flight the class is the first of
+    ``color_classes``, the one holding them: an interrupted SWAP is not a
     thing.  Otherwise the CSG is colored in full and ``rank_and_select``
     picks by the state's ``last_helped``, ``criticality`` (gate key ->
     weight) and ``tie_breaker``.  Returns (csg, selected class, record), the
@@ -558,76 +562,69 @@ def schedule_layer(
 
     The record is ``(lo, hi, items)``: the window [lo, hi) of allowance
     left over which each of the step's allowance tests has the same
-    outcome, and the ``(edge, helps, gate key)`` items of the class's
-    members in vertex order, flights left out.  The window is
-    ``Csg.window``, [0, inf) for a layer with no choice, [0,
-    cheapest_excess) for a flight layer that permits no pair, and a flight
-    layer that builds the CSG raises lo to ``cheapest_excess``.
+    outcome, and the items of the class's members in vertex order, flights
+    left out, each SWAP's helps frozen.  The window is ``Csg.window``, [0,
+    inf) for a layer with no choice, [0, cheapest_excess) for a flight
+    layer that permits no pair, and a flight layer that builds the CSG
+    raises lo to ``cheapest_excess``.
 
     Unless ``keep_csg`` asks for the CSG, two kinds of layer are decided
     without building it and return no csg and no class.  A layer with no
-    choice: with no cgate and no candidate off the flights' edges it
-    commits nothing new, and with no flight and one vertex it commits that
-    vertex; every allowance gives it that commit, and no pair is priced.  A
-    flight layer whose allowance left is below the profile's
-    ``cheapest_excess``: it permits no pair, and ``flight_color_zero`` gives
-    what its color 0 commits."""
-    flights, l2p = state.flights, state.mapping.placement
+    choice: with no item it commits nothing new, and with no flight and one
+    item that item; every allowance gives it that commit.  A flight layer
+    whose allowance left is below the profile's ``cheapest_excess``: it
+    permits no pair, and ``flight_color_zero`` gives what its color 0
+    commits."""
+    flights = state.flights
     lo, hi = 0.0, math.inf
-    csg = selected = items = None
+    selected = chosen = None
     if not keep_csg:
         if flights:
             cheapest = state.profile.cheapest_excess
-            busy = {f.edge for f in flights}
-            if not cgates and busy.issuperset(s.edge for s in swaps):
-                items = ()
+            if not items:
+                chosen = ()
             elif state.allowance_left() < cheapest:
                 hi = cheapest
-                items = _vertex_items(cgates, swaps, l2p, busy)
-                items = flight_color_zero(items, flights, pending, state.mapping, state.hw, state.profile)
+                chosen = flight_color_zero(items, flights, pending, state.mapping, state.hw, state.profile)
             else:
                 lo = cheapest
-        elif len(cgates) + len(swaps) < 2:
-            items = _vertex_items(cgates, swaps, l2p)
-    if items is None:
-        csg = build_csg(
-            cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, state.allowance_left()
-        )
-        lo, hi = max(lo, csg.window[0]), csg.window[1]
-        items = ()
-        if csg.vertices:
-            if flights:
-                selected = next(color_classes(csg))
-            else:
-                selected = rank_and_select(
-                    csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker
-                )
-            members = map(csg.vertices.__getitem__, selected.members)
-            items = [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
+        elif len(items) < 2:
+            chosen = items
+    if chosen is not None:
+        chosen = [(edge, frozenset(helps), key) for edge, helps, key in chosen] if chosen else ()
+        return None, None, (lo, hi, chosen)
+    csg = build_csg(items, flights, pending, state.mapping, state.hw, state.profile, state.allowance_left())
+    lo, hi = max(lo, csg.window[0]), csg.window[1]
+    items = ()
+    if csg.vertices:
+        if flights:
+            selected = next(color_classes(csg))
+        else:
+            selected = rank_and_select(csg, welsh_powell(csg), state.last_helped, criticality, tie_breaker)
+        members = map(csg.vertices.__getitem__, selected.members)
+        items = [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
     return csg, selected, (lo, hi, items)
 
 
 def _vertex_items(cgates: list[PendingPair], swaps: list, l2p: list[int], busy=()) -> list[tuple]:
-    """``build_csg``'s vertices past the flights, in its vertex order, as
-    ``(edge, helps, gate key)`` items: the cgates by key, then the
-    candidates off the in-flight ``busy`` edges by edge."""
+    """``schedule_layer``'s items from ``cgates`` on the placement ``l2p``
+    and the candidates ``swaps`` (``SwapCandidate`` each): the cgates by
+    key, then the candidates off the in-flight ``busy`` edges by edge."""
     cgates = sorted(cgates, key=attrgetter("key"))
     items = [(normalize_edge(l2p[p.logicals[0]], l2p[p.logicals[1]]), frozenset(), p.key) for p in cgates]
     swaps = sorted(swaps, key=attrgetter("edge"))
     return items + [(s.edge, s.helps, None) for s in swaps if s.edge not in busy]
 
 
-def _unpriced_flight_layer(state: ScheduleState, pending: list[PendingPair]) -> tuple:
-    """``schedule_layer``'s record for a circuit compile's flight layer whose
-    guard is not escaping and whose allowance left is below
-    ``cheapest_excess``, with no CSG and no ``SwapCandidate``.  One pass over
-    the ready gates ``pending``, by key, finds their cgates on the mapping
-    and merges their ``closer_swaps`` on the drained mapping per edge into
-    the candidates of ``StallGuard.closer``; those off the in-flight edges
-    and the cgates go to ``flight_color_zero`` as its items.  Only the
-    committed SWAPs' help lists are frozen."""
-    hw, flights = state.hw, state.flights
-    edges, closer_swaps = hw.edges, hw.closer_swaps
+def _layer_items(state: ScheduleState, pending: list[PendingPair], escape) -> list[tuple]:
+    """A circuit compile's ``schedule_layer`` items in one pass over its ready
+    gates ``pending``, by key: their cgates, then the guard's ``escape``
+    SWAPs (none while flights are open) or, not escaping, their
+    ``closer_swaps`` on the drained mapping merged per edge, an unfrozen
+    help list each, less the in-flight edges and those a SWAP just landed
+    on.  Drained, a new SWAP cannot "help" by undoing an in-flight one, nor,
+    so filtered, a landed one: such SWAPs can chase each other forever."""
+    edges, closer_swaps = state.hw.edges, state.hw.closer_swaps
     l2p, drained = state.mapping.placement, state.drained().placement
     items, helps = [], {}
     for p in pending:
@@ -636,14 +633,15 @@ def _unpriced_flight_layer(state: ScheduleState, pending: list[PendingPair]) -> 
         edge = (a, b) if a < b else (b, a)
         if edge in edges:
             items.append((edge, frozenset(), p.key))
-        for edge in closer_swaps(drained[x], drained[y]):
-            helps.setdefault(edge, []).append(p.key)
-    skip = state.last_completed_edges.union([f.edge for f in flights])
-    items += [(edge, helps[edge], None) for edge in sorted(helps) if edge not in skip]
-    if not items:  # no choice
-        return 0.0, math.inf, ()
-    items = flight_color_zero(items, flights, pending, state.mapping, hw, state.profile)
-    return 0.0, state.profile.cheapest_excess, [(edge, frozenset(keys), key) for edge, keys, key in items]
+        if escape is None:
+            for edge in closer_swaps(drained[x], drained[y]):
+                helps.setdefault(edge, []).append(p.key)
+    if escape is not None:
+        return items + [(s.edge, s.helps, None) for s in escape]
+    if helps:
+        skip = state.last_completed_edges.union([f.edge for f in state.flights])
+        items += [(edge, helps[edge], None) for edge in sorted(helps) if edge not in skip]
+    return items
 
 
 class CircuitRun:
@@ -773,15 +771,10 @@ def compile_circuit(
         escape = guard.escape_swaps(two_q, state, criticality)  # the target moves on a replay too
         if follow:
             record = follow[0][n]
-        elif escape is None and on_iteration is None and state.flights and (
-            state.allowance_left() < profile.cheapest_excess
-        ):
-            record = _unpriced_flight_layer(state, two_q)
         else:
-            cgates = executable_pairs(two_q, state.mapping, hw)
-            swaps = guard.closer(two_q, state) if escape is None else escape
+            items = _layer_items(state, two_q, escape)
             csg, selected, record = schedule_layer(
-                state, cgates, swaps, two_q, criticality=criticality, keep_csg=on_iteration is not None
+                state, items, two_q, criticality=criticality, keep_csg=on_iteration is not None
             )
         state.commit(record[2], run.run_gate)
         guard.record(run.finish_layer(singles), len(run.executed))

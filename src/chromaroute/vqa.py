@@ -31,6 +31,7 @@ from .scheduler import (
     ScheduleState,
     ScheduledCircuit,
     StallGuard,
+    _vertex_items,
     rank_and_select,
     schedule_layer,
     welsh_powell,
@@ -359,8 +360,9 @@ def _synthesize_string(
                     tied, csg, remaining, drained, depth, next_active, hw, options
                 )
 
+            items = _vertex_items(cgates, candidates, state.mapping.placement, {f.edge for f in state.flights})
             csg, selected, (_, _, items) = schedule_layer(
-                state, cgates, candidates, pending, tie_breaker=tie_breaker, keep_csg=on_iteration is not None
+                state, items, pending, tie_breaker=tie_breaker, keep_csg=on_iteration is not None
             )
             state.commit(items, run_cx)
         guard.record(state.close_layer()[0], len(ladder))

@@ -23,7 +23,7 @@ from chromaroute.csg import (
 from chromaroute.fixtures import ring6
 from chromaroute.ir import frontier
 from chromaroute.scheduler import rank_and_select, welsh_powell
-from test_indexed import grid_device, random_circuit
+from test_indexed import csg_of, grid_device, random_circuit
 
 
 def line5():
@@ -78,23 +78,20 @@ def test_useful_swaps_ignores_satisfied_gates():
 def test_compile_does_not_undo_a_swap_that_just_landed(monkeypatch):
     # SWAP(0,1) and SWAP(2,3) both land; each gate is then one hop closer
     # through (2,3) or (0,1) again, which useful_swaps lists and the
-    # compiler filters out for one iteration
+    # compiler's layer items leave out for one iteration
     hw = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
     circuit = parse_circuit("qubits 4\ncx 0 2\ncx 1 3\n")
-    states, undoing = [], []
+    undoing = []
+    layer_items = scheduler._layer_items
 
-    class RecordedState(scheduler.ScheduleState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            states.append(self)
-
-    def recorded_useful_swaps(pending, mapping, hw):
-        got = useful_swaps(pending, mapping, hw)
-        undoing.extend(c.edge for c in got if c.edge in states[-1].last_completed_edges)
+    def recorded_layer_items(state, pending, escape):
+        got = layer_items(state, pending, escape)
+        landed = state.last_completed_edges
+        undoing.extend(c.edge for c in useful_swaps(pending, state.drained(), hw) if c.edge in landed)
+        assert not landed & {edge for edge, _, key in got if key is None}
         return got
 
-    monkeypatch.setattr(scheduler, "ScheduleState", RecordedState)
-    monkeypatch.setattr(scheduler, "useful_swaps", recorded_useful_swaps)
+    monkeypatch.setattr(scheduler, "_layer_items", recorded_layer_items)
     sched = scheduler.compile_circuit(circuit, hw, CrosstalkProfile(hw, []))
     assert undoing
     landed: set = set()
@@ -140,7 +137,7 @@ def test_joint_overshoot_conflicts_on_a_ring():
     pending = [PendingPair("g", (0, 2))]
     cands = useful_swaps(pending, m, hw)
     assert [c.edge for c in cands] == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    csg = build_csg([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
+    csg = csg_of([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
     assert len(csg.vertices) == 4
     # fully conflicted: 4 shared-qubit pairs plus 2 overshoot pairs
     assert len(csg.conflict_edges) == 6
@@ -160,7 +157,7 @@ def test_a_stale_shared_key_does_not_hide_a_live_overshoot(stale):
     pending = [PendingPair(1, (0, 2))]
     helps = frozenset({stale, 1})
     cands = [SwapCandidate(edge=(0, 1), helps=helps), SwapCandidate(edge=(2, 3), helps=helps)]
-    csg = build_csg([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
+    csg = csg_of([], cands, [], pending, m, hw, empty_profile(hw), 0.0)
     assert [v.edge for v in csg.vertices] == [(0, 1), (2, 3)]
     assert csg.conflict_edges == {(0, 1)}
     assert csg.crosstalk_edges == {}
@@ -171,7 +168,7 @@ def test_stale_help_keys_are_skipped():
     m = Mapping(5, 5)
     ip = InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset({"gone"}))
     cand = SwapCandidate(edge=(3, 4), helps=frozenset({"gone"}))
-    csg = build_csg([], [cand], [ip], [], m, hw, empty_profile(hw), 0.0)
+    csg = csg_of([], [cand], [ip], [], m, hw, empty_profile(hw), 0.0)
     assert len(csg.vertices) == 2
     assert csg.conflict_edges == set()
 
@@ -185,7 +182,7 @@ def test_vertex_ordering_and_busy_edge_skip():
         SwapCandidate(edge=(2, 3), helps=frozenset({7})),  # same edge as the flight
         SwapCandidate(edge=(3, 4), helps=frozenset({7})),
     ]
-    csg = build_csg(cgates, cands, [ip], cgates, m, hw, empty_profile(hw), 0.0)
+    csg = csg_of(cgates, cands, [ip], cgates, m, hw, empty_profile(hw), 0.0)
     kinds = [(v.kind, v.edge) for v in csg.vertices]
     assert kinds == [("inprogress", (2, 3)), ("cgate", (0, 1)), ("swap", (3, 4))]
     assert csg.vertices[0].remaining_time == 1
@@ -207,13 +204,13 @@ def test_allowance_greedy_permits_cheapest_first():
     )
     m = Mapping(5, 5)
     cgates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3)), PendingPair(2, (3, 4))]
-    csg = build_csg(cgates, [], [], cgates, m, hw, prof, allowance_left=0.03)
+    csg = csg_of(cgates, [], [], cgates, m, hw, prof, allowance_left=0.03)
     # excesses: (0,1)/(2,3) costs 0.01, (0,1)/(3,4) costs 0.05
     assert csg.permitted_pairs == [(0, 1, pytest.approx(0.01))]
     assert set(csg.crosstalk_edges) == {(0, 2)}
     assert csg.crosstalk_edges[(0, 2)] == pytest.approx(0.05)
     # with no allowance both pairs become edges
-    csg0 = build_csg(cgates, [], [], cgates, m, hw, prof, allowance_left=0.0)
+    csg0 = csg_of(cgates, [], [], cgates, m, hw, prof, allowance_left=0.0)
     assert csg0.permitted_pairs == []
     assert set(csg0.crosstalk_edges) == {(0, 1), (0, 2)}
 
@@ -227,7 +224,7 @@ def test_in_progress_pairs_never_get_crosstalk_edges():
         InProgressSwap(edge=(0, 1), remaining_time=2, helps=frozenset()),
         InProgressSwap(edge=(2, 3), remaining_time=1, helps=frozenset()),
     ]
-    csg = build_csg([], [], flights, [], m, hw, prof, 0.0)
+    csg = csg_of([], [], flights, [], m, hw, prof, 0.0)
     assert csg.crosstalk_edges == {}
     assert csg.conflict_edges == set()
 
@@ -243,7 +240,7 @@ def test_two_distant_gates_csg_shape():
         ((3, 4), {1}),
         ((4, 5), {1}),
     ]
-    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+    csg = csg_of([], cands, [], pending, m, hw, prof, 0.0)
     assert sum(1 for v in csg.vertices if v.kind == "cgate") == 0
     assert sum(1 for v in csg.vertices if v.kind == "swap") == 4
     assert csg.conflict_edges == {(0, 1), (2, 3)}
@@ -264,7 +261,7 @@ def test_a_strictly_largest_class_is_taken_unranked(monkeypatch):
     hw = line5()
     m = Mapping(5, 5)
     cgates = [PendingPair(0, (0, 1)), PendingPair(1, (1, 2)), PendingPair(2, (2, 3))]
-    csg = build_csg(cgates, [], [], cgates, m, hw, empty_profile(hw), 0.0)
+    csg = csg_of(cgates, [], [], cgates, m, hw, empty_profile(hw), 0.0)
     classes = welsh_powell(csg)
     assert [cls.members for cls in classes] == [[1], [0, 2]]
 
@@ -280,7 +277,7 @@ def test_a_size_tie_is_ranked_in_full(monkeypatch):
     hw, prof = ring6()
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
-    csg = build_csg([], useful_swaps(pending, m, hw), [], pending, m, hw, prof, 0.0)
+    csg = csg_of([], useful_swaps(pending, m, hw), [], pending, m, hw, prof, 0.0)
     classes = welsh_powell(csg)
     assert [len(cls.members) for cls in classes] == [2, 2]
     ranked, asked = [], []
@@ -303,7 +300,7 @@ def test_every_coloring_is_proper():
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2)), PendingPair(1, (3, 5))]
     cands = useful_swaps(pending, m, hw)
-    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+    csg = csg_of([], cands, [], pending, m, hw, prof, 0.0)
     classes = welsh_powell(csg)
     color_of = {}
     for cls in classes:
@@ -318,7 +315,7 @@ def test_to_dot_mentions_every_vertex():
     m = Mapping(6, 6)
     pending = [PendingPair(0, (0, 2))]
     cands = useful_swaps(pending, m, hw)
-    csg = build_csg([], cands, [], pending, m, hw, prof, 0.0)
+    csg = csg_of([], cands, [], pending, m, hw, prof, 0.0)
     dot = csg.to_dot("it0")
     assert dot.startswith("graph it0 {")
     for v in csg.vertices:

@@ -251,8 +251,8 @@ def test_search_result_json():
 
 def counting_iterations(monkeypatch):
     """Count the circuit compiler's loop iterations, and those of them
-    decided live: each either looks for executable pairs or takes the
-    compile's own flight pass, and a replayed iteration does neither."""
+    decided live: each builds its layer items in one pass over the ready
+    gates, and a replayed iteration builds none."""
     seen = {"iterations": 0, "live": 0}
     next_iteration = StallGuard.next_iteration
 
@@ -268,8 +268,7 @@ def counting_iterations(monkeypatch):
         return live
 
     monkeypatch.setattr(StallGuard, "next_iteration", counted_next_iteration)
-    monkeypatch.setattr(scheduler, "executable_pairs", counted(scheduler.executable_pairs))
-    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", counted(scheduler._unpriced_flight_layer))
+    monkeypatch.setattr(scheduler, "_layer_items", counted(scheduler._layer_items))
     return seen
 
 

@@ -153,6 +153,19 @@ def test_mapping_copy_is_independent():
     assert m == Mapping(2, 4)
 
 
+def test_apply_swap_refuses_one_qubit_and_an_off_device_qubit():
+    """Both refusals leave the mapping as it was, whichever end is off the
+    device; with both off, the message names the first."""
+    m = Mapping(2, 4, placement=[3, 1])
+    with pytest.raises(MappingError, match=r"^swap needs two distinct physical qubits$"):
+        m.apply_swap(2, 2)
+    for a, b, bad in ((0, 4, 4), (4, 0, 4), (-1, 3, -1), (1, -1, -1), (5, -2, 5)):
+        with pytest.raises(MappingError, match=rf"^physical qubit {bad} out of range$"):
+            m.apply_swap(a, b)
+        assert m.as_dict() == {0: 3, 1: 1}
+        assert [m.logical_at(p) for p in range(4)] == [None, 1, None, 0]
+
+
 def test_mapping_validation():
     with pytest.raises(MappingError):
         Mapping(5, 3)

@@ -2,12 +2,12 @@
 
 ``useful_swaps`` merges each unsatisfied gate's memoised
 ``CouplingGraph.closer_swaps``, which scans only the edges at the gate's
-endpoints, ``build_csg`` finds its vertex pairs through indexes,
-``Csg.adjacency`` is the one edge store ``build_csg`` fills, a layer with
-SWAPs in flight commits the first of ``color_classes`` without coloring
-the rest, and without the full CSG when it can permit no crosstalk pair
-(``flight_color_zero``; the circuit compiler finds its cgates and
-candidates for it in one pass, ``_unpriced_flight_layer``), a layer with
+endpoints, and the circuit compiler merges the same into its layer items
+in one pass over its ready gates (``_layer_items``), ``build_csg`` finds
+its vertex pairs through indexes, ``Csg.adjacency`` is the one edge store
+``build_csg`` fills, a layer with SWAPs in flight commits the first of
+``color_classes`` without coloring the rest, and without the full CSG
+when it can permit no crosstalk pair (``flight_color_zero``), a layer with
 no choice commits without any CSG, ``CircuitRun`` keeps its ready set
 incrementally, ``ScheduleState`` keeps its drained mapping and its
 crosstalk total as it goes.  The references below are the
@@ -135,6 +135,19 @@ def reference_useful_swaps(pending, mapping, hw):
     return out
 
 
+def csg_of(cgates, swaps, in_progress, pending, mapping, hw, prof, allowance_left):
+    """``build_csg`` on the cgates ``cgates`` and the candidates ``swaps``,
+    as ``_vertex_items`` orders them: the cgates by key, then the
+    candidates off the in-flight edges by edge."""
+    items = scheduler._vertex_items(cgates, swaps, mapping.placement, {f.edge for f in in_progress})
+    return build_csg(items, in_progress, pending, mapping, hw, prof, allowance_left)
+
+
+def frozen(items):
+    """``items`` with each help collection frozen, as a record holds them."""
+    return [(edge, frozenset(helps), key) for edge, helps, key in items]
+
+
 def reference_overshoots(u, v, pending_by_key, mapping, hw):
     preview = mapping.copy()
     preview.apply_swap(*u.edge)
@@ -240,8 +253,8 @@ def checking_build_csg(seen):
     helps only gates of ``pending``, which never holds an executed gate, so
     class ranking needs no filter on the help keys of the last layer."""
 
-    def checked_build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, allowance_left):
-        csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, allowance_left)
+    def checked_build_csg(items, in_prog, pending, mapping, hw, prof, allowance_left):
+        csg = build_csg(items, in_prog, pending, mapping, hw, prof, allowance_left)
         pending_keys = {p.key for p in pending}
         assert all(v.helps <= pending_keys for v in csg.vertices if v.kind == "swap")
         conflict, crosstalk, permitted, ties = reference_pairs(
@@ -267,19 +280,56 @@ def checking_build_csg(seen):
     return checked_build_csg
 
 
+def reference_layer_items(state, pending, escape):
+    """A compile layer's items from every pending gate's placement and, unless
+    escaping, ``reference_useful_swaps`` on a freshly drained mapping less
+    the edges a SWAP just landed on: the cgates by key, then the candidates
+    off the in-flight edges by edge."""
+    l2p, hw = state.mapping.placement, state.hw
+    cgates = sorted(
+        (p for p in pending if hw.has_edge(l2p[p.logicals[0]], l2p[p.logicals[1]])), key=lambda p: p.key
+    )
+    items = [(tuple(sorted((l2p[p.logicals[0]], l2p[p.logicals[1]]))), frozenset(), p.key) for p in cgates]
+    if escape is None:
+        swaps = reference_useful_swaps(pending, reference_drained(state), hw)
+        assert useful_swaps(pending, state.drained(), hw) == swaps
+        swaps = [s for s in swaps if s.edge not in state.last_completed_edges]
+    else:
+        swaps = sorted(escape, key=lambda s: s.edge)
+    busy = {f.edge for f in state.flights}
+    return items + [(s.edge, s.helps, None) for s in swaps if s.edge not in busy]
+
+
+def escaping_case():
+    """A 2x6 grid and a circuit whose compile escapes at allowance 0, once
+    with SWAPs in flight."""
+    rng = random.Random(7)
+    hw, prof = grid_device(2, 6, rng)
+    return hw, prof, random_circuit(12, 120, rng)
+
+
 @pytest.mark.parametrize("rows,seed,size", [(4, 1, 90), (5, 2, 110), (6, 3, 130)])
 def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size):
+    """Each compile layer's items against the reference's, on hooked and
+    hook-free compiles of a seeded grid and of ``escaping_case``, and each
+    CSG and the ready set and drained mapping of each hooked layer."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, size, rng)
     seen = dict.fromkeys(
         ("swaps", "csgs", "permitted", "crosstalk", "ties", "in_flight", "routing_in_flight"), 0
     )
+    layers = dict.fromkeys(("hooked", "hook_free", "escaping", "escape_swaps"), 0)
+    layer_items, hooked = scheduler._layer_items, [False]
 
-    def checked_useful_swaps(pending, mapping, hw):
-        got = useful_swaps(pending, mapping, hw)
-        assert got == reference_useful_swaps(pending, mapping, hw)
-        seen["swaps"] += len(got)
+    def checked_layer_items(state, pending, escape):
+        got = layer_items(state, pending, escape)
+        assert frozen(got) == reference_layer_items(state, pending, escape)
+        swaps = sum(key is None for _, _, key in got)
+        seen["swaps"] += swaps
+        layers["hooked" if hooked[0] else "hook_free"] += 1
+        layers["escaping"] += escape is not None
+        layers["escape_swaps"] += escape is not None and swaps
         return got
 
     runs = []
@@ -292,22 +342,27 @@ def test_indexed_paths_match_the_references(monkeypatch, rows, seed, size):
     def check_ready(info):
         run = runs[-1]
         in_flight = {f.gate_key for f in run.state.flights if f.gate_key is not None}
-        want = {g.gate_id for g in frontier(circuit, run.executed)} - in_flight
+        want = {g.gate_id for g in frontier(run.circuit, run.executed)} - in_flight
         assert run.ready == want
         assert run.state.drained().as_dict() == reference_drained(run.state).as_dict()
         seen["in_flight"] += len(in_flight)
         seen["routing_in_flight"] += sum(f.gate_key is None for f in run.state.flights)
 
-    monkeypatch.setattr(scheduler, "useful_swaps", checked_useful_swaps)
+    monkeypatch.setattr(scheduler, "_layer_items", checked_layer_items)
     monkeypatch.setattr(scheduler, "build_csg", checking_build_csg(seen))
     monkeypatch.setattr(scheduler, "CircuitRun", RecordedRun)
-    for allowance in (0.0, 0.05, math.inf):
-        sched = compile_circuit(circuit, hw, prof, allowance=allowance, on_iteration=check_ready)
-        scheduler.verify_routing(sched, hw, prof, circuit=circuit, allowance=allowance)
+    cases = [(hw, prof, circuit, allowance) for allowance in (0.0, 0.05, math.inf)]
+    cases.append((*escaping_case(), 0.0))
+    for case_hw, case_prof, case_circuit, allowance in cases:
+        for hooked[0] in (True, False):
+            hook = check_ready if hooked[0] else None
+            sched = compile_circuit(case_circuit, case_hw, case_prof, allowance=allowance, on_iteration=hook)
+            scheduler.verify_routing(sched, case_hw, case_prof, circuit=case_circuit, allowance=allowance)
     # the comparisons saw every kind of outcome
     assert seen["swaps"] and seen["csgs"] and seen["in_flight"] and seen["routing_in_flight"]
     # ties on (cost, e_i, e_j): a cgate and a candidate SWAP on one edge
     assert seen["permitted"] and seen["crosstalk"] and seen["ties"]
+    assert all(layers.values()), layers
 
 
 @pytest.mark.parametrize("allowance", [0.05, math.inf])
@@ -351,7 +406,7 @@ def test_a_profile_prices_each_record_at_load_and_refuses_an_unrated_link():
         assert prof.excess_error(e1, e2) == prof.excess_error(e2, e1) == 0.02
     assert prof.excess_error((0, 1), (1, 2)) == 0.0
     gates = [PendingPair(0, (0, 1)), PendingPair(1, (2, 3))]
-    csg = build_csg(gates, [], [], gates, Mapping(5, 5), hw, prof, 1.0)
+    csg = csg_of(gates, [], [], gates, Mapping(5, 5), hw, prof, 1.0)
     assert csg.permitted_pairs == [(0, 1, 0.02)]
     with pytest.raises(HardwareError, match="unknown edge"):
         prof.excess_error((0, 1), (0, 4))
@@ -433,37 +488,44 @@ def color_zero_commits(csg):
 def checking_flight_layers(monkeypatch, seen, count=None):
     """Check every flight layer decided without the full CSG because its
     allowance left is below the profile's cheapest pair against color 0 of
-    ``build_csg`` and ``color_classes``, in commit order.  Two paths decide
-    them: the compile's own pass, ``_unpriced_flight_layer``, checked on
-    the cgates of ``executable_pairs`` and the candidates of
-    ``StallGuard.swaps`` for a guard that is not escaping, and
-    ``schedule_layer``, checked on the cgates and candidates it is given.
-    Returns the layers checked that go to ``flight_color_zero``, by path:
-    "compile" for the pass, "synthesize" for synthesis's ``schedule_layer``
-    and "escaping" for the compile's; a layer with no choice must record
-    (0.0, inf, ()) and counts as "no_choice".  Over the former it counts
-    into ``seen`` the layers where a vertex joined the flights and where
-    no vertex was free of them, the vertices a flight kept out by
-    crosstalk alone, and the joint overshoots between two flight-free
-    vertices; ``count``, when given, gets each one's inputs too."""
+    ``build_csg`` and ``color_classes``, in commit order.  Every loop
+    decides them in ``schedule_layer``, checked on the items it is given;
+    the compile's, for a guard that is not escaping, must be
+    ``_vertex_items`` of the cgates of ``executable_pairs`` and the
+    candidates of ``StallGuard.swaps``.  Returns the layers checked that go
+    to ``flight_color_zero``, by path: "compile" for the compile's layers
+    that are not escaping, "escaping" for those that are, and "synthesize"
+    for synthesis's; a layer with no choice must record (0.0, inf, ()) and
+    counts as "no_choice".  Over the former it counts into ``seen`` the
+    layers where a vertex joined the flights and where no vertex was free
+    of them, the vertices a flight kept out by crosstalk alone, and the
+    joint overshoots between two flight-free vertices; ``count``, when
+    given, gets each one's items, flights and profile too."""
     layers = dict.fromkeys(("compile", "synthesize", "escaping", "no_choice"), 0)
+    escaping = [False]  # whether the compile's layer being decided escapes
 
-    def check(path, state, cgates, swaps, pending, record):
+    def check(path, state, items, pending, record):
         in_prog, mapping, hw, prof = state.flights, state.mapping, state.hw, state.profile
+        if path != "synthesize" and not escaping[0]:
+            cgates = scheduler.executable_pairs(pending, mapping, hw)
+            swaps = StallGuard(0, hw).swaps(pending, state)
+            busy = {f.edge for f in in_prog}
+            assert frozen(items) == scheduler._vertex_items(cgates, swaps, mapping.placement, busy)
+        path = "escaping" if path == "compile" and escaping[0] else path
         # every allowance below prof.cheapest_excess gives this CSG
         assert prof.cheapest_excess > 0.0
-        csg = build_csg(cgates, swaps, in_prog, pending, mapping, hw, prof, 0.0)
+        csg = build_csg(items, in_prog, pending, mapping, hw, prof, 0.0)
         assert not csg.permitted_pairs
         got = list(record[2])
         assert got == color_zero_commits(csg)
-        if not cgates and {f.edge for f in in_prog}.issuperset(s.edge for s in swaps):
+        if not items:
             assert record == (0.0, math.inf, ())
             layers["no_choice"] += 1
             return
         assert record[:2] == (0.0, prof.cheapest_excess)
         layers[path] += 1
         if count is not None:
-            count(cgates, swaps, in_prog, mapping, prof)
+            count(items, in_prog, prof)
         vertices = csg.vertices
         flights = {v.vertex_id for v in vertices if v.kind == "inprogress"}
         busy = {q for i in flights for q in vertices[i].edge}
@@ -482,26 +544,23 @@ def checking_flight_layers(monkeypatch, seen, count=None):
         seen["joined"] += bool(got)
         seen["none_free"] += not free
 
-    flight_pass = scheduler._unpriced_flight_layer
+    layer_items = scheduler._layer_items
 
-    def checked_pass(state, pending):
-        record = flight_pass(state, pending)
-        cgates = scheduler.executable_pairs(pending, state.mapping, state.hw)
-        swaps = StallGuard(0, state.hw).swaps(pending, state)
-        check("compile", state, cgates, swaps, pending, record)
-        return record
+    def logged_layer_items(state, pending, escape):
+        escaping[0] = escape is not None
+        return layer_items(state, pending, escape)
 
     def checking_layer(path, layer):
-        def checked_layer(state, cgates, swaps, pending, **kwargs):
-            out = layer(state, cgates, swaps, pending, **kwargs)
+        def checked_layer(state, items, pending, **kwargs):
+            out = layer(state, items, pending, **kwargs)
             if out[0] is None and state.flights and state.allowance_left() < state.profile.cheapest_excess:
-                check(path, state, cgates, swaps, pending, out[2])
+                check(path, state, items, pending, out[2])
             return out
 
         return checked_layer
 
-    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", checked_pass)
-    monkeypatch.setattr(scheduler, "schedule_layer", checking_layer("escaping", scheduler.schedule_layer))
+    monkeypatch.setattr(scheduler, "_layer_items", logged_layer_items)
+    monkeypatch.setattr(scheduler, "schedule_layer", checking_layer("compile", scheduler.schedule_layer))
     monkeypatch.setattr(vqa, "schedule_layer", checking_layer("synthesize", vqa.schedule_layer))
     return layers
 
@@ -509,10 +568,10 @@ def checking_flight_layers(monkeypatch, seen, count=None):
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
 def test_unpriced_flight_layers_match_the_full_csg(monkeypatch, rows, seed):
     """With no ``on_iteration`` hook a flight layer whose allowance left is
-    below the profile's cheapest pair commits what the compile's own pass
-    or, in synthesis, ``flight_color_zero`` gives; it must be what the full
+    below the profile's cheapest pair commits what ``flight_color_zero``
+    gives on the compile's or synthesis's items; it must be what the full
     CSG's color 0 commits, and each schedule the one a hooked run, which
-    builds every CSG, gives.  Both paths must be met."""
+    builds every CSG, gives.  Both loops must be met."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, 110, rng)
@@ -541,13 +600,11 @@ def test_records_on_links_that_share_a_qubit_tie_once(monkeypatch, rows, seed):
     program = random_pauli_program(rows * rows, 12, rng)
     seen = dict.fromkeys(("joined", "none_free", "crosstalk_only", "free_overshoot", "free_overlap"), 0)
 
-    def counted(cgates, swaps, in_prog, mapping, prof):
+    def counted(items, in_prog, prof):
         # pairs of flight-free vertices that share a qubit and a record
         busy = {q for f in in_prog for q in f.edge}
         priced = set().union(*(prof.partners(f.edge) for f in in_prog))
-        l2p = mapping.placement
-        edges = [tuple(sorted((l2p[p.logicals[0]], l2p[p.logicals[1]]))) for p in cgates]
-        edges += [s.edge for s in swaps]
+        edges = [edge for edge, _, _ in items]
         free = [e for e in edges if not busy & set(e) and e not in priced]
         seen["free_overlap"] += sum(
             1 for i, e in enumerate(free) for d in free[i + 1 :] if set(e) & set(d) and d in prof.partners(e)
@@ -565,23 +622,21 @@ def test_records_on_links_that_share_a_qubit_tie_once(monkeypatch, rows, seed):
 
 @pytest.mark.parametrize("rows,seed", [(4, 1), (5, 2), (6, 3)])
 def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
-    """Without a hook, a layer with no cgate and no candidate off the
-    flights' edges commits nothing new, and a layer with no flight and one
-    vertex commits that vertex, both with neither ``build_csg`` nor
-    ``flight_color_zero``, on the compile's own flight pass
-    (``_unpriced_flight_layer``, on the cgates of ``executable_pairs`` and
-    the candidates of ``StallGuard.swaps``) as on ``schedule_layer``.  The
-    full CSG at allowance 0 and at inf commits the same, and each schedule
-    is the one a hooked run gives."""
+    """Without a hook, a layer with no item, so no cgate and no candidate off
+    the flights' edges, commits nothing new, and a layer with no flight and
+    one item commits that item, both with neither ``build_csg`` nor
+    ``flight_color_zero``, in both loops' ``schedule_layer``; the compile's
+    nothing-new flight layers record (0.0, inf, ()).  The full CSG at
+    allowance 0 and at inf commits the same, and each schedule is the one a
+    hooked run gives."""
     rng = random.Random(seed)
     hw, prof = grid_device(rows, rows, rng)
     circuit = random_circuit(rows * rows, 110, rng)
     program = random_pauli_program(rows * rows, 12, rng)
     seen = {name: {"nothing_new": 0, "one_vertex": 0} for name in ("compile_circuit", "synthesize")}
-    seen["compile_circuit"]["pass_nothing_new"] = 0
+    seen["compile_circuit"]["flight_nothing_new"] = 0
     calls = {"csg": 0}
     build, color_zero, layer = scheduler.build_csg, scheduler.flight_color_zero, scheduler.schedule_layer
-    flight_pass = scheduler._unpriced_flight_layer
 
     def counted(fn):
         def wrapped(*args):
@@ -590,26 +645,25 @@ def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
 
         return wrapped
 
-    def checked_layer(state, cgates, swaps, pending, **kwargs):
+    def checked_layer(state, items, pending, **kwargs):
         flights = list(state.flights)
-        busy = {f.edge for f in flights}
-        if not cgates and all(s.edge in busy for s in swaps):
+        if not items:
             kind, want = "nothing_new", []
-        elif not flights and len(cgates) + len(swaps) == 1:
+        elif not flights and len(items) == 1:
             kind = "one_vertex"
-            want = [("cgate", p.key) for p in cgates] + [("swap", s.edge) for s in swaps]
+            want = [("swap", edge) if key is None else ("cgate", key) for edge, _, key in items]
         else:
             kind = None
         if kind is not None and not kwargs["keep_csg"]:
             for allowance in (0.0, math.inf):
-                csg = build(cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, allowance)
+                csg = build(items, flights, pending, state.mapping, state.hw, state.profile, allowance)
                 # color 0 is the class the full path commits: it holds the
                 # flights, or it is the only class
                 assert flights or len(welsh_powell(csg)) <= 1
                 full = color_zero_commits(csg)
                 assert [("swap", edge) if key is None else ("cgate", key) for edge, _, key in full] == want
         before = calls["csg"]
-        csg, selected, record = layer(state, cgates, swaps, pending, **kwargs)
+        csg, selected, record = layer(state, items, pending, **kwargs)
         if kind is not None and not kwargs["keep_csg"]:
             assert calls["csg"] == before and csg is None and selected is None
             lo, hi, items = record
@@ -618,27 +672,13 @@ def test_no_choice_layers_commit_without_a_csg(monkeypatch, rows, seed):
             started = [("swap", edge) for edge, _, key in items if key is None]
             assert ran + started == want
             seen[compile_fn.__name__][kind] += 1
+            if compile_fn is compile_circuit and kind == "nothing_new" and flights:
+                assert record == (0.0, math.inf, ())
+                seen["compile_circuit"]["flight_nothing_new"] += 1
         return csg, selected, record
-
-    def checked_pass(state, pending):
-        cgates = scheduler.executable_pairs(pending, state.mapping, state.hw)
-        swaps = StallGuard(0, state.hw).swaps(pending, state)
-        flights = list(state.flights)
-        nothing_new = not cgates and all(s.edge in {f.edge for f in flights} for s in swaps)
-        if nothing_new:
-            for allowance in (0.0, math.inf):
-                csg = build(cgates, swaps, flights, pending, state.mapping, state.hw, state.profile, allowance)
-                assert color_zero_commits(csg) == []
-        before = calls["csg"]
-        record = flight_pass(state, pending)
-        if nothing_new:
-            assert calls["csg"] == before and record == (0.0, math.inf, ())
-            seen["compile_circuit"]["pass_nothing_new"] += 1
-        return record
 
     monkeypatch.setattr(scheduler, "build_csg", counted(build))
     monkeypatch.setattr(scheduler, "flight_color_zero", counted(color_zero))
-    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", checked_pass)
     monkeypatch.setattr(scheduler, "schedule_layer", checked_layer)
     monkeypatch.setattr(vqa, "schedule_layer", checked_layer)
     for allowance in (0.0, 0.05, math.inf):
@@ -697,11 +737,11 @@ def test_a_joint_overshoot_alone_keeps_a_swap_from_the_flights():
     swap = SwapCandidate((2, 3), frozenset({"g"}))
     for profile in (prof, CrosstalkProfile(hw, [])):
         args = ([], [swap], [flight], [gate], Mapping(4, 4), hw, profile)
-        csg = build_csg(*args, 0.0)
+        csg = csg_of(*args, 0.0)
         assert csg.conflict_edges == {(0, 1)} and not csg.crosstalk_edges
         # with the gate gone from the pending set the tie goes too
         args = ([], [swap], [flight], [], Mapping(4, 4), hw, profile)
-        want = color_zero_commits(build_csg(*args, 0.0))
+        want = color_zero_commits(csg_of(*args, 0.0))
         swap_joins = [((2, 3), frozenset({"g"}), None)]
         assert flight_color_zero(swap_joins, [flight], [], Mapping(4, 4), hw, profile) == want
         assert want == ([] if profile is prof else swap_joins)

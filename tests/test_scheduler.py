@@ -2,7 +2,6 @@ import copy
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -42,10 +41,10 @@ from chromaroute.fixtures import (
 )
 import chromaroute.scheduler as scheduler
 import chromaroute.vqa as vqa
-from chromaroute.csg import PendingPair, build_csg, executable_pairs, useful_swaps
+from chromaroute.csg import PendingPair, SwapCandidate, executable_pairs, useful_swaps
 from chromaroute.hardware import normalize_edge
 from chromaroute.scheduler import LedgerEntry, ScheduleState, StallGuard, schedule_layer
-from test_indexed import grid_device, random_circuit, reference_excess
+from test_indexed import csg_of, escaping_case, reference_excess
 from test_metamorphic import scaled_rates, seeded_case
 
 
@@ -651,8 +650,10 @@ def flight_beside_its_partner(allowance):
 
 
 def committed_layer(state, gates, run_cgate, **kwargs):
-    """``schedule_layer`` on ``gates`` with its record's items committed."""
-    csg, selected, (_, _, items) = schedule_layer(state, gates, [], gates, **kwargs)
+    """``schedule_layer`` on the cgates ``gates`` with its record's items
+    committed."""
+    items = scheduler._vertex_items(gates, [], state.mapping.placement)
+    csg, selected, (_, _, items) = schedule_layer(state, items, gates, **kwargs)
     state.commit(items, run_cgate)
     return csg, selected
 
@@ -686,7 +687,8 @@ def test_each_layer_path_records_the_window_of_its_allowance_tests():
     def recorded(allowance, gates):
         state, _, _ = flight_beside_its_partner(allowance)
         left = state.allowance_left()
-        _, _, (lo, hi, items) = schedule_layer(state, gates, [], gates, keep_csg=False)
+        items = scheduler._vertex_items(gates, [], state.mapping.placement)
+        _, _, (lo, hi, items) = schedule_layer(state, items, gates, keep_csg=False)
         assert left == allowance and lo <= left < hi
         assert not state.ledger and state.qubit_free(2)  # the layer committed nothing
         return lo, hi, list(items)
@@ -700,12 +702,12 @@ def test_each_layer_path_records_the_window_of_its_allowance_tests():
     assert recorded(cheapest, across) == (cheapest, math.inf, [])
     # only the flight: no allowance test
     assert recorded(below, []) == (0.0, math.inf, [])
-    # the compile's own flight pass records the same windows below the
-    # cheapest pair, from the gates alone: across has a candidate SWAP on
-    # its cgate's edge, and both are tied to the flight
+    # the compile's items record the same windows below the cheapest pair,
+    # from the gates alone: across has a candidate SWAP on its cgate's
+    # edge, and both are tied to the flight
     for gates, hi in ((beside, cheapest), (across, cheapest), ([], math.inf)):
         state, _, _ = flight_beside_its_partner(below)
-        record = scheduler._unpriced_flight_layer(state, gates)
+        record = compile_record(state, gates)
         assert record[0] <= state.allowance_left() < record[1]
         assert (record[0], record[1], list(record[2])) == (0.0, hi, [])
 
@@ -724,13 +726,19 @@ def flight_pass_line(flight, allowance=0.0):
     return state
 
 
+def compile_record(state, pending, escape=None):
+    """The record a hook-free compile's ``schedule_layer`` gives its layer
+    items, for a guard whose escape SWAPs are ``escape``."""
+    return schedule_layer(state, scheduler._layer_items(state, pending, escape), pending, keep_csg=False)[2]
+
+
 def reference_flight_record(state, pending):
     """Color 0 of the full CSG, on the cgates of ``executable_pairs`` and
     the candidates of a guard that is not escaping, as the items a flight
     layer commits."""
     cgates = executable_pairs(pending, state.mapping, state.hw)
     swaps = StallGuard(0, state.hw).swaps(pending, state)
-    csg = build_csg(cgates, swaps, state.flights, pending, state.mapping, state.hw, state.profile, 0.0)
+    csg = csg_of(cgates, swaps, state.flights, pending, state.mapping, state.hw, state.profile, 0.0)
     members = [csg.vertices[i] for i in next(scheduler.color_classes(csg)).members]
     return [(v.edge, v.helps, v.gate_key) for v in members if v.kind != "inprogress"]
 
@@ -745,7 +753,7 @@ def test_the_flight_pass_counts_a_cgate_and_a_swap_on_one_edge_twice():
     state = flight_pass_line((8, 9))
     cheapest = state.profile.cheapest_excess
     pending = [PendingPair(0, (1, 2)), PendingPair(1, (3, 4)), PendingPair(2, (1, 3)), PendingPair(3, (4, 6))]
-    lo, hi, items = scheduler._unpriced_flight_layer(state, pending)
+    lo, hi, items = compile_record(state, pending)
     assert lo <= state.allowance_left() < hi
     assert (lo, hi) == (0.0, cheapest)
     assert items == [((2, 3), frozenset({2}), None), ((4, 5), frozenset({3}), None)]
@@ -753,7 +761,8 @@ def test_the_flight_pass_counts_a_cgate_and_a_swap_on_one_edge_twice():
     # synthesis's path decides the same from the guard's candidates
     cgates = executable_pairs(pending, state.mapping, state.hw)
     swaps = StallGuard(0, state.hw).swaps(pending, state)
-    assert schedule_layer(state, cgates, swaps, pending, keep_csg=False)[2] == (lo, hi, items)
+    items_of = scheduler._vertex_items(cgates, swaps, state.mapping.placement, {f.edge for f in state.flights})
+    assert schedule_layer(state, items_of, pending, keep_csg=False)[2] == (lo, hi, items)
 
 
 def test_a_flight_pass_with_only_landed_and_in_flight_candidates_has_no_choice(monkeypatch):
@@ -775,49 +784,112 @@ def test_a_flight_pass_with_only_landed_and_in_flight_candidates_has_no_choice(m
         raise AssertionError("a layer with no choice ranked its vertices")
 
     monkeypatch.setattr(scheduler, "flight_color_zero", never)
-    record = scheduler._unpriced_flight_layer(state, pending)
+    assert scheduler._layer_items(state, pending, None) == []
+    record = compile_record(state, pending)
     assert record == (0.0, math.inf, ())
     assert record[0] <= state.allowance_left() < record[1]
     assert reference_flight_record(state, pending) == []
 
 
+def test_an_escape_swap_on_a_just_landed_edge_is_kept():
+    """A routing SWAP on 1-2 has just landed and none is in flight.  The
+    gate of logicals 2 and 4 now sits on 1 and 4, and an escaping guard's
+    cheapest SWAP for it is 1-2 again, the lower of two free edges.  The
+    escape is kept, as the landed-edge filter guards only the candidates of
+    a guard that is not escaping, which keep 3-4 alone."""
+    state = flight_pass_line((1, 2))
+    for _ in range(2):
+        state.close_layer()
+        state.open_layer()
+    assert state.last_completed_edges == {(1, 2)} and not state.flights
+    pending = [PendingPair(0, (2, 4))]
+    guard = StallGuard(0, state.hw)
+    guard.gates_idle = state.hw.num_qubits + 1
+    escape = guard.escape_swaps(pending, state)
+    assert escape == [SwapCandidate((1, 2), frozenset({0}))]
+    assert scheduler._layer_items(state, pending, escape) == [((1, 2), frozenset({0}), None)]
+    assert scheduler._layer_items(state, pending, None) == [((3, 4), [0], None)]
+    lo, hi, items = compile_record(state, pending, escape)
+    assert lo <= state.allowance_left() < hi
+    assert (lo, hi, items) == (0.0, math.inf, [((1, 2), frozenset({0}), None)])
+
+
+def test_a_candidate_on_an_in_flight_edge_is_dropped():
+    """With a routing SWAP on 3-4 in flight, the gate of logicals 4 and 6
+    sits on 3 and 6 of the drained mapping, so the SWAPs on 3-4 and 5-6
+    each bring it closer.  3-4 is the flight's own edge and is dropped;
+    5-6 is tied to no flight and joins it in color 0."""
+    state = flight_pass_line((3, 4))
+    pending = [PendingPair(0, (4, 6))]
+    assert [s.edge for s in useful_swaps(pending, state.drained(), state.hw)] == [(3, 4), (5, 6)]
+    assert scheduler._layer_items(state, pending, None) == [((5, 6), [0], None)]
+    lo, hi, items = compile_record(state, pending)
+    assert lo <= state.allowance_left() < hi
+    assert (lo, hi, items) == (0.0, state.profile.cheapest_excess, [((5, 6), frozenset({0}), None)])
+    assert items == reference_flight_record(state, pending)
+
+
+def test_a_cgate_and_a_swap_on_one_edge_are_both_items_in_vertex_order():
+    """Gate 0 runs on 1-2 and a SWAP there brings gate 2 closer: both are
+    items, the cgates first by key, then the candidates by edge, and the
+    CSG's vertices past the flight on 8-9 are those items in that order."""
+    state = flight_pass_line((8, 9))
+    pending = [PendingPair(0, (1, 2)), PendingPair(1, (3, 4)), PendingPair(2, (1, 3)), PendingPair(3, (4, 6))]
+    items = scheduler._layer_items(state, pending, None)
+    assert items == [
+        ((1, 2), frozenset(), 0),
+        ((3, 4), frozenset(), 1),
+        ((1, 2), [2], None),
+        ((2, 3), [2], None),
+        ((4, 5), [3], None),
+        ((5, 6), [3], None),
+    ]
+    csg, _, (lo, hi, _) = schedule_layer(state, items, pending)
+    assert lo <= state.allowance_left() < hi
+    assert [(v.edge, v.helps, v.gate_key) for v in csg.vertices] == [
+        ((8, 9), frozenset(), None),
+        *[(edge, frozenset(helps), key) for edge, helps, key in items],
+    ]
+    assert [v.kind for v in csg.vertices] == ["inprogress", "cgate", "cgate", "swap", "swap", "swap", "swap"]
+    lo, hi, _ = compile_record(state, pending)
+    assert lo <= state.allowance_left() < hi
+
+
 def test_an_escaping_guard_keeps_its_flight_layers_on_schedule_layer(monkeypatch):
     """While the guard escapes, ``escape_swaps`` gives a flight layer no
-    candidate, and the layer goes to ``schedule_layer`` with that empty
-    list, below the cheapest pair too; the compile's own pass sees only
-    layers whose guard is not escaping.  Each window holds the allowance
-    left it was decided at.  This seed escapes at allowance 0 with SWAPs
-    in flight."""
-    rng = random.Random(7)
-    hw, prof = grid_device(2, 6, rng)
-    circuit = random_circuit(12, 120, rng)
+    candidate, and the layer's items, its cgates alone, go to
+    ``schedule_layer``, below the cheapest pair too, as a layer's whose
+    guard is not escaping do.  Each window holds the allowance left it was
+    decided at.  ``escaping_case`` escapes at allowance 0 with SWAPs in
+    flight."""
+    hw, prof, circuit = escaping_case()
     escaping = [False]
     seen = {"pass": 0, "escaping": 0}
-    escape_swaps, flight_pass, layer = StallGuard.escape_swaps, scheduler._unpriced_flight_layer, schedule_layer
+    escape_swaps, layer_items, layer = StallGuard.escape_swaps, scheduler._layer_items, schedule_layer
 
     def logged(guard, *args):
         swaps = escape_swaps(guard, *args)
         escaping[0] = swaps is not None
         return swaps
 
-    def checked_pass(state, pending):
-        assert not escaping[0]
-        lo, hi, _ = record = flight_pass(state, pending)
-        assert lo <= state.allowance_left() < hi
-        seen["pass"] += 1
-        return record
+    def checked_items(state, pending, escape):
+        assert escaping[0] == (escape is not None)
+        return layer_items(state, pending, escape)
 
-    def checked_layer(state, cgates, swaps, pending, **kwargs):
-        out = layer(state, cgates, swaps, pending, **kwargs)
+    def checked_layer(state, items, pending, **kwargs):
+        out = layer(state, items, pending, **kwargs)
         lo, hi, _ = out[2]
         assert lo <= state.allowance_left() < hi
-        if escaping[0] and state.flights:
-            assert swaps == [] and state.allowance_left() < prof.cheapest_excess
-            seen["escaping"] += 1
+        if state.flights and state.allowance_left() < prof.cheapest_excess:
+            if escaping[0]:
+                assert all(key is not None for _, _, key in items)
+                seen["escaping"] += 1
+            else:
+                seen["pass"] += 1
         return out
 
     monkeypatch.setattr(StallGuard, "escape_swaps", logged)
-    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", checked_pass)
+    monkeypatch.setattr(scheduler, "_layer_items", checked_items)
     monkeypatch.setattr(scheduler, "schedule_layer", checked_layer)
     sched = compile_circuit(circuit, hw, prof, allowance=0.0)
     assert seen["pass"] and seen["escaping"], seen
@@ -829,18 +901,17 @@ def counting_paths(monkeypatch):
     """Count each loop's layers by the path they take: flight layers that
     build the full CSG, flight layers that take ``flight_color_zero``, and
     layers of any kind that take neither, as a layer with no choice does.
-    ``seen["compile"]`` counts the circuit compiler's layers, those of
-    ``schedule_layer`` and of its own flight pass
-    (``_unpriced_flight_layer``), ``seen["synthesize"]`` synthesis's."""
+    ``seen["compile"]`` counts the circuit compiler's layers, all of them
+    decided by its ``schedule_layer``, ``seen["synthesize"]`` synthesis's."""
     seen = {loop: {"full": 0, "color_zero": 0, "no_choice": 0} for loop in ("compile", "synthesize")}
     calls = {"csg": 0}
     loop = ["compile"]  # the loop of the layer being decided
     build, color_zero = scheduler.build_csg, scheduler.flight_color_zero
 
-    def counted_build(cgates, swaps, in_prog, *args):
+    def counted_build(items, in_prog, *args):
         calls["csg"] += 1
         seen[loop[0]]["full"] += bool(in_prog)
-        return build(cgates, swaps, in_prog, *args)
+        return build(items, in_prog, *args)
 
     def counted_color_zero(*args):
         calls["csg"] += 1
@@ -860,7 +931,6 @@ def counting_paths(monkeypatch):
     monkeypatch.setattr(scheduler, "build_csg", counted_build)
     monkeypatch.setattr(scheduler, "flight_color_zero", counted_color_zero)
     monkeypatch.setattr(scheduler, "schedule_layer", counting("compile", scheduler.schedule_layer))
-    monkeypatch.setattr(scheduler, "_unpriced_flight_layer", counting("compile", scheduler._unpriced_flight_layer))
     monkeypatch.setattr(vqa, "schedule_layer", counting("synthesize", vqa.schedule_layer))
     return seen
 
